@@ -175,8 +175,7 @@ func BenchmarkOverheadSigil(b *testing.B) {
 	for _, name := range overheadWorkloads {
 		b.Run(name, func(b *testing.B) {
 			benchRun(b, name, func() dbi.Tool {
-				sub := mustSub()
-				return dbi.Chain{sub, mustCore(sub, core.Options{})}
+				return mustCore(mustSub(), core.Options{})
 			})
 		})
 	}
@@ -190,8 +189,7 @@ func BenchmarkOverheadSigilSharded(b *testing.B) {
 	for _, name := range overheadWorkloads {
 		b.Run(name, func(b *testing.B) {
 			benchRun(b, name, func() dbi.Tool {
-				sub := mustSub()
-				return dbi.Chain{sub, mustCore(sub, core.Options{ClassifyWorkers: 4})}
+				return mustCore(mustSub(), core.Options{ClassifyWorkers: 4})
 			})
 		})
 	}
@@ -205,8 +203,7 @@ func BenchmarkAblationReuseMode(b *testing.B) {
 	for _, track := range []bool{false, true} {
 		b.Run(fmt.Sprintf("reuse=%v", track), func(b *testing.B) {
 			benchRun(b, "vips", func() dbi.Tool {
-				sub := mustSub()
-				return dbi.Chain{sub, mustCore(sub, core.Options{TrackReuse: track})}
+				return mustCore(mustSub(), core.Options{TrackReuse: track})
 			})
 		})
 	}
@@ -217,8 +214,7 @@ func BenchmarkAblationGranularity(b *testing.B) {
 	for _, line := range []bool{false, true} {
 		b.Run(fmt.Sprintf("line=%v", line), func(b *testing.B) {
 			benchRun(b, "raytrace", func() dbi.Tool {
-				sub := mustSub()
-				return dbi.Chain{sub, mustCore(sub, core.Options{LineGranularity: line})}
+				return mustCore(mustSub(), core.Options{LineGranularity: line})
 			})
 		})
 	}
@@ -231,8 +227,7 @@ func BenchmarkAblationShadowLimit(b *testing.B) {
 	for _, limit := range []int{0, 16, 8, 4} {
 		b.Run(fmt.Sprintf("chunks=%d", limit), func(b *testing.B) {
 			benchRun(b, "dedup", func() dbi.Tool {
-				sub := mustSub()
-				return dbi.Chain{sub, mustCore(sub, core.Options{MaxShadowChunks: limit})}
+				return mustCore(mustSub(), core.Options{MaxShadowChunks: limit})
 			})
 		})
 	}
@@ -303,8 +298,7 @@ func BenchmarkAblationEvents(b *testing.B) {
 				if events {
 					opts.Events = &trace.Buffer{}
 				}
-				sub := mustSub()
-				return dbi.Chain{sub, mustCore(sub, opts)}
+				return mustCore(mustSub(), opts)
 			})
 		})
 	}

@@ -91,11 +91,10 @@ func (c *Cache) Misses() uint64 { return c.misses }
 // reads and writes, matching Callgrind's simulation).
 func (c *Cache) Access(addr uint64) bool {
 	c.accesses++
-	lineAddr := addr >> c.lineBits
+	lineAddr := addr >> c.lineBits // full line address as tag; set bits are redundant but harmless
 	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr >> 0 // full line address as tag; set bits are redundant but harmless
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].valid && set[i].tag == lineAddr {
 			// Move to MRU position (way 0).
 			hit := set[i]
 			copy(set[1:i+1], set[:i])
@@ -105,7 +104,7 @@ func (c *Cache) Access(addr uint64) bool {
 	}
 	c.misses++
 	copy(set[1:], set[:len(set)-1])
-	set[0] = line{tag: tag, valid: true}
+	set[0] = line{tag: lineAddr, valid: true}
 	return false
 }
 
@@ -212,8 +211,8 @@ const (
 // outcome, following Callgrind's treatment).
 func (h *Hierarchy) Access(addr uint64, size uint8) AccessResult {
 	res := h.accessLine(addr)
-	lineSize := uint64(h.L1.cfg.LineSize)
-	if (addr+uint64(size)-1)/lineSize != addr/lineSize {
+	lb := h.L1.lineBits
+	if (addr+uint64(size)-1)>>lb != addr>>lb {
 		res2 := h.accessLine(addr + uint64(size) - 1)
 		if res2 > res {
 			res = res2
@@ -223,8 +222,8 @@ func (h *Hierarchy) Access(addr uint64, size uint8) AccessResult {
 }
 
 func (h *Hierarchy) accessLine(addr uint64) AccessResult {
-	lineSize := uint64(h.L1.cfg.LineSize)
-	lineAddr := addr / lineSize
+	lineSize := uint64(1) << h.L1.lineBits
+	lineAddr := addr >> h.L1.lineBits
 	if h.L1.Access(addr) {
 		// Tagged prefetching: a hit on the line we prefetched keeps the
 		// stream running one line ahead.
@@ -244,6 +243,6 @@ func (h *Hierarchy) accessLine(addr uint64) AccessResult {
 
 func (h *Hierarchy) issuePrefetch(addr uint64) {
 	h.L1.fill(addr)
-	h.lastPrefetched = addr / uint64(h.L1.cfg.LineSize)
+	h.lastPrefetched = addr >> h.L1.lineBits
 	h.prefetches++
 }

@@ -133,8 +133,10 @@ type Tool struct {
 	stack []stackEntry
 
 	callCounter uint64
-	lastMark    uint64 // instret at last attribution point
-	totalInstrs uint64
+	// The machine's instruction and operation counts at the last
+	// attribution point.
+	lastMark, lastInt, lastFP uint64
+	totalInstrs               uint64
 }
 
 type stackEntry struct {
@@ -169,7 +171,7 @@ func New(opts Options) (*Tool, error) {
 func (t *Tool) ProgramStart(p *vm.Program, m *vm.Machine) {
 	t.prog = p
 	t.mach = m
-	t.lastMark = 0
+	t.lastMark, t.lastInt, t.lastFP = 0, 0, 0
 }
 
 // FnEnter implements dbi.Tool.
@@ -221,14 +223,18 @@ func (t *Tool) newNode(fn int, parent *Node) *Node {
 	return n
 }
 
-// attribute charges instructions retired since the last attribution point to
-// the current context.
+// attribute charges the instructions and operations retired since the last
+// attribution point to the current context. Every call boundary is one, so
+// no operation is charged to a context that was not executing it.
 func (t *Tool) attribute() {
 	now := t.mach.InstrCount()
+	intOps, fpOps := t.mach.OpCounts()
 	if cur := t.current(); cur != nil {
 		cur.Self.Instrs += now - t.lastMark
+		cur.Self.IntOps += intOps - t.lastInt
+		cur.Self.FPOps += fpOps - t.lastFP
 	}
-	t.lastMark = now
+	t.lastMark, t.lastInt, t.lastFP = now, intOps, fpOps
 }
 
 func (t *Tool) current() *Node {
@@ -236,19 +242,6 @@ func (t *Tool) current() *Node {
 		return nil
 	}
 	return t.stack[len(t.stack)-1].node
-}
-
-// Op implements dbi.Tool.
-func (t *Tool) Op(class vm.OpClass) {
-	cur := t.current()
-	if cur == nil {
-		return
-	}
-	if class.IsFP() {
-		cur.Self.FPOps++
-	} else {
-		cur.Self.IntOps++
-	}
 }
 
 // Branch implements dbi.Tool.

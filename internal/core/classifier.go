@@ -119,13 +119,13 @@ const (
 //sigil:hot
 func (c *classifier) readRange(f *segFrame, g0, g1, now uint64) {
 	if c.scalar {
-		for g := g0; g <= g1; g++ {
+		for g := g0; inRange(g, g0, g1); g++ {
 			c.readGranule(f, g, now, 1)
 		}
 		return
 	}
 	base := c.pos.off
-	for g := g0; g <= g1; {
+	for g := g0; inRange(g, g0, g1); {
 		ch, idx := c.shadow.get(g)
 		end := g | chunkMask
 		if end > g1 {
@@ -313,14 +313,14 @@ func (c *classifier) reuseRun(f *segFrame, ros []reuseObj, st shadowObj, call32 
 //sigil:hot
 func (c *classifier) writeRange(enc uint32, call uint64, g0, g1, now uint64) {
 	if c.scalar {
-		for g := g0; g <= g1; g++ {
+		for g := g0; inRange(g, g0, g1); g++ {
 			c.writeGranule(enc, call, g, now)
 		}
 		return
 	}
 	call32 := uint32(call)
 	lineReuse := c.lineMode
-	for g := g0; g <= g1; {
+	for g := g0; inRange(g, g0, g1); {
 		ch, idx := c.shadow.get(g)
 		end := g | chunkMask
 		if end > g1 {
@@ -352,7 +352,7 @@ func (c *classifier) writeRange(enc uint32, call uint64, g0, g1, now uint64) {
 //
 //sigil:hot
 func (c *classifier) markStartup(g0, g1 uint64) {
-	for g := g0; g <= g1; {
+	for g := g0; inRange(g, g0, g1); {
 		ch, idx := c.shadow.get(g)
 		end := g | chunkMask
 		if end > g1 {
@@ -366,6 +366,11 @@ func (c *classifier) markStartup(g0, g1 uint64) {
 		g = end + 1
 	}
 }
+
+// inRange reports whether granule g lies in [g0,g1]. A walk over a range
+// that ends at the top granule steps past it by wrapping to 0, where a plain
+// g <= g1 would never stop.
+func inRange(g, g0, g1 uint64) bool { return g-g0 <= g1-g0 }
 
 // --- retained scalar reference path ---
 

@@ -169,8 +169,8 @@ func (r *Result) TotalCommunicated() CommStats {
 
 // Run profiles one program under Sigil with a fresh machine and substrate,
 // returning the completed result. It is RunContext without cancellation;
-// callers needing the substrate mid-run (or custom chaining) can assemble
-// the tools themselves.
+// callers needing the substrate mid-run can build it and the Sigil tool
+// themselves.
 func Run(p *vm.Program, opts Options, input []byte) (*Result, error) {
 	return RunContext(context.Background(), p, opts, input)
 }
@@ -184,7 +184,7 @@ func Run(p *vm.Program, opts Options, input []byte) (*Result, error) {
 // partial Result collected so far alongside a typed error (*BudgetError,
 // *vm.CancelError wrapping the context error, or *PanicError). Only setup
 // failures return a nil Result.
-func RunContext(ctx context.Context, p *vm.Program, opts Options, input []byte) (res *Result, err error) {
+func RunContext(ctx context.Context, p *vm.Program, opts Options, input []byte) (*Result, error) {
 	sub, err := callgrind.New(opts.Substrate)
 	if err != nil {
 		return nil, err
@@ -193,6 +193,11 @@ func RunContext(ctx context.Context, p *vm.Program, opts Options, input []byte) 
 	if err != nil {
 		return nil, err
 	}
+	return runTool(ctx, tool, p, opts, input)
+}
+
+// runTool is RunContext on a tool built from opts.
+func runTool(ctx context.Context, tool *Tool, p *vm.Program, opts Options, input []byte) (res *Result, err error) {
 	start := time.Now()
 
 	// Effective metrics block: the caller's, or — when only a tracer is
@@ -266,7 +271,7 @@ func RunContext(ctx context.Context, p *vm.Program, opts Options, input []byte) 
 			return nil
 		}
 	}
-	run, runErr := dbi.RunContext(ctx, p, dbi.Chain{sub, tool}, input, stop)
+	run, runErr := dbi.RunContext(ctx, p, tool, input, stop)
 	out, resErr := tool.Result()
 	if out != nil {
 		out.Wall = run.Duration

@@ -179,7 +179,7 @@ func (e *classifyEngine) recordAccess(op uint8, enc uint32, call uint64, g0, g1,
 	seq := e.seq
 	e.seq++
 	var off uint64
-	for g := g0; g <= g1; {
+	for g := g0; inRange(g, g0, g1); {
 		end := g | chunkMask
 		if end > g1 {
 			end = g1

@@ -71,7 +71,7 @@ type Options struct {
 
 	// Substrate configures the Callgrind-analogue tool Run creates
 	// (cache geometry, branch predictor, prefetcher). Ignored when the
-	// caller assembles its own tool chain via New.
+	// caller builds the substrate itself and passes it to New.
 	Substrate callgrind.Options
 
 	// Telemetry, when non-nil, receives live run metrics: the tool
@@ -139,10 +139,10 @@ func (o Options) shardedWanted() bool {
 	return o.ClassifyWorkers > 0 && o.MaxShadowChunks == 0 && !o.refScalar
 }
 
-// Tool is the Sigil instrumentation tool. It must run chained after (and
-// pointed at) a callgrind.Tool, which resolves the executing calling
-// context — mirroring how the paper's Sigil hooks into Callgrind to identify
-// function names and count operations.
+// Tool is the Sigil instrumentation tool. It drives a callgrind.Tool,
+// forwarding every callback to it before acting, and asks it for the
+// executing calling context — mirroring how the paper's Sigil hooks into
+// Callgrind to identify function names and count operations.
 //
 // The embedded classifier holds the shadow table and every classification
 // aggregate; with ClassifyWorkers > 0 the memory callbacks append access
@@ -152,6 +152,7 @@ type Tool struct {
 	classifier
 
 	sub  *callgrind.Tool
+	mach *vm.Machine
 	opts Options
 
 	// engine is the sharded classification pipeline; nil means the memory
@@ -173,14 +174,14 @@ type Tool struct {
 	result   *Result
 }
 
-// segFrame mirrors one open function call for event segmentation: ops and
+// segFrame mirrors one open function call for event segmentation:
 // per-producer unique bytes accumulate until the segment closes at the next
-// call boundary.
+// call boundary, which emits them with the operations retired since mark.
 type segFrame struct {
 	ctx  int32
 	enc  uint32 // encoded ctx, cached for the hot path
 	call uint64
-	ops  uint64
+	mark uint64 // machine operation count when the open segment began
 	comm []commAcc
 }
 
@@ -192,8 +193,8 @@ type commAcc struct {
 
 var _ vm.Observer = (*Tool)(nil)
 
-// New returns a Sigil tool observing contexts through sub. Run it with
-// dbi.Chain{sub, sigilTool} so the substrate sees each event first.
+// New returns a Sigil tool observing contexts through sub. Run the Sigil
+// tool alone: it forwards each event to sub first.
 func New(sub *callgrind.Tool, opts Options) (*Tool, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
@@ -220,6 +221,8 @@ func New(sub *callgrind.Tool, opts Options) (*Tool, error) {
 // observer callback, so tools that are constructed but never run (tests,
 // benches poking the classifier directly) never start workers.
 func (t *Tool) ProgramStart(p *vm.Program, m *vm.Machine) {
+	t.sub.ProgramStart(p, m)
+	t.mach = m
 	if t.opts.shardedWanted() && t.engine == nil {
 		t.engine = newClassifyEngine(t)
 	}
@@ -227,19 +230,14 @@ func (t *Tool) ProgramStart(p *vm.Program, m *vm.Machine) {
 		if len(s.Data) == 0 {
 			continue
 		}
-		g0 := s.Addr >> t.shift
-		g1 := (s.Addr + uint64(len(s.Data)) - 1) >> t.shift
-		if t.engine != nil {
-			t.engine.recordAccess(opStartup, encStartup, 0, g0, g1, 0)
-			continue
-		}
-		t.markStartup(g0, g1)
+		t.access(opStartup, nil, s.Addr, uint64(len(s.Data)), 0)
 	}
 }
 
-// FnEnter implements dbi.Tool. The substrate has already pushed the new
-// context; Sigil mirrors it and starts a fresh event segment.
+// FnEnter implements dbi.Tool. The substrate pushes the new context first;
+// Sigil mirrors it and starts a fresh event segment.
 func (t *Tool) FnEnter(fn int) {
+	t.sub.FnEnter(fn)
 	node := t.sub.Current()
 	if node == nil {
 		return
@@ -257,11 +255,13 @@ func (t *Tool) FnEnter(fn int) {
 		ctx:  int32(node.ID),
 		enc:  encodeCtx(int32(node.ID)),
 		call: call,
+		mark: t.opsNow(),
 	})
 }
 
 // FnLeave implements dbi.Tool.
 func (t *Tool) FnLeave(fn int) {
+	t.sub.FnLeave(fn)
 	if len(t.stack) == 0 {
 		return
 	}
@@ -270,51 +270,79 @@ func (t *Tool) FnLeave(fn int) {
 		t.closeSegment(f)
 		t.emit(trace.Event{Kind: trace.KindLeave, Ctx: f.ctx, Call: f.call, Time: t.sub.Now()})
 	}
-	t.stack = t.stack[:len(t.stack)-1]
+	t.pop()
 }
 
-// Op implements dbi.Tool: operations accrue to the open segment for the
-// event representation (the substrate keeps the per-context totals).
-func (t *Tool) Op(class vm.OpClass) {
+// pop ends the top frame's call. The caller's next segment starts now, so
+// its operation mark moves past the operations the callee retired.
+func (t *Tool) pop() {
+	t.stack = t.stack[:len(t.stack)-1]
 	if len(t.stack) > 0 {
-		t.stack[len(t.stack)-1].ops++
+		t.stack[len(t.stack)-1].mark = t.opsNow()
 	}
+}
+
+// opsNow returns the arithmetic operations the machine has retired.
+func (t *Tool) opsNow() uint64 {
+	intOps, fpOps := t.mach.OpCounts()
+	return intOps + fpOps
 }
 
 // Branch implements dbi.Tool (no Sigil-specific action; the substrate
 // simulates prediction).
-func (t *Tool) Branch(site uint64, taken bool) {}
+func (t *Tool) Branch(site uint64, taken bool) { t.sub.Branch(site, taken) }
 
 // MemRead implements dbi.Tool: every granule of the access is classified.
 // Each granule counts one unit: a byte in byte mode (g1-g0+1 == size), a
 // line-touch in line-granularity mode.
 func (t *Tool) MemRead(addr uint64, size uint8) {
+	t.sub.MemRead(addr, size)
 	if len(t.stack) == 0 {
 		return
 	}
-	f := &t.stack[len(t.stack)-1]
-	g0 := addr >> t.shift
-	g1 := (addr + uint64(size) - 1) >> t.shift
-	if t.engine != nil {
-		t.engine.recordAccess(opRead, f.enc, f.call, g0, g1, t.sub.Now())
-		return
-	}
-	t.readRange(f, g0, g1, t.sub.Now())
+	t.access(opRead, &t.stack[len(t.stack)-1], addr, uint64(size), t.sub.Now())
 }
 
 // MemWrite implements dbi.Tool: the writer takes ownership of the granules.
 func (t *Tool) MemWrite(addr uint64, size uint8) {
+	t.sub.MemWrite(addr, size)
 	if len(t.stack) == 0 {
 		return
 	}
-	f := &t.stack[len(t.stack)-1]
-	g0 := addr >> t.shift
-	g1 := (addr + uint64(size) - 1) >> t.shift
-	if t.engine != nil {
-		t.engine.recordAccess(opWrite, f.enc, f.call, g0, g1, t.sub.Now())
-		return
+	t.access(opWrite, &t.stack[len(t.stack)-1], addr, uint64(size), t.sub.Now())
+}
+
+// access classifies the n > 0 bytes at addr: read by frame f (opRead),
+// written by f (opWrite), written by the kernel (opWrite with a nil f), or
+// produced at startup (opStartup). It returns the number of granules the
+// bytes cover. Bytes that wrap past 2^64 are classified as two pieces, the
+// top of the address space and its start, because the machine's memory
+// wraps the same way.
+func (t *Tool) access(op uint8, f *segFrame, addr, n, now uint64) uint64 {
+	last := addr + n - 1
+	if last < addr {
+		top := -addr // bytes from addr to the top of the address space
+		return t.access(op, f, addr, top, now) + t.access(op, f, 0, n-top, now)
 	}
-	t.writeRange(f.enc, f.call, g0, g1, t.sub.Now())
+	g0, g1 := addr>>t.shift, last>>t.shift
+	enc, call := encKernel, uint64(0)
+	switch {
+	case op == opStartup:
+		enc = encStartup
+	case f != nil:
+		enc, call = f.enc, f.call
+	}
+	switch {
+	case t.engine != nil:
+		t.engine.recordAccess(op, enc, call, g0, g1, now)
+	case op == opRead:
+		t.readRange(f, g0, g1, now)
+	case op == opWrite:
+		t.writeRange(enc, call, g0, g1, now)
+	default:
+		t.markStartup(g0, g1)
+	}
+	return g1 - g0 + 1
 }
 
 // Syscall implements dbi.Tool. The calling context consumes the input
@@ -326,17 +354,11 @@ func (t *Tool) MemWrite(addr uint64, size uint8) {
 // the engine is on — they are additive, so the end-of-run merge folds them
 // with the shard deltas.
 func (t *Tool) Syscall(sys vm.Sys, inAddr, inLen, outAddr, outLen uint64) {
+	t.sub.Syscall(sys, inAddr, inLen, outAddr, outLen)
 	now := t.sub.Now()
 	if inLen > 0 && len(t.stack) > 0 {
 		f := &t.stack[len(t.stack)-1]
-		g0 := inAddr >> t.shift
-		g1 := (inAddr + inLen - 1) >> t.shift
-		if t.engine != nil {
-			t.engine.recordAccess(opRead, f.enc, f.call, g0, g1, now)
-		} else {
-			t.readRange(f, g0, g1, now)
-		}
-		units := g1 - g0 + 1
+		units := t.access(opRead, f, inAddr, inLen, now)
 		t.kernelIn += units
 		if f.ctx >= 0 {
 			t.comm[f.ctx].OutputUnique += units
@@ -344,13 +366,7 @@ func (t *Tool) Syscall(sys vm.Sys, inAddr, inLen, outAddr, outLen uint64) {
 		t.edge(f.enc, encKernel).Unique += units
 	}
 	if outLen > 0 {
-		g0 := outAddr >> t.shift
-		g1 := (outAddr + outLen - 1) >> t.shift
-		if t.engine != nil {
-			t.engine.recordAccess(opWrite, encKernel, 0, g0, g1, now)
-		} else {
-			t.writeRange(encKernel, 0, g0, g1, now)
-		}
+		t.access(opWrite, nil, outAddr, outLen, now)
 	}
 	if t.events != nil && len(t.stack) > 0 {
 		f := &t.stack[len(t.stack)-1]
@@ -361,18 +377,24 @@ func (t *Tool) Syscall(sys vm.Sys, inAddr, inLen, outAddr, outLen uint64) {
 	}
 }
 
-// ProgramEnd implements dbi.Tool: remaining segments close, the sharded
-// engine (when on) drains and merges its shard classifiers back into the
-// tool's, all live shadow chunks flush their open re-use episodes, and the
-// result is frozen.
+// ProgramEnd implements dbi.Tool: the substrate closes its calltree, then
+// Sigil finishes.
 func (t *Tool) ProgramEnd() {
+	t.sub.ProgramEnd()
+	t.finish()
+}
+
+// finish closes the remaining segments, drains the sharded engine (when on)
+// and merges its shard classifiers back into the tool's, flushes the open
+// re-use episodes of all live shadow chunks, and freezes the result.
+func (t *Tool) finish() {
 	for len(t.stack) > 0 {
 		f := &t.stack[len(t.stack)-1]
 		if t.events != nil {
 			t.closeSegment(f)
 			t.emit(trace.Event{Kind: trace.KindLeave, Ctx: f.ctx, Call: f.call, Time: t.sub.Now()})
 		}
-		t.stack = t.stack[:len(t.stack)-1]
+		t.pop()
 	}
 	if t.engine != nil {
 		t.engine.finish(t)
@@ -399,7 +421,7 @@ func (t *Tool) abort() {
 	}()
 	func() {
 		defer func() { _ = recover() }()
-		t.ProgramEnd()
+		t.finish()
 	}()
 	t.finished = true
 }
@@ -437,8 +459,9 @@ func (t *Tool) accumulateComm(f *segFrame, srcEnc uint32, srcCall, bytes uint64)
 	f.comm = append(f.comm, commAcc{srcEnc: srcEnc, srcCall: srcCall, bytes: bytes})
 }
 
-// closeSegment emits the open segment's accumulated communication and
-// operation count, then resets the frame for its next segment. With the
+// closeSegment emits the open segment's accumulated communication and the
+// operations retired since the segment began, then resets the frame for its
+// next segment. With the
 // sharded engine on, the segment's communication lives in the workers'
 // keyed accumulators: a barrier drains every shard and merges them into
 // the frame in the inline first-encounter order.
@@ -446,7 +469,8 @@ func (t *Tool) closeSegment(f *segFrame) {
 	if t.engine != nil {
 		f.comm = t.engine.drainSegment(f.comm[:0])
 	}
-	if f.ops == 0 && len(f.comm) == 0 {
+	ops := t.opsNow()
+	if ops == f.mark && len(f.comm) == 0 {
 		return
 	}
 	now := t.sub.Now()
@@ -461,8 +485,8 @@ func (t *Tool) closeSegment(f *segFrame) {
 			Time:    now,
 		})
 	}
-	t.emit(trace.Event{Kind: trace.KindOps, Ctx: f.ctx, Call: f.call, Ops: f.ops, Time: now})
-	f.ops = 0
+	t.emit(trace.Event{Kind: trace.KindOps, Ctx: f.ctx, Call: f.call, Ops: ops - f.mark, Time: now})
+	f.mark = ops
 	f.comm = f.comm[:0]
 }
 

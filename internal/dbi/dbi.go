@@ -1,9 +1,10 @@
 // Package dbi is the dynamic-binary-instrumentation analogue: it stands in
 // for the Valgrind framework layer the paper builds on. A Tool observes the
-// primitive stream (memory accesses, operations, calls/returns, branches,
-// syscalls) that the virtual machine emits while executing a program; tools
-// can be chained so, e.g., Sigil can hook into the Callgrind tool the way the
-// paper describes.
+// primitive stream (memory accesses, calls/returns, branches, syscalls) that
+// the virtual machine emits while executing a program, and reads the
+// machine's operation tallies at call boundaries. One tool runs per
+// program: Sigil drives the Callgrind tool it hooks into itself, the way
+// the paper describes.
 package dbi
 
 import (
@@ -18,76 +19,6 @@ import (
 // Observer contract; the alias exists so analysis packages depend on dbi
 // rather than on the machine internals.
 type Tool = vm.Observer
-
-// Chain fans the primitive stream out to several tools in order. The
-// first tool in the chain sees each event first (Callgrind before Sigil,
-// mirroring the paper's layering).
-type Chain []Tool
-
-var _ Tool = Chain(nil)
-
-// ProgramStart implements Tool.
-func (c Chain) ProgramStart(p *vm.Program, m *vm.Machine) {
-	for _, t := range c {
-		t.ProgramStart(p, m)
-	}
-}
-
-// FnEnter implements Tool.
-func (c Chain) FnEnter(fn int) {
-	for _, t := range c {
-		t.FnEnter(fn)
-	}
-}
-
-// FnLeave implements Tool.
-func (c Chain) FnLeave(fn int) {
-	for _, t := range c {
-		t.FnLeave(fn)
-	}
-}
-
-// Op implements Tool.
-func (c Chain) Op(class vm.OpClass) {
-	for _, t := range c {
-		t.Op(class)
-	}
-}
-
-// Branch implements Tool.
-func (c Chain) Branch(site uint64, taken bool) {
-	for _, t := range c {
-		t.Branch(site, taken)
-	}
-}
-
-// MemRead implements Tool.
-func (c Chain) MemRead(addr uint64, size uint8) {
-	for _, t := range c {
-		t.MemRead(addr, size)
-	}
-}
-
-// MemWrite implements Tool.
-func (c Chain) MemWrite(addr uint64, size uint8) {
-	for _, t := range c {
-		t.MemWrite(addr, size)
-	}
-}
-
-// Syscall implements Tool.
-func (c Chain) Syscall(sys vm.Sys, inAddr, inLen, outAddr, outLen uint64) {
-	for _, t := range c {
-		t.Syscall(sys, inAddr, inLen, outAddr, outLen)
-	}
-}
-
-// ProgramEnd implements Tool.
-func (c Chain) ProgramEnd() {
-	for _, t := range c {
-		t.ProgramEnd()
-	}
-}
 
 // RunResult describes one instrumented (or native) run.
 type RunResult struct {

@@ -6,26 +6,6 @@ import (
 	"sigil/internal/vm"
 )
 
-type countingTool struct {
-	vm.BaseObserver
-	label  string
-	events *[]string
-}
-
-func (c *countingTool) ProgramStart(*vm.Program, *vm.Machine) {
-	*c.events = append(*c.events, c.label+":start")
-}
-func (c *countingTool) FnEnter(int)            { *c.events = append(*c.events, c.label+":enter") }
-func (c *countingTool) FnLeave(int)            { *c.events = append(*c.events, c.label+":leave") }
-func (c *countingTool) Op(vm.OpClass)          { *c.events = append(*c.events, c.label+":op") }
-func (c *countingTool) MemRead(uint64, uint8)  { *c.events = append(*c.events, c.label+":read") }
-func (c *countingTool) MemWrite(uint64, uint8) { *c.events = append(*c.events, c.label+":write") }
-func (c *countingTool) Branch(uint64, bool)    { *c.events = append(*c.events, c.label+":branch") }
-func (c *countingTool) ProgramEnd()            { *c.events = append(*c.events, c.label+":end") }
-func (c *countingTool) Syscall(vm.Sys, uint64, uint64, uint64, uint64) {
-	*c.events = append(*c.events, c.label+":sys")
-}
-
 func testProgram(t *testing.T) *vm.Program {
 	t.Helper()
 	b := vm.NewBuilder()
@@ -42,39 +22,6 @@ func testProgram(t *testing.T) *vm.Program {
 	main.Sys(vm.SysRand)
 	main.Halt()
 	return mustBuild(b)
-}
-
-func TestChainOrderAndFanout(t *testing.T) {
-	var events []string
-	a := &countingTool{label: "a", events: &events}
-	b := &countingTool{label: "b", events: &events}
-	res, err := Run(testProgram(t), Chain{a, b}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Instrs == 0 || res.Duration <= 0 {
-		t.Error("run result empty")
-	}
-	if len(events) == 0 || len(events)%2 != 0 {
-		t.Fatalf("events = %d, want a nonzero even count", len(events))
-	}
-	// The chain delivers each event to tool a first, then b.
-	for i := 0; i < len(events); i += 2 {
-		ea, eb := events[i], events[i+1]
-		if ea[0] != 'a' || eb[0] != 'b' || ea[1:] != eb[1:] {
-			t.Fatalf("pair %d: %q then %q (want a:X then b:X)", i/2, ea, eb)
-		}
-	}
-	// Every event kind must have been delivered.
-	seen := map[string]bool{}
-	for _, e := range events {
-		seen[e[2:]] = true
-	}
-	for _, kind := range []string{"start", "enter", "leave", "op", "read", "write", "branch", "sys", "end"} {
-		if !seen[kind] {
-			t.Errorf("event kind %q never delivered", kind)
-		}
-	}
 }
 
 func TestRunNativeNilTool(t *testing.T) {

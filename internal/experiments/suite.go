@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -78,8 +79,9 @@ type Suite struct {
 	timings  map[profileKey]Timing   // mode field unused (always baseline)
 	flights  map[any]*flight         // in-progress computations, by cache key
 
-	// TimingReps is the number of repetitions whose median is reported
-	// (default 3).
+	// TimingReps is the number of timing repetitions (default 3). In each
+	// the three configurations take turns for timingWindow of run time;
+	// each reports the median of all its runs.
 	TimingReps int
 	// DedupShadowLimit is the FIFO chunk limit applied to dedup, the one
 	// workload the paper needed the memory limit for (0 disables). The
@@ -309,6 +311,14 @@ func (s *Suite) Timing(name string, class workloads.Class) (Timing, error) {
 	return v.(Timing), nil
 }
 
+// timingWindow is the run time one timing repetition spends re-running the
+// native, Callgrind and Sigil configurations in turn. Registry programs at
+// simsmall run natively in about 1–60 ms, and on a shared host single runs
+// of that length can take twice as long as their neighbours; taking turns
+// and reporting each configuration's median run keeps such a run, or a
+// change in host speed, from landing on one configuration only.
+const timingWindow = 150 * time.Millisecond
+
 func (s *Suite) measureTiming(name string, class workloads.Class) (Timing, error) {
 	reps := s.TimingReps
 	if reps <= 0 {
@@ -320,69 +330,54 @@ func (s *Suite) measureTiming(name string, class workloads.Class) (Timing, error
 		return Timing{}, fmt.Errorf("experiments: building %s/%s: %w", name, class, err)
 	}
 	t := Timing{Name: name, Class: class}
-
-	median := func(run func() (time.Duration, error)) (time.Duration, error) {
-		ds := make([]time.Duration, 0, reps)
-		for i := 0; i < reps; i++ {
-			d, err := run()
+	configs := []struct {
+		out *time.Duration
+		run func() (time.Duration, error)
+	}{
+		{&t.Native, func() (time.Duration, error) {
+			res, err := dbi.RunContext(s.ctx(), prog, nil, input, nil)
+			t.NativePages = res.Stats.MemPages
+			t.ProgramBytes = uint64(res.Stats.MemPages) * 64 * 1024
+			return res.Duration, err
+		}},
+		{&t.Callgrnd, func() (time.Duration, error) {
+			sub, err := callgrind.New(callgrind.Options{})
 			if err != nil {
 				return 0, err
 			}
-			ds = append(ds, d)
-		}
-		for i := 1; i < len(ds); i++ {
-			for j := i; j > 0 && ds[j] < ds[j-1]; j-- {
-				ds[j], ds[j-1] = ds[j-1], ds[j]
+			res, err := dbi.RunContext(s.ctx(), prog, sub, input, nil)
+			return res.Duration, err
+		}},
+		{&t.Sigil, func() (time.Duration, error) {
+			r, err := core.RunContext(s.ctx(), prog, s.coreOptions(name, ModeBaseline), input)
+			if err != nil {
+				return 0, err
 			}
-		}
-		return ds[len(ds)/2], nil
+			t.ShadowPeak = r.Shadow.PeakBytes
+			return r.Wall, nil
+		}},
 	}
 
-	t.Native, err = median(func() (time.Duration, error) {
-		res, err := dbi.RunContext(s.ctx(), prog, nil, input, nil)
-		if err != nil {
-			return 0, err
+	samples := make([][]time.Duration, len(configs))
+	for i := 0; i < reps; i++ {
+		for total := time.Duration(0); total < timingWindow; {
+			for k, c := range configs {
+				// Start each run with no collection debt, so a GC cycle
+				// the previous run's allocations started does not run
+				// beside this one.
+				runtime.GC()
+				d, err := c.run()
+				if err != nil {
+					return Timing{}, err
+				}
+				samples[k] = append(samples[k], d)
+				total += d
+			}
 		}
-		t.NativePages = res.Stats.MemPages
-		t.ProgramBytes = uint64(res.Stats.MemPages) * 64 * 1024
-		return res.Duration, nil
-	})
-	if err != nil {
-		return Timing{}, err
 	}
-	t.Callgrnd, err = median(func() (time.Duration, error) {
-		sub, err := callgrind.New(callgrind.Options{})
-		if err != nil {
-			return 0, err
-		}
-		res, err := dbi.RunContext(s.ctx(), prog, sub, input, nil)
-		return res.Duration, err
-	})
-	if err != nil {
-		return Timing{}, err
-	}
-	t.Sigil, err = median(func() (time.Duration, error) {
-		sub, err := callgrind.New(callgrind.Options{})
-		if err != nil {
-			return 0, err
-		}
-		tool, err := core.New(sub, s.coreOptions(name, ModeBaseline))
-		if err != nil {
-			return 0, err
-		}
-		res, err := dbi.RunContext(s.ctx(), prog, dbi.Chain{sub, tool}, input, nil)
-		if err != nil {
-			return 0, err
-		}
-		r, err := tool.Result()
-		if err != nil {
-			return 0, err
-		}
-		t.ShadowPeak = r.Shadow.PeakBytes
-		return res.Duration, nil
-	})
-	if err != nil {
-		return Timing{}, err
+	for k, c := range configs {
+		slices.Sort(samples[k])
+		*c.out = samples[k][len(samples[k])/2]
 	}
 	return t, nil
 }

@@ -39,6 +39,10 @@ type Machine struct {
 	heap    uint64
 	rng     uint64
 
+	// classOps tallies retired instructions per OpClass on instrumented
+	// runs; OpCounts folds it into the integer and floating-point totals.
+	classOps [ClassConv + 1]uint64
+
 	input    []byte
 	inputPos int
 	outBytes uint64
@@ -91,6 +95,16 @@ func (m *Machine) SetInput(b []byte) { m.input = b }
 // platform-independent time proxy used throughout the methodology.
 func (m *Machine) InstrCount() uint64 { return m.instret }
 
+// OpCounts returns the arithmetic operations retired so far: integer
+// operations (int<->fp conversions included) and floating-point ones. The
+// machine tallies them only when an Observer is attached, so tools read
+// them at call boundaries instead of taking a callback per instruction.
+func (m *Machine) OpCounts() (intOps, fpOps uint64) {
+	c := &m.classOps
+	return c[ClassIntALU] + c[ClassIntMul] + c[ClassIntDiv] + c[ClassConv],
+		c[ClassFPAdd] + c[ClassFPMul] + c[ClassFPDiv]
+}
+
 // OutputBytes returns the total bytes consumed by SysWrite.
 func (m *Machine) OutputBytes() uint64 { return m.outBytes }
 
@@ -133,6 +147,7 @@ func (m *Machine) RunContext(ctx context.Context, p *Program, obs Observer) (Run
 	m.obs = obs
 	m.heap = HeapBase
 	m.instret = 0
+	clear(m.classOps[:])
 	m.inputPos = 0
 	m.outBytes = 0
 	m.frames = m.frames[:0]
@@ -414,9 +429,7 @@ func (m *Machine) loop(ctx context.Context, p *Program, obs Observer, maxInstrs 
 		}
 
 		if obs != nil {
-			if c := classOf[in.Op]; c != ClassNone {
-				obs.Op(c)
-			}
+			m.classOps[classOf[in.Op]]++
 		}
 		pc = nextPC
 	}

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -581,19 +582,31 @@ func TestInstrCountMatchesStats(t *testing.T) {
 	}
 }
 
-// observerRecorder records the primitive stream for verification.
+// observerRecorder records the primitive stream for verification, and the
+// machine's operation tallies at each call boundary.
 type observerRecorder struct {
 	BaseObserver
+	m              *Machine
 	enters, leaves []int
-	ops            []OpClass
+	tallies        [][2]uint64 // OpCounts at each FnEnter and FnLeave
 	reads, writes  []uint64
 	branches       []bool
 	syscalls       []Sys
 }
 
-func (o *observerRecorder) FnEnter(fn int)              { o.enters = append(o.enters, fn) }
-func (o *observerRecorder) FnLeave(fn int)              { o.leaves = append(o.leaves, fn) }
-func (o *observerRecorder) Op(c OpClass)                { o.ops = append(o.ops, c) }
+func (o *observerRecorder) ProgramStart(_ *Program, m *Machine) { o.m = m }
+func (o *observerRecorder) FnEnter(fn int) {
+	o.enters = append(o.enters, fn)
+	o.tally()
+}
+func (o *observerRecorder) FnLeave(fn int) {
+	o.leaves = append(o.leaves, fn)
+	o.tally()
+}
+func (o *observerRecorder) tally() {
+	intOps, fpOps := o.m.OpCounts()
+	o.tallies = append(o.tallies, [2]uint64{intOps, fpOps})
+}
 func (o *observerRecorder) Branch(site uint64, tk bool) { o.branches = append(o.branches, tk) }
 func (o *observerRecorder) MemRead(a uint64, s uint8)   { o.reads = append(o.reads, a) }
 func (o *observerRecorder) MemWrite(a uint64, s uint8)  { o.writes = append(o.writes, a) }
@@ -609,14 +622,18 @@ func TestObserverStream(t *testing.T) {
 	main.Movi(R2, 42)
 	main.Store(R1, 0, R2, 4)
 	main.Call("reader")
+	main.ItoF(F1, R2) // a conversion counts as an integer operation
 	main.Halt()
 	rd := b.Func("reader")
 	rd.Load(R3, R1, 0, 4)
+	rd.FMovi(F2, 0.5)
+	rd.FAdd(F2, F2, F2)
 	rd.Ret()
 	p := mustBuild(b)
 
 	rec := &observerRecorder{}
-	if _, err := NewMachine().Run(p, rec); err != nil {
+	m := NewMachine()
+	if _, err := m.Run(p, rec); err != nil {
 		t.Fatal(err)
 	}
 	mainIdx, _ := p.FuncIndex("main")
@@ -635,9 +652,24 @@ func TestObserverStream(t *testing.T) {
 	if len(rec.reads) != 1 || rec.reads[0] != buf {
 		t.Errorf("reads = %v, want [%d]", rec.reads, buf)
 	}
-	// movi, movi are IntALU ops; store/load/call/halt are not.
-	if len(rec.ops) != 2 {
-		t.Errorf("ops = %v, want 2 IntALU", rec.ops)
+	// {int, fp} at enter main, enter reader, leave reader, leave main:
+	// the movi pair runs before the call, the fp pair inside reader and
+	// the conversion after it returns; store/load/call/ret/halt are not
+	// operations.
+	want := [][2]uint64{{0, 0}, {2, 0}, {2, 2}, {3, 2}}
+	if !slices.Equal(rec.tallies, want) {
+		t.Errorf("op tallies at boundaries = %v, want %v", rec.tallies, want)
+	}
+	if i, f := m.OpCounts(); i != 3 || f != 2 {
+		t.Errorf("OpCounts = %d, %d after the run, want 3, 2", i, f)
+	}
+	// A native run dispatches nothing, tallies included.
+	native := NewMachine()
+	if _, err := native.Run(p, nil); err != nil {
+		t.Fatal(err)
+	}
+	if i, f := native.OpCounts(); i != 0 || f != 0 {
+		t.Errorf("native OpCounts = %d, %d, want 0, 0", i, f)
 	}
 }
 

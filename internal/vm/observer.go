@@ -1,11 +1,12 @@
 package vm
 
 // Observer is the instrumentation hook interface: the machine reduces the
-// running program to a stream of primitives — function transitions,
-// arithmetic operations, memory accesses, branches and syscalls — and drives
-// an Observer with them. This is the boundary that plays the role Valgrind's
-// translation layer plays for Sigil: everything the profiling methodology
-// consumes arrives through these callbacks.
+// running program to a stream of primitives — function transitions, memory
+// accesses, branches and syscalls — and drives an Observer with them. This
+// is the boundary that plays the role Valgrind's translation layer plays for
+// Sigil. Arithmetic operations are the one primitive without a callback:
+// the machine tallies them per class, and observers read Machine.OpCounts
+// at the call boundaries where they attribute costs.
 //
 // A nil Observer ("native run") skips all instrumentation dispatch, which is
 // what the paper's native-vs-instrumented slowdown figures compare against.
@@ -22,9 +23,6 @@ type Observer interface {
 	// FnLeave is called when function fn returns, before control resumes
 	// in its caller.
 	FnLeave(fn int)
-
-	// Op is called for every retired arithmetic operation with its class.
-	Op(class OpClass)
 
 	// Branch is called for every retired conditional branch. site
 	// uniquely identifies the static branch instruction.
@@ -58,9 +56,6 @@ func (BaseObserver) FnEnter(int) {}
 
 // FnLeave implements Observer.
 func (BaseObserver) FnLeave(int) {}
-
-// Op implements Observer.
-func (BaseObserver) Op(OpClass) {}
 
 // Branch implements Observer.
 func (BaseObserver) Branch(uint64, bool) {}

@@ -1,8 +1,8 @@
 #!/bin/sh
-# Full pre-merge check: vet, build, race-enabled tests, worker-pool
-# shakeouts of the parallel experiments suite and the sharded
-# classification engine, and a short fuzz smoke over the input parsers and
-# the batched classifier.
+# Full pre-merge check: vet, build, race-enabled tests, the benchmark's
+# smoke test, worker-pool shakeouts of the parallel experiments suite and
+# the sharded classification engine, and a short fuzz smoke over the input
+# parsers and the batched classifier.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -33,6 +33,9 @@ go test -count=1 -run 'TestAllWorkloadsVerify' ./internal/workloads
 
 echo "== go test -race"
 go test -race ./...
+
+echo "== perfbench smoke (its own module: profile and event-file digests of every workload)"
+(cd perfbench && go test ./...)
 
 echo "== experiments worker-pool shakeout (-race, uncached)"
 go test -race -count=1 -run 'TestProfileSingleflight|TestParallelSuite|TestRunPool' ./internal/experiments
