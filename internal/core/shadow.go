@@ -12,8 +12,6 @@
 // the executing context and classify every access.
 package core
 
-import "sync"
-
 // shadowObj is the baseline shadow-memory object, one per granule (byte or
 // line). It matches Table I of the paper: last writer, last reader, and the
 // last reader's call number (the writer's call number is kept as well; the
@@ -137,10 +135,11 @@ func shadowBytesPerGranule(reuse bool) uint64 {
 // When the limit is reached the oldest chunk is evicted through the onEvict
 // callback (which flushes its open re-use episodes), trading a small,
 // bounded accuracy loss for bounded memory — the paper's memory-limit
-// command-line option, needed there only for dedup. Evicted chunks are
-// zeroed and recycled through a sync.Pool, so sustained eviction churn under
-// MaxShadowChunks reuses the same few buffers instead of hammering the
-// allocator with 256KiB blocks.
+// command-line option, needed there only for dedup. An evicted chunk is
+// zeroed and handed straight to the key that forced the eviction, so
+// sustained eviction churn under MaxShadowChunks reuses the same buffers
+// instead of hammering the allocator with 256KiB blocks, and at most max
+// chunk buffers ever exist.
 type shadowTable struct {
 	chunks  map[uint64]*shadowChunk
 	cache   [shadowCacheSlots]shadowCacheSlot
@@ -149,11 +148,10 @@ type shadowTable struct {
 	max     int      // max live chunks; 0 = unlimited
 	reuse   bool
 	onEvict func(key uint64, ch *shadowChunk)
-	pool    sync.Pool // evicted *shadowChunk, zeroed and ready for reuse
 
 	allocated uint64 // chunks ever created (including recycled buffers)
 	evicted   uint64
-	recycled  uint64 // materializations served from the pool
+	recycled  uint64 // materializations served by an evicted buffer
 	peakLive  int
 
 	cacheHits   uint64
@@ -181,9 +179,13 @@ func (t *shadowTable) get(g uint64) (*shadowChunk, uint32) {
 	t.cacheMisses++
 	ch := t.chunks[key]
 	if ch == nil {
-		ch = t.newChunk()
 		if t.max > 0 && len(t.chunks) >= t.max {
-			t.evictOldest()
+			ch = t.evictOldest()
+		}
+		if ch != nil {
+			t.recycled++
+		} else {
+			ch = t.newChunk()
 		}
 		t.chunks[key] = ch
 		t.order = append(t.order, key)
@@ -212,13 +214,8 @@ func (t *shadowTable) peek(g uint64) (*shadowChunk, uint32) {
 	return ch, uint32(g & chunkMask)
 }
 
-// newChunk materializes a chunk buffer, recycling an evicted one when the
-// pool has it.
+// newChunk allocates a zeroed chunk buffer.
 func (t *shadowTable) newChunk() *shadowChunk {
-	if v := t.pool.Get(); v != nil {
-		t.recycled++
-		return v.(*shadowChunk)
-	}
 	ch := &shadowChunk{objs: make([]shadowObj, chunkGranules)}
 	if t.reuse {
 		ch.reuse = make([]reuseObj, chunkGranules)
@@ -226,7 +223,9 @@ func (t *shadowTable) newChunk() *shadowChunk {
 	return ch
 }
 
-func (t *shadowTable) evictOldest() {
+// evictOldest drops the oldest live chunk and returns its buffer, zeroed
+// for reuse, or nil when no chunk is live.
+func (t *shadowTable) evictOldest() *shadowChunk {
 	for t.head < len(t.order) {
 		key := t.order[t.head]
 		t.head++
@@ -246,12 +245,12 @@ func (t *shadowTable) evictOldest() {
 		if ch.reuse != nil {
 			clear(ch.reuse)
 		}
-		t.pool.Put(ch)
 		t.evicted++
-		return
+		return ch
 	}
 	t.order = t.order[:0]
 	t.head = 0
+	return nil
 }
 
 // compactOrder bounds the FIFO bookkeeping: re-slicing order on every

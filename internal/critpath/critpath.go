@@ -22,7 +22,6 @@ import (
 // predecessors — the longest dependent chain from the program's start.
 type node struct {
 	ctx  int32
-	call uint64
 	self uint64
 	incl uint64
 	pred *node // predecessor on the longest incoming chain
@@ -74,26 +73,31 @@ func (a *Analysis) Parallelism() float64 {
 }
 
 // analyzer is the incremental chain-construction state machine, shared by
-// the in-memory Analyze and the streaming AnalyzeReader.
+// the in-memory Analyze and the streaming AnalyzeReader. Call states and
+// segment nodes come from chunked arenas: a pass creates one of each per
+// call and per segment, and those are most of its allocations.
 type analyzer struct {
-	a     *Analysis
-	calls map[uint64]*callState
-	stack []*callState
-	best  *node
-	names map[int32]string
+	a      *Analysis
+	calls  callIndex[callState]
+	states arena[callState]
+	nodes  arena[node]
+	stack  []*callState
+	best   *node
+	names  map[int32]string
+	events uint64 // events stepped so far, bounding the dense call index
 }
 
 func newAnalyzer() *analyzer {
 	return &analyzer{
 		a:     &Analysis{},
-		calls: make(map[uint64]*callState),
 		names: make(map[int32]string),
 	}
 }
 
 func (z *analyzer) ensureOpen(cs *callState) *node {
 	if cs.open == nil {
-		cs.open = &node{ctx: cs.ctx, call: cs.callNum}
+		cs.open = z.nodes.alloc()
+		cs.open.ctx = cs.ctx
 		z.a.Segments++
 		// Sequential edge from the call's previous segment, or the
 		// call edge for the first segment.
@@ -110,12 +114,14 @@ func (z *analyzer) ensureOpen(cs *callState) *node {
 }
 
 func (z *analyzer) step(e *trace.Event) error {
+	z.events++
 	switch e.Kind {
 	case trace.KindDefCtx:
 		z.names[e.Ctx] = e.Name
 
 	case trace.KindEnter:
-		cs := &callState{ctx: e.Ctx, callNum: e.Call}
+		cs := z.states.alloc()
+		cs.ctx, cs.callNum = e.Ctx, e.Call
 		if len(z.stack) > 0 {
 			parent := z.stack[len(z.stack)-1]
 			// The caller's segment closed just before this Enter
@@ -127,7 +133,7 @@ func (z *analyzer) step(e *trace.Event) error {
 				cs.enterPred = parent.enterPred
 			}
 		}
-		z.calls[e.Call] = cs
+		z.calls.put(e.Call, cs, z.events)
 		z.stack = append(z.stack, cs)
 
 	case trace.KindLeave:
@@ -141,7 +147,7 @@ func (z *analyzer) step(e *trace.Event) error {
 		z.stack = z.stack[:len(z.stack)-1]
 
 	case trace.KindComm:
-		cs := z.calls[e.Call]
+		cs := z.calls.get(e.Call)
 		if cs == nil {
 			return fmt.Errorf("critpath: comm into unknown call %d", e.Call)
 		}
@@ -149,7 +155,7 @@ func (z *analyzer) step(e *trace.Event) error {
 		// Producer's latest segment; synthetic producers (@startup,
 		// @kernel) and producers with no recorded segment impose no
 		// chain dependency.
-		if src := z.calls[e.SrcCall]; src != nil && e.SrcCtx >= 0 {
+		if src := z.calls.get(e.SrcCall); src != nil && e.SrcCtx >= 0 {
 			var srcNode *node
 			if src.last != nil {
 				srcNode = src.last
@@ -162,7 +168,7 @@ func (z *analyzer) step(e *trace.Event) error {
 		}
 
 	case trace.KindOps:
-		cs := z.calls[e.Call]
+		cs := z.calls.get(e.Call)
 		if cs == nil {
 			return fmt.Errorf("critpath: ops for unknown call %d", e.Call)
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -315,6 +316,95 @@ func TestAnalyzeReaderMatchesInMemory(t *testing.T) {
 	}
 	if strings.Join(streamed.Chain, ",") != strings.Join(inMem.Chain, ",") {
 		t.Errorf("chains differ: %v vs %v", streamed.Chain, inMem.Chain)
+	}
+
+	// The same agreement on workload event files, and each file
+	// renumbered sparsely must give its dense original's result: the
+	// call index is a pure optimisation.
+	for _, s := range workloadStreams(t) {
+		dense := streamedMatchesInMemory(t, s.name, s.dense)
+		sparse := streamedMatchesInMemory(t, s.name+" renumbered", s.sparse)
+		if dense != nil && sparse != nil {
+			if d := diffAnalysis(sparse, dense); d != "" {
+				t.Errorf("%s renumbered vs dense: %s", s.name, d)
+			}
+		}
+	}
+}
+
+// streamedMatchesInMemory analyzes an encoded event file both streaming
+// and materialized, reports any disagreement, and returns the streaming
+// result (nil on error).
+func streamedMatchesInMemory(t *testing.T, name string, encoded []byte) *Analysis {
+	t.Helper()
+	streamed, err := AnalyzeReader(bytes.NewReader(encoded))
+	if err != nil {
+		t.Errorf("%s: AnalyzeReader: %v", name, err)
+		return nil
+	}
+	tr, err := trace.ReadAll(bytes.NewReader(encoded))
+	if err != nil {
+		t.Errorf("%s: ReadAll: %v", name, err)
+		return nil
+	}
+	inMem, err := Analyze(tr)
+	if err != nil {
+		t.Errorf("%s: Analyze: %v", name, err)
+		return nil
+	}
+	if d := diffAnalysis(streamed, inMem); d != "" {
+		t.Errorf("%s: streaming vs in-memory: %s", name, d)
+	}
+	return streamed
+}
+
+// TestHostileCallNumbersBoundMemory feeds Analyze ~1k-event streams whose
+// call numbers sit just below 2^64 or jump by 2^40. The dense call index
+// must not grow toward them: the pass allocates about what a densely
+// numbered stream of the same shape does, and finds the same chain.
+func TestHostileCallNumbersBoundMemory(t *testing.T) {
+	const children = 200 // five events each
+	stream := func(num func(k uint64) uint64) *trace.Trace {
+		b := &trace.Buffer{}
+		emit := func(e trace.Event) { _ = b.Emit(e) }
+		emit(trace.Event{Kind: trace.KindDefCtx, Ctx: 0, SrcCtx: -1, Name: "main"})
+		emit(trace.Event{Kind: trace.KindDefCtx, Ctx: 1, SrcCtx: 0, Name: "work"})
+		emit(trace.Event{Kind: trace.KindEnter, Ctx: 0, Call: num(0)})
+		for k := uint64(1); k <= children; k++ {
+			emit(trace.Event{Kind: trace.KindOps, Ctx: 0, Call: num(0), Ops: 1})
+			emit(trace.Event{Kind: trace.KindEnter, Ctx: 1, Call: num(k)})
+			emit(trace.Event{Kind: trace.KindComm, Ctx: 1, Call: num(k), SrcCtx: 1, SrcCall: num(k - 1), Bytes: 8})
+			emit(trace.Event{Kind: trace.KindOps, Ctx: 1, Call: num(k), Ops: k})
+			emit(trace.Event{Kind: trace.KindLeave, Ctx: 1, Call: num(k)})
+		}
+		emit(trace.Event{Kind: trace.KindLeave, Ctx: 0, Call: num(0)})
+		return trace.FromBuffer(b)
+	}
+	analyze := func(tr *trace.Trace) (*Analysis, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		a, err := Analyze(tr)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a, after.TotalAlloc - before.TotalAlloc
+	}
+	want, denseBytes := analyze(stream(func(k uint64) uint64 { return k + 1 }))
+	for _, h := range []struct {
+		name string
+		num  func(k uint64) uint64
+	}{
+		{"near 2^64", func(k uint64) uint64 { return math.MaxUint64 - k }},
+		{"2^40 jumps", func(k uint64) uint64 { return (k + 1) << 40 }},
+	} {
+		got, allocated := analyze(stream(h.num))
+		if d := diffAnalysis(got, want); d != "" {
+			t.Errorf("%s: %s", h.name, d)
+		}
+		if allocated > 3*denseBytes {
+			t.Errorf("%s: Analyze allocated %d bytes, dense numbering %d", h.name, allocated, denseBytes)
+		}
 	}
 }
 

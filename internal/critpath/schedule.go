@@ -86,7 +86,6 @@ type gEdge struct {
 
 type gNode struct {
 	ctx   int32
-	call  uint64
 	self  uint64
 	preds []gEdge
 }
@@ -107,15 +106,16 @@ func buildGraph(tr *trace.Trace) (*graph, error) {
 		enterPred int
 		open      int // in-construction node, -1 if none
 	}
-	calls := make(map[uint64]*callInfo)
+	var calls callIndex[callInfo]
+	var infos arena[callInfo]
 	var stack []*callInfo
 
-	ensureOpen := func(ci *callInfo, call uint64) int {
+	ensureOpen := func(ci *callInfo) int {
 		if ci.open >= 0 {
 			return ci.open
 		}
 		idx := len(g.nodes)
-		n := gNode{ctx: ci.ctx, call: call}
+		n := gNode{ctx: ci.ctx}
 		switch {
 		case ci.last >= 0:
 			n.preds = append(n.preds, gEdge{src: ci.last})
@@ -131,7 +131,8 @@ func buildGraph(tr *trace.Trace) (*graph, error) {
 		e := &tr.Events[i]
 		switch e.Kind {
 		case trace.KindEnter:
-			ci := &callInfo{ctx: e.Ctx, last: -1, enterPred: -1, open: -1}
+			ci := infos.alloc()
+			*ci = callInfo{ctx: e.Ctx, last: -1, enterPred: -1, open: -1}
 			if len(stack) > 0 {
 				parent := stack[len(stack)-1]
 				if parent.last >= 0 {
@@ -140,7 +141,7 @@ func buildGraph(tr *trace.Trace) (*graph, error) {
 					ci.enterPred = parent.enterPred
 				}
 			}
-			calls[e.Call] = ci
+			calls.put(e.Call, ci, uint64(i))
 			stack = append(stack, ci)
 		case trace.KindLeave:
 			if len(stack) == 0 {
@@ -148,12 +149,12 @@ func buildGraph(tr *trace.Trace) (*graph, error) {
 			}
 			stack = stack[:len(stack)-1]
 		case trace.KindComm:
-			ci := calls[e.Call]
+			ci := calls.get(e.Call)
 			if ci == nil {
 				return nil, fmt.Errorf("critpath: comm into unknown call %d", e.Call)
 			}
-			idx := ensureOpen(ci, e.Call)
-			if src := calls[e.SrcCall]; src != nil && e.SrcCtx >= 0 {
+			idx := ensureOpen(ci)
+			if src := calls.get(e.SrcCall); src != nil && e.SrcCtx >= 0 {
 				from := src.last
 				if from < 0 {
 					from = src.enterPred
@@ -164,11 +165,11 @@ func buildGraph(tr *trace.Trace) (*graph, error) {
 				}
 			}
 		case trace.KindOps:
-			ci := calls[e.Call]
+			ci := calls.get(e.Call)
 			if ci == nil {
 				return nil, fmt.Errorf("critpath: ops for unknown call %d", e.Call)
 			}
-			idx := ensureOpen(ci, e.Call)
+			idx := ensureOpen(ci)
 			g.nodes[idx].self = e.Ops
 			g.serialOps += e.Ops
 			ci.last = idx

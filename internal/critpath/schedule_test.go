@@ -1,6 +1,7 @@
 package critpath
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -192,6 +193,38 @@ func TestGraphMatchesIncrementalAnalysis(t *testing.T) {
 		}
 		if a.CriticalOps != c.CriticalOps || a.SerialOps != c.SerialOps || a.Segments != c.Segments {
 			t.Errorf("DAG/incremental disagree: %+v vs %+v", c, a)
+		}
+	}
+
+	// Workload event files, dense and renumbered sparsely: both passes
+	// resolve calls through the same index, and neither may depend on
+	// which side of it serves a lookup.
+	for _, s := range workloadStreams(t) {
+		var dense *Analysis
+		for _, in := range []struct {
+			name string
+			data []byte
+		}{{s.name, s.dense}, {s.name + " renumbered", s.sparse}} {
+			tr, err := trace.ReadAll(bytes.NewReader(in.data))
+			if err != nil {
+				t.Fatalf("%s: %v", in.name, err)
+			}
+			a, err := Analyze(tr)
+			if err != nil {
+				t.Fatalf("%s: Analyze: %v", in.name, err)
+			}
+			c, err := AnalyzeWithComm(tr, CommConfig{})
+			if err != nil {
+				t.Fatalf("%s: AnalyzeWithComm: %v", in.name, err)
+			}
+			if d := diffAnalysis(c, a); d != "" {
+				t.Errorf("%s: DAG vs incremental: %s", in.name, d)
+			}
+			if dense == nil {
+				dense = c
+			} else if d := diffAnalysis(c, dense); d != "" {
+				t.Errorf("%s vs dense: %s", in.name, d)
+			}
 		}
 	}
 }

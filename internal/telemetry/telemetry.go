@@ -55,7 +55,7 @@ type Metrics struct {
 	ShadowBytesPeak       atomic.Uint64
 
 	// Shadow lookup machinery: direct-mapped chunk-cache effectiveness and
-	// pool recycling under the FIFO limit.
+	// buffer recycling under the FIFO limit.
 	ShadowCacheHits      atomic.Uint64
 	ShadowCacheMisses    atomic.Uint64
 	ShadowChunksRecycled atomic.Uint64
@@ -387,7 +387,7 @@ var promMetrics = []promMetric{
 	{"sigil_shadow_bytes_peak", "gauge", "Peak shadow memory bytes", func(s Snapshot) uint64 { return s.ShadowBytesPeak }},
 	{"sigil_shadow_cache_hits_total", "counter", "Chunk lookups served by the direct-mapped cache", func(s Snapshot) uint64 { return s.ShadowCacheHits }},
 	{"sigil_shadow_cache_misses_total", "counter", "Chunk lookups that fell through to the map", func(s Snapshot) uint64 { return s.ShadowCacheMisses }},
-	{"sigil_shadow_chunks_recycled_total", "counter", "Chunk materializations served by the eviction pool", func(s Snapshot) uint64 { return s.ShadowChunksRecycled }},
+	{"sigil_shadow_chunks_recycled_total", "counter", "Chunk materializations served by an evicted chunk buffer", func(s Snapshot) uint64 { return s.ShadowChunksRecycled }},
 	{"sigil_classify_spans_total", "counter", "Per-chunk spans classified by the batched path", func(s Snapshot) uint64 { return s.ClassifySpans }},
 	{"sigil_classify_runs_total", "counter", "State-uniform runs classified by the batched path", func(s Snapshot) uint64 { return s.ClassifyRuns }},
 	{"sigil_classify_granules_total", "counter", "Granules covered by batched classification runs", func(s Snapshot) uint64 { return s.ClassifyGranules }},

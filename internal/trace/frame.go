@@ -93,14 +93,6 @@ func appendPayload(dst []byte, events []Event) []byte {
 func decodePayload(raw []byte, count int, dst []Event) ([]Event, error) {
 	var prevCall, prevTime uint64
 	pos := 0
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(raw[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: record varint cut short", ErrCorrupt)
-		}
-		pos += n
-		return v, nil
-	}
 	for i := 0; i < count; i++ {
 		if pos >= len(raw) {
 			return dst, fmt.Errorf("%w: frame payload holds %d of %d declared events", ErrCorrupt, i, count)
@@ -110,11 +102,19 @@ func decodePayload(raw []byte, count int, dst []Event) ([]Event, error) {
 		pos++
 		fields := [8]uint64{}
 		for f := range fields {
-			v, err := next()
-			if err != nil {
-				return dst, err
+			// Most fields fit in one byte; only longer varints pay for
+			// the general decoder.
+			if pos < len(raw) && raw[pos] < 0x80 {
+				fields[f] = uint64(raw[pos])
+				pos++
+				continue
+			}
+			v, n := binary.Uvarint(raw[pos:])
+			if n <= 0 {
+				return dst, fmt.Errorf("%w: record varint cut short", ErrCorrupt)
 			}
 			fields[f] = v
+			pos += n
 		}
 		e.Ctx = unzigzag(fields[0])
 		e.Call = prevCall + uint64(unzigzag64(fields[1]))

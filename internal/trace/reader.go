@@ -471,11 +471,16 @@ type dispatchEnd struct {
 // pool checksums/inflates/decodes them, and the results are merged back in
 // frame order. The error surfaced matches sequential semantics: the
 // lowest-indexed failure wins, and footer mismatches are checked against
-// the merged totals.
+// the merged totals. Once the merge has copied a frame's events it hands
+// the slice back to the workers through a bounded free list, so a stream
+// needs about a pool's width of frame buffers instead of one per frame.
 func readAllParallel(rd *Reader, workers int, pre *footerInfo) (*Trace, error) {
 	s := rd.v3
 	jobs := make(chan frameJob, workers)
 	results := make(chan frameRes, workers)
+	// Two buffers per worker cover the frames a pool has in flight (one
+	// decoding, one queued for the merge); the merge drops any beyond that.
+	free := make(chan []Event, 2*workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
@@ -489,10 +494,16 @@ func readAllParallel(rd *Reader, workers int, pre *footerInfo) (*Trace, error) {
 				var err error
 				raw, fr, err = inflateFrame(job.head, job.comp, raw, fr)
 				if err == nil {
-					// Decode into a fresh slice: the result outlives the
-					// worker's scratch.
-					res.events = make([]Event, 0, job.head.events)
-					res.events, err = decodePayload(raw, job.head.events, res.events)
+					// Decode into a merged frame's buffer when one is
+					// free: the result outlives the worker's scratch.
+					select {
+					case res.events = <-free:
+					default:
+					}
+					if cap(res.events) < job.head.events {
+						res.events = make([]Event, 0, job.head.events)
+					}
+					res.events, err = decodePayload(raw, job.head.events, res.events[:0])
 				}
 				res.err = err
 				results <- res
@@ -563,12 +574,15 @@ func readAllParallel(rd *Reader, workers int, pre *footerInfo) (*Trace, error) {
 			}
 			delete(pending, nextIdx)
 			nextIdx++
-			if res.err != nil {
-				continue
+			if res.err == nil {
+				merged += uint64(len(res.events))
+				for _, e := range res.events {
+					tr.add(e)
+				}
 			}
-			merged += uint64(len(res.events))
-			for _, e := range res.events {
-				tr.add(e)
+			select {
+			case free <- res.events:
+			default:
 			}
 		}
 	}

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Full pre-merge check: vet, build, race-enabled tests, the benchmark's
-# smoke test, worker-pool shakeouts of the parallel experiments suite and
-# the sharded classification engine, and a short fuzz smoke over the input
-# parsers and the batched classifier.
+# smoke test, worker-pool shakeouts of the parallel experiments suite, the
+# sharded classification engine and the parallel event-file decoder, and a
+# short fuzz smoke over the input parsers, the batched classifier and the
+# critical-path analyzer.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -43,6 +44,9 @@ go test -race -count=1 -run 'TestProfileSingleflight|TestParallelSuite|TestRunPo
 echo "== sharded classification shakeout (-race, uncached)"
 go test -race -count=1 -run 'TestShardShakeout|TestShardedRepeatRunsIdentical' ./internal/core
 
+echo "== parallel decode shakeout (-race: frame buffers recycled between merge and workers)"
+go test -race -count=10 -run 'TestV3MultiFrameRoundTrip|TestParallelCorruptFrame' ./internal/trace
+
 echo "== chaos sweep (short; scripts/chaos.sh runs the full matrix)"
 go test -short -count=1 -run TestChaos ./internal/chaos
 
@@ -52,6 +56,7 @@ go test -run '^$' -fuzz FuzzFrameReader -fuzztime "$FUZZTIME" ./internal/trace
 go test -run '^$' -fuzz FuzzQuarantineReader -fuzztime "$FUZZTIME" ./internal/trace
 go test -run '^$' -fuzz FuzzReadProfile -fuzztime "$FUZZTIME" ./internal/core
 go test -run '^$' -fuzz FuzzBatchedClassifier -fuzztime "$FUZZTIME" ./internal/core
+go test -run '^$' -fuzz FuzzAnalyzeReader -fuzztime "$FUZZTIME" ./internal/critpath
 
 echo "== bench smoke (scratch output; committed BENCH_N.json untouched)"
 OUT="$(mktemp)" BENCHTIME=1x sh scripts/bench.sh 'AblationTelemetry' > /dev/null
