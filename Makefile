@@ -22,9 +22,7 @@ lint:
 	$(GO) run ./cmd/sigil-lint ./...
 
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime $${FUZZTIME:-5s} ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzReadProfile -fuzztime $${FUZZTIME:-5s} ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzBatchedClassifier -fuzztime $${FUZZTIME:-5s} ./internal/core
+	sh scripts/fuzz.sh
 
 check:
 	sh scripts/check.sh

@@ -181,20 +181,6 @@ func BenchmarkOverheadSigil(b *testing.B) {
 	}
 }
 
-// BenchmarkOverheadSigilSharded measures the full Sigil stack with
-// classification pipelined onto 4 shard workers off the interpreter thread.
-// On multi-core hosts the interpreter overlaps with classification; on a
-// single hardware thread this bounds the pipeline's bookkeeping overhead.
-func BenchmarkOverheadSigilSharded(b *testing.B) {
-	for _, name := range overheadWorkloads {
-		b.Run(name, func(b *testing.B) {
-			benchRun(b, name, func() dbi.Tool {
-				return mustCore(mustSub(), core.Options{ClassifyWorkers: 4})
-			})
-		})
-	}
-}
-
 // --- ablations (design choices called out in DESIGN.md) ---
 
 // BenchmarkAblationReuseMode measures the cost of re-use tracking on top of

@@ -366,7 +366,7 @@ func TestCLILint(t *testing.T) {
 	if !sort.StringsAreSorted(names) {
 		t.Errorf("-list not sorted: %v", names)
 	}
-	for _, want := range []string{"shardown", "hotalloc", "goleak", "panicfree"} {
+	for _, want := range []string{"hotalloc", "goleak", "panicfree"} {
 		found := false
 		for _, n := range names {
 			if n == want {

@@ -18,10 +18,9 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment: table1, fig4..fig13, table2, table3, telemetry, chains, eventfile, shardscale")
+	only := flag.String("only", "", "run a single experiment: table1, fig4..fig13, table2, table3, telemetry, chains, eventfile")
 	reps := flag.Int("reps", 3, "timing repetitions (median reported)")
 	par := flag.Int("p", runtime.GOMAXPROCS(0), "parallel workers for profile/trace generation (timings always run sequentially; live telemetry attaches to runs only with -p=1)")
-	clsWorkers := cli.RegisterClassifyWorkers(flag.CommandLine)
 	tel := cli.RegisterTelemetry(flag.CommandLine, "experiments")
 	flag.Parse()
 
@@ -36,7 +35,6 @@ func main() {
 	s := experiments.NewSuite()
 	s.TimingReps = *reps
 	s.Workers = *par
-	s.ClassifyWorkers = *clsWorkers
 	s.Ctx = ctx
 	s.Telemetry = tel.Metrics()
 	// Unlike the shared metrics gauges, the tracer is safe at any -p:
@@ -119,10 +117,6 @@ func main() {
 	})
 	run("offload", func() (string, error) {
 		r, err := s.OffloadStudy(10)
-		return render(r, err)
-	})
-	run("shardscale", func() (string, error) {
-		r, err := s.ShardScale(nil, nil)
 		return render(r, err)
 	})
 	run("eventfile", func() (string, error) {

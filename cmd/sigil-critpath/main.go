@@ -36,10 +36,8 @@ func main() {
 		salvage  = flag.Bool("salvage", false, "recover the valid prefix of a truncated/corrupt event file")
 		workers  = flag.Int("decode-workers", 0, "frame-decode goroutines for v3 event files (0 = one per CPU)")
 	)
-	clsWorkers := cli.RegisterClassifyWorkers(flag.CommandLine)
 	tel = cli.RegisterTelemetry(flag.CommandLine, "sigil-critpath")
 	flag.Parse()
-	classifyWorkers = *clsWorkers
 
 	ctx, stop := cli.Context()
 	defer stop()
@@ -123,7 +121,7 @@ func loadTrace(ctx context.Context, evtFile, workload, class string, salvage boo
 			return nil, err
 		}
 		var buf trace.Buffer
-		opts := core.Options{Events: &buf, ClassifyWorkers: classifyWorkers, Telemetry: tel.Metrics(), Trace: tel.TraceBuf()}
+		opts := core.Options{Events: &buf, Telemetry: tel.Metrics(), Trace: tel.TraceBuf()}
 		res, err := core.RunContext(ctx, prog, opts, input)
 		if err != nil {
 			return nil, err
@@ -172,12 +170,10 @@ func readEventFile(f *os.File, salvage bool, workers int) (*trace.Trace, error) 
 }
 
 // tel and art are package-level so fatal can flush run artifacts (report,
-// trace, flight dump) on every exit path; classifyWorkers carries the
-// -classify-workers flag into loadTrace's -workload run.
+// trace, flight dump) on every exit path.
 var (
-	tel             *cli.Telemetry
-	art             cli.Artifacts
-	classifyWorkers int
+	tel *cli.Telemetry
+	art cli.Artifacts
 )
 
 func fatal(err error) {

@@ -7,7 +7,6 @@
 //	goleak       every go statement has a reachable join or cancel
 //	hotalloc     //sigil:hot functions stay allocation-free
 //	panicfree    no panic in internal/core, internal/trace, internal/vm
-//	shardown     //sigil:owner fields touched only by their //sigil:goroutine role
 //	sinkerr      Close/Flush/Sync/Emit errors on sinks and files checked
 //
 // Usage:

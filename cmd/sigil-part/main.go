@@ -36,10 +36,8 @@ func main() {
 		offload  = flag.Float64("offload", 0, "estimate app speedup assuming this accelerator speedup (0 = skip)")
 		accels   = flag.Int("accelerators", 0, "accelerator budget for -offload (0 = unlimited)")
 	)
-	clsWorkers := cli.RegisterClassifyWorkers(flag.CommandLine)
 	tel = cli.RegisterTelemetry(flag.CommandLine, "sigil-part")
 	flag.Parse()
-	classifyWorkers = *clsWorkers
 
 	ctx, stop := cli.Context()
 	defer stop()
@@ -141,7 +139,7 @@ func loadResult(ctx context.Context, profFile, workload, class string, tel *cli.
 		if err != nil {
 			return nil, err
 		}
-		return core.RunContext(ctx, prog, core.Options{ClassifyWorkers: classifyWorkers, Telemetry: tel.Metrics(), Trace: tel.TraceBuf()}, input)
+		return core.RunContext(ctx, prog, core.Options{Telemetry: tel.Metrics(), Trace: tel.TraceBuf()}, input)
 	default:
 		return nil, fmt.Errorf("need -profile or -workload")
 	}
@@ -155,12 +153,10 @@ func clip(s string, n int) string {
 }
 
 // tel and art are package-level so fatal can flush run artifacts before
-// exiting; classifyWorkers carries the -classify-workers flag into
-// loadResult's -workload run.
+// exiting.
 var (
-	tel             *cli.Telemetry
-	art             cli.Artifacts
-	classifyWorkers int
+	tel *cli.Telemetry
+	art cli.Artifacts
 )
 
 func fatal(err error) {

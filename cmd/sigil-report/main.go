@@ -33,7 +33,6 @@ func main() {
 		slotsArg = flag.String("slots", "2,4,8", "slot counts for the scheduling study")
 		top      = flag.Int("top", 12, "rows per table")
 	)
-	clsWorkers := cli.RegisterClassifyWorkers(flag.CommandLine)
 	tel = cli.RegisterTelemetry(flag.CommandLine, "sigil-report")
 	flag.Parse()
 	if *workload == "" {
@@ -60,11 +59,11 @@ func main() {
 	// report needs both complete, so an interrupt aborts rather than
 	// rendering from half the data.
 	var buf trace.Buffer
-	res, err := core.RunContext(ctx, prog, core.Options{TrackReuse: true, ClassifyWorkers: *clsWorkers, Telemetry: tel.Metrics(), Trace: tel.TraceBuf()}, input)
+	res, err := core.RunContext(ctx, prog, core.Options{TrackReuse: true, Telemetry: tel.Metrics(), Trace: tel.TraceBuf()}, input)
 	if err != nil {
 		fatal(err)
 	}
-	evRes, err := core.RunContext(ctx, prog, core.Options{Events: &buf, ClassifyWorkers: *clsWorkers, Telemetry: tel.Metrics(), Trace: tel.TraceBuf()}, input)
+	evRes, err := core.RunContext(ctx, prog, core.Options{Events: &buf, Telemetry: tel.Metrics(), Trace: tel.TraceBuf()}, input)
 	if err != nil {
 		fatal(err)
 	}

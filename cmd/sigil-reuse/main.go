@@ -32,10 +32,8 @@ func main() {
 		top      = flag.Int("top", 10, "functions to rank by reused bytes")
 		lineMode = flag.Bool("line", false, "collect line-granularity re-use (with -workload)")
 	)
-	clsWorkers := cli.RegisterClassifyWorkers(flag.CommandLine)
 	tel = cli.RegisterTelemetry(flag.CommandLine, "sigil-reuse")
 	flag.Parse()
-	classifyWorkers = *clsWorkers
 
 	ctx, stop := cli.Context()
 	defer stop()
@@ -132,19 +130,17 @@ func loadResult(ctx context.Context, profFile, workload, class string, lineMode 
 		if err != nil {
 			return nil, err
 		}
-		return core.RunContext(ctx, prog, core.Options{TrackReuse: !lineMode, LineGranularity: lineMode, ClassifyWorkers: classifyWorkers, Telemetry: tel.Metrics(), Trace: tel.TraceBuf()}, input)
+		return core.RunContext(ctx, prog, core.Options{TrackReuse: !lineMode, LineGranularity: lineMode, Telemetry: tel.Metrics(), Trace: tel.TraceBuf()}, input)
 	default:
 		return nil, fmt.Errorf("need -profile or -workload")
 	}
 }
 
 // tel and art are package-level so fatal can flush run artifacts before
-// exiting; classifyWorkers carries the -classify-workers flag into
-// loadResult's -workload run.
+// exiting.
 var (
-	tel             *cli.Telemetry
-	art             cli.Artifacts
-	classifyWorkers int
+	tel *cli.Telemetry
+	art cli.Artifacts
 )
 
 func fatal(err error) {

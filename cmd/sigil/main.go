@@ -68,7 +68,6 @@ func run() int {
 		list     = flag.Bool("list", false, "list bundled workloads and exit")
 		telSnap  = flag.Bool("telemetry-dump", false, "print the final telemetry snapshot after the run")
 	)
-	clsWorkers := cli.RegisterClassifyWorkers(flag.CommandLine)
 	tel := cli.RegisterTelemetry(flag.CommandLine, "sigil")
 	flag.Parse()
 
@@ -106,7 +105,6 @@ func run() int {
 		MaxWall:             *timeout,
 		MaxInstrs:           *maxInstr,
 		MaxShadowChunksHard: *chunkBud,
-		ClassifyWorkers:     *clsWorkers,
 		Substrate: callgrind.Options{
 			Gshare:   *gshare,
 			Prefetch: *prefetch,

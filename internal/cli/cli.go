@@ -73,15 +73,6 @@ func Outcome(err error) string {
 	}
 }
 
-// RegisterClassifyWorkers registers the shared -classify-workers flag: the
-// sharded classification engine's worker count for core.Options. Every tool
-// registers it the same way so the guidance (and the inline fallback rules
-// documented on the option) stay uniform across the suite.
-func RegisterClassifyWorkers(fs *flag.FlagSet) *int {
-	return fs.Int("classify-workers", 0,
-		"run classification on this many shard workers off the interpreter thread (0 = inline; capped benefit past physical cores; ignored with -max-shadow-chunks)")
-}
-
 // Telemetry bundles the observation flags every tool registers: the live
 // HTTP endpoint, the progress heartbeat, the structured-log format, and
 // the tracing artifacts (-run-report, -trace-out). Zero flags set means

@@ -1,11 +1,8 @@
 package core
 
 // classifier is the classification engine: the shadow table plus every
-// aggregate that read/write classification updates. The inline path embeds
-// one in Tool and runs it on the interpreter goroutine; the sharded engine
-// (shard.go) gives each worker a private classifier over a disjoint subset
-// of the chunk space and merges them into the Tool's at the end of the run.
-// All aggregates are additive, which is what makes that merge exact.
+// aggregate that read/write classification updates. Tool embeds one and
+// runs it on the interpreter goroutine.
 type classifier struct {
 	shadow *shadowTable
 	shift  uint // log2 granule size: 0 in byte mode
@@ -45,34 +42,14 @@ type classifier struct {
 
 	// onComm, when non-nil, receives every non-unique-filtered cross-context
 	// read so the event representation can attribute per-segment
-	// communication. The inline path binds Tool.accumulateComm; shard
-	// workers bind a keyed accumulator that records pos for deterministic
-	// first-encounter ordering across shards. nil means events are off.
+	// communication; Tool binds accumulateComm. nil means events are off.
 	onComm func(f *segFrame, srcEnc uint32, srcCall, bytes uint64)
-
-	// pos is the position of the classification run currently being
-	// processed within the global access stream: seq is the access sequence
-	// number (assigned by the sharded engine; zero inline), off the granule
-	// offset of the run within the access. onComm captures it so the
-	// barrier merge can reproduce the inline first-encounter comm order.
-	pos runPos
 }
 
-// runPos orders classification runs by interpreter execution order: first
-// by access sequence number, then by granule offset within the access.
-type runPos struct {
-	seq uint64
-	off uint64
-}
-
-func (p runPos) less(q runPos) bool {
-	return p.seq < q.seq || (p.seq == q.seq && p.off < q.off)
-}
-
-// init wires the classifier for the given mode. flushHook becomes the shadow
-// table's eviction hook; it must be the classifier's own flushChunk, bound
-// after the classifier has its final address.
-func (c *classifier) init(opts Options, maxChunks int) {
+// init wires the classifier for the given mode. The shadow table's eviction
+// hook is the classifier's own flushChunk, so init must run after the
+// classifier has its final address.
+func (c *classifier) init(opts Options) {
 	c.lineMode = opts.LineGranularity
 	c.trackReuse = opts.TrackReuse
 	c.scalar = opts.refScalar
@@ -87,7 +64,7 @@ func (c *classifier) init(opts Options, maxChunks int) {
 	// Line mode always tracks per-line access counts; byte mode tracks
 	// episodes only when re-use mode is on.
 	wantReuse := opts.TrackReuse || opts.LineGranularity
-	c.shadow = newShadowTable(maxChunks, wantReuse, c.flushChunk)
+	c.shadow = newShadowTable(opts.MaxShadowChunks, wantReuse, c.flushChunk)
 }
 
 // Run-length cutover (see readSpan): after cutoverShortRuns consecutive runs
@@ -124,23 +101,20 @@ func (c *classifier) readRange(f *segFrame, g0, g1, now uint64) {
 		}
 		return
 	}
-	base := c.pos.off
 	for g := g0; inRange(g, g0, g1); {
 		ch, idx := c.shadow.get(g)
 		end := g | chunkMask
 		if end > g1 {
 			end = g1
 		}
-		c.readSpan(f, ch, idx, uint32(end-g+1), now, base+(g-g0))
+		c.readSpan(f, ch, idx, uint32(end-g+1), now)
 		g = end + 1
 	}
 }
 
 // readSpan classifies n granules of one chunk starting at intra-chunk index
 // idx: consecutive granules in identical shadow state form a run that is
-// classified once and counted len(run) times. spanBase is the granule
-// offset of the span within the access, threaded through c.pos so comm
-// accumulation can order first encounters deterministically.
+// classified once and counted len(run) times.
 //
 // State changes within the span start the next run, so the worst case
 // degrades to the scalar cost plus one comparison per granule; the cutover
@@ -148,7 +122,7 @@ func (c *classifier) readRange(f *segFrame, g0, g1, now uint64) {
 // under cutoverRunLen granules the span finishes granule-at-a-time.
 //
 //sigil:hot
-func (c *classifier) readSpan(f *segFrame, ch *shadowChunk, idx, n uint32, now, spanBase uint64) {
+func (c *classifier) readSpan(f *segFrame, ch *shadowChunk, idx, n uint32, now uint64) {
 	c.spans++
 	c.granules += uint64(n)
 	objs := ch.objs[idx : idx+n]
@@ -161,7 +135,6 @@ func (c *classifier) readSpan(f *segFrame, ch *shadowChunk, idx, n uint32, now, 
 			j++
 		}
 		c.runs++
-		c.pos.off = spanBase + uint64(i)
 		c.classifyRun(f, st, uint64(j-i))
 		if ch.reuse != nil {
 			c.reuseRun(f, ch.reuse[idx+i:idx+j], st, call32, now)
@@ -173,7 +146,7 @@ func (c *classifier) readSpan(f *segFrame, ch *shadowChunk, idx, n uint32, now, 
 		if j-i < cutoverRunLen {
 			short++
 			if short >= cutoverShortRuns && j < n {
-				c.readSpanTail(f, ch, idx, j, n, now, spanBase, call32)
+				c.readSpanTail(f, ch, idx, j, n, now, call32)
 				return
 			}
 		} else {
@@ -185,19 +158,18 @@ func (c *classifier) readSpan(f *segFrame, ch *shadowChunk, idx, n uint32, now, 
 
 // readSpanTail finishes a degenerate span granule-at-a-time. Classifying a
 // length-k run as k single-granule runs produces the same aggregates (every
-// counter adds bytes, and k×1 == 1×k), the same comm accumulation (bytes
-// sum per (src,call) key; the first granule of a run carries the run-start
-// offset), and the same re-use updates (reuseRun's branches depend only on
-// per-granule state), so the two paths stay byte-identical — the
-// differential suite diffs them directly.
+// counter adds bytes, and k×1 == 1×k), the same comm accumulation (bytes sum
+// per (src,call) key, first encounters in the same order), and the same
+// re-use updates (reuseRun's branches depend only on per-granule state), so
+// the two paths stay byte-identical — the differential suite diffs them
+// directly.
 //
 //sigil:hot
-func (c *classifier) readSpanTail(f *segFrame, ch *shadowChunk, idx, i, n uint32, now, spanBase uint64, call32 uint32) {
+func (c *classifier) readSpanTail(f *segFrame, ch *shadowChunk, idx, i, n uint32, now uint64, call32 uint32) {
 	objs := ch.objs[idx : idx+n]
 	for k := i; k < n; k++ {
 		st := objs[k]
 		c.runs++
-		c.pos.off = spanBase + uint64(k)
 		c.classifyRun(f, st, 1)
 		if ch.reuse != nil {
 			c.reuseRun(f, ch.reuse[idx+k:idx+k+1], st, call32, now)
@@ -220,7 +192,7 @@ func (c *classifier) classifyRun(f *segFrame, obj shadowObj, bytes uint64) {
 	}
 	if src == f.enc {
 		if f.ctx >= 0 {
-			s := c.commSlot(int(f.ctx))
+			s := &c.comm[f.ctx]
 			if sameReader {
 				s.LocalNonUnique += bytes
 			} else {
@@ -230,7 +202,7 @@ func (c *classifier) classifyRun(f *segFrame, obj shadowObj, bytes uint64) {
 		return
 	}
 	if f.ctx >= 0 {
-		s := c.commSlot(int(f.ctx))
+		s := &c.comm[f.ctx]
 		if sameReader {
 			s.InputNonUnique += bytes
 		} else {
@@ -249,7 +221,7 @@ func (c *classifier) classifyRun(f *segFrame, obj shadowObj, bytes uint64) {
 			c.kernelOut += bytes
 		}
 	default:
-		s := c.commSlot(int(src - encBias))
+		s := &c.comm[src-encBias]
 		if sameReader {
 			s.OutputNonUnique += bytes
 		} else {
@@ -394,7 +366,7 @@ func (c *classifier) readGranule(f *segFrame, g, now, bytes uint64) {
 	if src == f.enc {
 		// Local: produced and read by the same function context.
 		if f.ctx >= 0 {
-			s := c.commSlot(int(f.ctx))
+			s := &c.comm[f.ctx]
 			if sameReader {
 				s.LocalNonUnique += bytes
 			} else {
@@ -404,7 +376,7 @@ func (c *classifier) readGranule(f *segFrame, g, now, bytes uint64) {
 	} else {
 		// Input to the reader, output of the producer.
 		if f.ctx >= 0 {
-			s := c.commSlot(int(f.ctx))
+			s := &c.comm[f.ctx]
 			if sameReader {
 				s.InputNonUnique += bytes
 			} else {
@@ -423,7 +395,7 @@ func (c *classifier) readGranule(f *segFrame, g, now, bytes uint64) {
 				c.kernelOut += bytes
 			}
 		default:
-			s := c.commSlot(int(src - encBias))
+			s := &c.comm[src-encBias]
 			if sameReader {
 				s.OutputNonUnique += bytes
 			} else {
@@ -501,17 +473,9 @@ func (c *classifier) edge(srcEnc, dstEnc uint32) *Edge {
 	return e
 }
 
-// commSlot returns the per-context aggregate for id, growing the slice when
-// needed. The inline path pre-grows at FnEnter so the branch never fires;
-// shard workers meet producer contexts they never saw enter, so they grow
-// lazily here.
-func (c *classifier) commSlot(id int) *CommStats {
-	if id >= len(c.comm) {
-		c.growComm(id)
-	}
-	return &c.comm[id]
-}
-
+// growComm sizes the per-context aggregates for context id. Tool calls it
+// when a context is entered, so every context the shadow state can name
+// (writer or reader) already has its slots.
 func (c *classifier) growComm(id int) {
 	for len(c.comm) <= id {
 		c.comm = append(c.comm, CommStats{})
@@ -527,11 +491,7 @@ func (c *classifier) growComm(id int) {
 func (c *classifier) flushEpisode(readerEnc uint32, ro *reuseObj) {
 	switch {
 	case readerEnc >= encBias:
-		id := int(readerEnc - encBias)
-		if id >= len(c.reuse) {
-			c.growComm(id)
-		}
-		c.reuse[id].recordEpisode(ro.count, ro.last-ro.first)
+		c.reuse[readerEnc-encBias].recordEpisode(ro.count, ro.last-ro.first)
 	case readerEnc == encKernel:
 		c.kernelReuse.recordEpisode(ro.count, ro.last-ro.first)
 	}
@@ -558,42 +518,4 @@ func (c *classifier) flushChunk(key uint64, ch *shadowChunk) {
 			ch.objs[i].reader = encInvalid
 		}
 	}
-}
-
-// mergeFrom folds a shard-private classifier into c. Every aggregate is
-// additive, and the shard chunk spaces are disjoint, so adoption plus
-// addition reproduces the inline aggregates exactly; the differential suite
-// holds this to byte-identical.
-func (c *classifier) mergeFrom(w *classifier) {
-	if len(w.comm) > 0 {
-		c.growComm(len(w.comm) - 1)
-		for i := range w.comm {
-			c.comm[i].Add(w.comm[i])
-		}
-	}
-	if len(w.reuse) > 0 {
-		c.growComm(len(w.reuse) - 1)
-		for i := range w.reuse {
-			c.reuse[i].Add(w.reuse[i])
-		}
-	}
-	for key, e := range w.edges {
-		if have := c.edges[key]; have != nil {
-			have.Unique += e.Unique
-			have.NonUnique += e.NonUnique
-		} else {
-			c.edges[key] = e
-		}
-	}
-	c.startupOut += w.startupOut
-	c.kernelOut += w.kernelOut
-	c.kernelIn += w.kernelIn
-	c.kernelReuse.Add(w.kernelReuse)
-	if c.lines != nil && w.lines != nil {
-		c.lines.merge(w.lines)
-	}
-	c.spans += w.spans
-	c.runs += w.runs
-	c.granules += w.granules
-	c.shadow.adopt(w.shadow)
 }

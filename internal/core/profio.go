@@ -29,9 +29,14 @@ const (
 	profileMagic   = "# sigil profile v2"
 	profileMagicV1 = "# sigil profile v1"
 
-	// maxProfileID bounds context/bin ids so a corrupt or adversarial
+	// maxProfileID bounds context ids so a corrupt or adversarial
 	// profile cannot make the reader allocate unbounded slices.
 	maxProfileID = 1 << 20
+
+	// maxHistBins bounds the lifetime-histogram bins the reader allocates
+	// for a whole profile (32 MiB of counts). Real profiles hold far
+	// fewer: canneal simlarge in re-use mode, the largest, holds 26,031.
+	maxHistBins = 1 << 22
 )
 
 // ErrProfileTruncated reports a v2 profile that ended before its footer;
@@ -163,7 +168,18 @@ func ReadProfile(r io.Reader) (*Result, error) {
 		crc        uint32
 		records    uint64
 		footerSeen bool
+		histBins   int
 	)
+	// declared resolves the id of a cost, comm, reuse or rhist record to a
+	// context an earlier ctx record declared (WriteProfile writes every
+	// ctx first), so those records cannot size per-context slices past
+	// the calltree.
+	declared := func(v uint64) (int, error) {
+		if v >= uint64(len(res.Profile.Nodes)) || res.Profile.Nodes[v] == nil {
+			return 0, fmt.Errorf("undeclared context %d", v)
+		}
+		return int(v), nil
+	}
 	for sc.Scan() {
 		lineNo++
 		raw := sc.Text()
@@ -276,12 +292,9 @@ func ReadProfile(r io.Reader) (*Result, error) {
 			if err != nil {
 				return nil, bad(err)
 			}
-			if v[0] >= maxProfileID {
-				return nil, bad(fmt.Errorf("context id %d out of range", v[0]))
-			}
-			id := int(v[0])
-			if id >= len(res.Profile.Nodes) || res.Profile.Nodes[id] == nil {
-				return nil, bad(fmt.Errorf("cost for undeclared context %d", id))
+			id, err := declared(v[0])
+			if err != nil {
+				return nil, bad(err)
 			}
 			res.Profile.Nodes[id].Self = callgrind.Costs{
 				Instrs: v[1], IntOps: v[2], FPOps: v[3], Reads: v[4],
@@ -294,10 +307,10 @@ func ReadProfile(r io.Reader) (*Result, error) {
 			if err != nil {
 				return nil, bad(err)
 			}
-			if v[0] >= maxProfileID {
-				return nil, bad(fmt.Errorf("context id %d out of range", v[0]))
+			id, err := declared(v[0])
+			if err != nil {
+				return nil, bad(err)
 			}
-			id := int(v[0])
 			for len(res.Comm) <= id {
 				res.Comm = append(res.Comm, CommStats{})
 			}
@@ -327,10 +340,10 @@ func ReadProfile(r io.Reader) (*Result, error) {
 			if err != nil {
 				return nil, bad(err)
 			}
-			if v[0] >= maxProfileID {
-				return nil, bad(fmt.Errorf("context id %d out of range", v[0]))
+			id, err := declared(v[0])
+			if err != nil {
+				return nil, bad(err)
 			}
-			id := int(v[0])
 			for len(res.Reuse) <= id {
 				res.Reuse = append(res.Reuse, ReuseStats{})
 			}
@@ -343,22 +356,33 @@ func ReadProfile(r io.Reader) (*Result, error) {
 			if err != nil {
 				return nil, bad(err)
 			}
-			if v[0] >= maxProfileID {
-				return nil, bad(fmt.Errorf("context id %d out of range", v[0]))
+			id, err := declared(v[0])
+			if err != nil {
+				return nil, bad(err)
 			}
-			id := int(v[0])
 			if id >= len(res.Reuse) {
 				return nil, bad(fmt.Errorf("rhist for undeclared reuse context %d", id))
 			}
-			// Bins are lifetime/LifetimeBin, so they grow with run length;
-			// the cap only bounds what a hostile file can make us allocate.
-			if v[1] >= 1<<22 {
-				return nil, bad(fmt.Errorf("histogram bin %d out of range", v[1]))
+			// No re-use lifetime outlasts the run, and total is the first
+			// record, so a bin past total/LifetimeBin cannot occur.
+			if v[1] > res.Profile.TotalInstrs/LifetimeBin {
+				return nil, bad(fmt.Errorf("histogram bin %d past the run's %d instructions", v[1], res.Profile.TotalInstrs))
 			}
 			bin := int(v[1])
 			h := res.Reuse[id].LifetimeHist
-			for len(h) <= bin {
-				h = append(h, 0)
+			if bin >= cap(h) {
+				// Every bin the reader allocates counts against the
+				// budget, so hostile files cannot grow it piecemeal.
+				n := max(bin+1, 2*cap(h))
+				if histBins += n; histBins > maxHistBins {
+					return nil, bad(fmt.Errorf("histograms exceed %d bins", maxHistBins))
+				}
+				grown := make([]uint64, len(h), n)
+				copy(grown, h)
+				h = grown
+			}
+			if bin >= len(h) {
+				h = h[:bin+1]
 			}
 			h[bin] = v[2]
 			res.Reuse[id].LifetimeHist = h

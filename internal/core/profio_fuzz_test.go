@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -41,6 +43,8 @@ func FuzzReadProfile(f *testing.F) {
 	f.Add([]byte(profileMagicV1 + "\nctx 0 1 1 \"a\"\nctx 1 0 1 \"b\"\n"))
 	f.Add(bytes.Replace(seed, []byte("end "), []byte("end 0 "), 1))
 	f.Add(seed[:len(seed)/2])
+	f.Add([]byte(profileMagicV1 + "\n" + hostileUndeclaredBody()))
+	f.Add([]byte(profileMagicV1 + "\n" + hostileHistBody()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := ReadProfile(bytes.NewReader(data))
@@ -57,6 +61,34 @@ func FuzzReadProfile(f *testing.F) {
 	})
 }
 
+// hostileUndeclaredBody is a v1 profile body under 1 KB that once made the
+// reader allocate gigabytes: comm, reuse and rhist records on ids no ctx
+// record declared, each rhist at a bin near the old per-context cap.
+func hostileUndeclaredBody() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "comm %d 1 1 1 1 1 1\n", maxProfileID-1)
+	for i := 0; i < 16; i++ {
+		id := maxProfileID - 1 - i
+		fmt.Fprintf(&b, "reuse %d 1 0 0 1 1 1 1\nrhist %d 4194303 1\n", id, id)
+	}
+	return b.String()
+}
+
+// hostileHistBody declares its 16 contexts and claims a run long enough
+// that every rhist bin passes the run-length bound, so only the
+// whole-profile bin budget stops it from allocating gigabytes.
+func hostileHistBody() string {
+	var b strings.Builder
+	b.WriteString("total 4611686018427387904\n")
+	for id := 0; id < 16; id++ {
+		fmt.Fprintf(&b, "ctx %d %d 1 \"f\"\n", id, id-1)
+	}
+	for id := 0; id < 16; id++ {
+		fmt.Fprintf(&b, "reuse %d 1 0 0 1 1 1 1\nrhist %d 4194303 1\n", id, id)
+	}
+	return b.String()
+}
+
 func TestReadProfileRejectsHostileIDs(t *testing.T) {
 	cases := map[string]string{
 		"negative ctx":   "ctx -5 -1 1 \"x\"\n",
@@ -69,10 +101,21 @@ func TestReadProfileRejectsHostileIDs(t *testing.T) {
 		"self parent":    "ctx 0 0 1 \"a\"\n",
 		"negative calls": "ctx 0 -1 -4 \"a\"\n",
 		"huge line size": "lines 99999999999 1 1 1 1 1 1\n",
+		"undeclared ids": hostileUndeclaredBody(),
+		"hist budget":    hostileHistBody(),
+		"bin past total": "total 999\nctx 0 -1 1 \"x\"\nreuse 0 1 0 0 1 1 1 1\nrhist 0 1 1\n",
 	}
+	const allocBound = 64 << 20
 	for name, body := range cases {
-		if _, err := ReadProfile(strings.NewReader(profileMagicV1 + "\n" + body)); err == nil {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadProfile(strings.NewReader(profileMagicV1 + "\n" + body))
+		runtime.ReadMemStats(&after)
+		if err == nil {
 			t.Errorf("%s accepted", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= allocBound {
+			t.Errorf("%s: reader allocated %d bytes, want < %d", name, n, allocBound)
 		}
 	}
 }

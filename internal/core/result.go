@@ -286,12 +286,6 @@ func runTool(ctx context.Context, tool *Tool, p *vm.Program, opts Options, input
 	if evErr := tool.EventError(); evErr != nil {
 		return out, fmt.Errorf("core: event sink failed: %w", evErr)
 	}
-	if cErr := tool.ClassifyError(); cErr != nil {
-		// Like a sink failure: the run completed and the surviving shards'
-		// aggregates are in the result, but classification lost records —
-		// hand back the partial result with the worker's typed fault.
-		return out, cErr
-	}
 	if resErr != nil {
 		return nil, resErr
 	}
@@ -338,7 +332,7 @@ func budgetCheck(opts Options, tool *Tool, start time.Time) func() error {
 			}
 		}
 		if opts.MaxShadowChunksHard > 0 {
-			if used := tool.shadowAllocated(); used >= uint64(opts.MaxShadowChunksHard) {
+			if used := tool.shadow.allocated; used >= uint64(opts.MaxShadowChunksHard) {
 				return &BudgetError{Resource: "shadow-chunks", Limit: uint64(opts.MaxShadowChunksHard), Used: used}
 			}
 		}

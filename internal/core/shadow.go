@@ -266,29 +266,6 @@ func (t *shadowTable) compactOrder() {
 	}
 }
 
-// adopt folds a shard-private table into t at the end of a sharded run.
-// Shards partition the chunk space by key hash, so the chunk maps are
-// disjoint and the union is exactly the set of chunks an inline run would
-// have materialized; the counters are plain sums. Shard tables never evict
-// (the engine requires an unlimited table), so each shard's peak equals its
-// final live count and the summed peak equals the inline peak — byte
-// identity of ShadowStats rests on this, and the max with the merged live
-// count keeps the gauge honest if that invariant ever shifts.
-func (t *shadowTable) adopt(w *shadowTable) {
-	for key, ch := range w.chunks {
-		t.chunks[key] = ch
-	}
-	t.allocated += w.allocated
-	t.evicted += w.evicted
-	t.recycled += w.recycled
-	t.cacheHits += w.cacheHits
-	t.cacheMisses += w.cacheMisses
-	t.peakLive += w.peakLive
-	if live := len(t.chunks); live > t.peakLive {
-		t.peakLive = live
-	}
-}
-
 // forEach visits every live chunk (used for end-of-run flushing).
 func (t *shadowTable) forEach(fn func(key uint64, ch *shadowChunk)) {
 	for key, ch := range t.chunks {

@@ -31,21 +31,6 @@ type Options struct {
 	// negligible accuracy loss.
 	MaxShadowChunks int
 
-	// ClassifyWorkers moves read/write classification off the interpreter
-	// goroutine: the memory callbacks append compact access records into
-	// per-shard double-buffered slabs, and this many worker goroutines each
-	// drain the records whose chunks hash into their shard against a
-	// shard-private shadow table. Call-boundary barriers and an end-of-run
-	// merge fold the per-shard deltas into the canonical Result, which the
-	// differential suite pins byte-identical to inline classification.
-	//
-	// 0 (the default) classifies inline. The engine requires the full
-	// chunk space to stay resident, so MaxShadowChunks > 0 falls back to
-	// inline classification: FIFO eviction order is a property of the
-	// global access interleaving that shard-private tables cannot
-	// reproduce.
-	ClassifyWorkers int
-
 	// Events, when non-nil, receives the event-file representation: the
 	// execution as a sequence of dependent events.
 	Events trace.Sink
@@ -83,11 +68,10 @@ type Options struct {
 	Telemetry *telemetry.Metrics
 
 	// Trace, when non-nil, records the run into the tracing subsystem: a
-	// root "run" span with telemetry-counter deltas, a poll-point sample
-	// timeline for the counter tracks of the Chrome export, and — when the
-	// sharded engine is on — one track per classification worker. The
-	// buffer must be owned by the goroutine calling Run/RunContext (the
-	// machine executes on the caller's goroutine). When Telemetry is nil a
+	// root "run" span with telemetry-counter deltas and a poll-point sample
+	// timeline for the counter tracks of the Chrome export. The buffer
+	// must be owned by the goroutine calling Run/RunContext (the machine
+	// executes on the caller's goroutine). When Telemetry is nil a
 	// private Metrics block is attached for the run so span deltas still
 	// reconcile with Result.Telemetry.
 	Trace *tracing.Buf
@@ -96,8 +80,7 @@ type Options struct {
 	// classification path instead of the batched chunk-run path. The two
 	// are required to produce byte-identical results; this knob exists so
 	// the differential and fuzz harnesses can prove it, and is therefore
-	// unexported: it is not a supported production mode. It also forces
-	// inline classification regardless of ClassifyWorkers.
+	// unexported: it is not a supported production mode.
 	refScalar bool
 }
 
@@ -118,9 +101,6 @@ func (o Options) validate() error {
 	if o.MaxShadowChunksHard < 0 {
 		return fmt.Errorf("core: negative shadow chunk budget")
 	}
-	if o.ClassifyWorkers < 0 {
-		return fmt.Errorf("core: negative classification worker count")
-	}
 	if o.MaxWall < 0 {
 		return fmt.Errorf("core: negative wall-clock budget")
 	}
@@ -133,31 +113,20 @@ func (o Options) validate() error {
 	return nil
 }
 
-// shardedWanted reports whether this configuration runs the sharded
-// classification engine (see Options.ClassifyWorkers for the fallbacks).
-func (o Options) shardedWanted() bool {
-	return o.ClassifyWorkers > 0 && o.MaxShadowChunks == 0 && !o.refScalar
-}
-
 // Tool is the Sigil instrumentation tool. It drives a callgrind.Tool,
 // forwarding every callback to it before acting, and asks it for the
 // executing calling context — mirroring how the paper's Sigil hooks into
 // Callgrind to identify function names and count operations.
 //
 // The embedded classifier holds the shadow table and every classification
-// aggregate; with ClassifyWorkers > 0 the memory callbacks append access
-// records to the sharded engine instead of classifying into it, and the
-// engine merges its shard-private classifiers back at the end of the run.
+// aggregate; the memory callbacks classify into it on the interpreter
+// goroutine, in program order.
 type Tool struct {
 	classifier
 
 	sub  *callgrind.Tool
 	mach *vm.Machine
 	opts Options
-
-	// engine is the sharded classification pipeline; nil means the memory
-	// callbacks classify inline on the interpreter goroutine.
-	engine *classifyEngine
 
 	stack   []segFrame
 	events  trace.Sink
@@ -205,7 +174,7 @@ func New(sub *callgrind.Tool, opts Options) (*Tool, error) {
 		opts:   opts,
 		events: opts.Events,
 	}
-	t.classifier.init(opts, opts.MaxShadowChunks)
+	t.classifier.init(opts)
 	if t.events != nil {
 		t.onComm = t.accumulateComm
 	}
@@ -217,15 +186,9 @@ func New(sub *callgrind.Tool, opts Options) (*Tool, error) {
 
 // ProgramStart implements dbi.Tool. The loader's initialized data segments
 // are marked as produced at startup: they are the program's true input.
-// This is also where the sharded engine spins up: ProgramStart is the first
-// observer callback, so tools that are constructed but never run (tests,
-// benches poking the classifier directly) never start workers.
 func (t *Tool) ProgramStart(p *vm.Program, m *vm.Machine) {
 	t.sub.ProgramStart(p, m)
 	t.mach = m
-	if t.opts.shardedWanted() && t.engine == nil {
-		t.engine = newClassifyEngine(t)
-	}
 	for _, s := range p.Segments {
 		if len(s.Data) == 0 {
 			continue
@@ -312,6 +275,13 @@ func (t *Tool) MemWrite(addr uint64, size uint8) {
 	t.access(opWrite, &t.stack[len(t.stack)-1], addr, uint64(size), t.sub.Now())
 }
 
+// Access kinds for Tool.access.
+const (
+	opRead uint8 = iota
+	opWrite
+	opStartup // ProgramStart data-segment marking: writer stamp only
+)
+
 // access classifies the n > 0 bytes at addr: read by frame f (opRead),
 // written by f (opWrite), written by the kernel (opWrite with a nil f), or
 // produced at startup (opStartup). It returns the number of granules the
@@ -332,12 +302,10 @@ func (t *Tool) access(op uint8, f *segFrame, addr, n, now uint64) uint64 {
 	case f != nil:
 		enc, call = f.enc, f.call
 	}
-	switch {
-	case t.engine != nil:
-		t.engine.recordAccess(op, enc, call, g0, g1, now)
-	case op == opRead:
+	switch op {
+	case opRead:
 		t.readRange(f, g0, g1, now)
-	case op == opWrite:
+	case opWrite:
 		t.writeRange(enc, call, g0, g1, now)
 	default:
 		t.markStartup(g0, g1)
@@ -349,10 +317,7 @@ func (t *Tool) access(op uint8, f *segFrame, addr, n, now uint64) uint64 {
 // range (classified like its own reads — the syscall's data-marshalling
 // cost belongs to the caller) and the bytes then leave the program on an
 // explicit edge to the kernel; the output range is produced by the kernel.
-// Per the paper, nothing inside the call is visible. The explicit
-// kernel-edge aggregates stay on the interpreter-side classifier even when
-// the engine is on — they are additive, so the end-of-run merge folds them
-// with the shard deltas.
+// Per the paper, nothing inside the call is visible.
 func (t *Tool) Syscall(sys vm.Sys, inAddr, inLen, outAddr, outLen uint64) {
 	t.sub.Syscall(sys, inAddr, inLen, outAddr, outLen)
 	now := t.sub.Now()
@@ -384,9 +349,8 @@ func (t *Tool) ProgramEnd() {
 	t.finish()
 }
 
-// finish closes the remaining segments, drains the sharded engine (when on)
-// and merges its shard classifiers back into the tool's, flushes the open
-// re-use episodes of all live shadow chunks, and freezes the result.
+// finish closes the remaining segments, flushes the open re-use episodes of
+// all live shadow chunks, and freezes the result.
 func (t *Tool) finish() {
 	for len(t.stack) > 0 {
 		f := &t.stack[len(t.stack)-1]
@@ -395,9 +359,6 @@ func (t *Tool) finish() {
 			t.emit(trace.Event{Kind: trace.KindLeave, Ctx: f.ctx, Call: f.call, Time: t.sub.Now()})
 		}
 		t.pop()
-	}
-	if t.engine != nil {
-		t.engine.finish(t)
 	}
 	t.shadow.forEach(t.flushChunk)
 	t.finished = true
@@ -426,18 +387,6 @@ func (t *Tool) abort() {
 	t.finished = true
 }
 
-// ClassifyError returns the first classification-worker failure, if any.
-// Like event-sink errors, worker faults do not stop the run: the remaining
-// shards keep classifying, the failed shard counts its records as dropped
-// (reconciled by telemetry: records == drained + dropped), and the fault
-// surfaces here after the run.
-func (t *Tool) ClassifyError() error {
-	if t.engine == nil {
-		return nil
-	}
-	return t.engine.err
-}
-
 func (t *Tool) growCtx(id int) {
 	t.growComm(id)
 	if t.events != nil {
@@ -461,14 +410,8 @@ func (t *Tool) accumulateComm(f *segFrame, srcEnc uint32, srcCall, bytes uint64)
 
 // closeSegment emits the open segment's accumulated communication and the
 // operations retired since the segment began, then resets the frame for its
-// next segment. With the
-// sharded engine on, the segment's communication lives in the workers'
-// keyed accumulators: a barrier drains every shard and merges them into
-// the frame in the inline first-encounter order.
+// next segment.
 func (t *Tool) closeSegment(f *segFrame) {
-	if t.engine != nil {
-		f.comm = t.engine.drainSegment(f.comm[:0])
-	}
 	ops := t.opsNow()
 	if ops == f.mark && len(f.comm) == 0 {
 		return

@@ -151,14 +151,6 @@ func (r *LineReport) record(reuseCount uint64) {
 	}
 }
 
-// merge folds a shard-private report into r (bucket counts are additive).
-func (r *LineReport) merge(w *LineReport) {
-	r.TotalLines += w.TotalLines
-	for i := range r.Buckets {
-		r.Buckets[i] += w.Buckets[i]
-	}
-}
-
 // Fractions returns each bucket's share of all touched lines.
 func (r *LineReport) Fractions() [5]float64 {
 	var out [5]float64

@@ -14,12 +14,6 @@ import (
 // telemetry contract. Readers (heartbeat, /metrics, expvar) never touch
 // the tool; they load the atomics.
 //
-// With the sharded engine live, the classification aggregates are split
-// between the interpreter-side classifier (syscall kernel edges) and the
-// worker-private ones; the workers' atomic mirrors are summed in so the
-// heartbeat sees the whole run. After the end-of-run merge the tool's own
-// fields hold the canonical totals and the mirrors are no longer added.
-//
 // Cost: a pass over the per-context aggregates plus ~40 atomic stores,
 // every 16K instructions — far below the per-instruction instrumentation
 // work the poll interval already amortizes.
@@ -27,49 +21,6 @@ func (t *Tool) sampleInto(m *telemetry.Metrics) {
 	var c CommStats
 	for i := range t.comm {
 		c.Add(t.comm[i])
-	}
-
-	perChunk := t.shadow.bytesPerChunk()
-	shAllocated := t.shadow.allocated
-	shLive := uint64(len(t.shadow.chunks))
-	shPeak := uint64(t.shadow.peakLive)
-	shHits, shMisses, shRecycled := t.shadow.cacheHits, t.shadow.cacheMisses, t.shadow.recycled
-	spans, runs, granules := t.spans, t.runs, t.granules
-
-	if e := t.engine; e != nil {
-		m.ClassifyWorkers.Store(uint64(len(e.shards)))
-		m.ClassifyRecords.Store(e.appended)
-		m.ClassifyBatches.Store(e.published)
-		m.ClassifyStalls.Store(e.stalls)
-		m.ClassifyBarriers.Store(e.barriers)
-		var drained, dropped uint64
-		for _, s := range e.shards {
-			drained += s.mirror.drained.Load()
-			dropped += s.mirror.dropped.Load()
-		}
-		m.ClassifyDrained.Store(drained)
-		m.ClassifyDropped.Store(dropped)
-		if !e.merged {
-			for _, s := range e.shards {
-				mr := &s.mirror
-				c.LocalUnique += mr.localU.Load()
-				c.LocalNonUnique += mr.localNU.Load()
-				c.InputUnique += mr.inU.Load()
-				c.InputNonUnique += mr.inNU.Load()
-				c.OutputUnique += mr.outU.Load()
-				c.OutputNonUnique += mr.outNU.Load()
-				spans += mr.spans.Load()
-				runs += mr.runs.Load()
-				granules += mr.granules.Load()
-				shAllocated += mr.chunksAllocated.Load()
-				sl := mr.chunksLive.Load()
-				shLive += sl
-				shPeak += sl // shard tables never evict: peak == live
-				shHits += mr.cacheHits.Load()
-				shMisses += mr.cacheMisses.Load()
-				shRecycled += mr.recycled.Load()
-			}
-		}
 	}
 
 	m.InputUniqueBytes.Store(c.InputUnique)
@@ -92,19 +43,22 @@ func (t *Tool) sampleInto(m *telemetry.Metrics) {
 	m.Branches.Store(live.Branches)
 	m.BranchMispredicts.Store(live.Mispredicts)
 
-	m.ShadowChunksAllocated.Store(shAllocated)
-	m.ShadowChunksLive.Store(shLive)
-	m.ShadowChunksEvicted.Store(t.shadow.evicted)
-	m.ShadowChunksPeak.Store(shPeak)
-	m.ShadowBytesResident.Store(shLive * perChunk)
-	m.ShadowBytesPeak.Store(shPeak * perChunk)
-	m.ShadowCacheHits.Store(shHits)
-	m.ShadowCacheMisses.Store(shMisses)
-	m.ShadowChunksRecycled.Store(shRecycled)
+	sh := t.shadow
+	perChunk := sh.bytesPerChunk()
+	resident := uint64(len(sh.chunks))
+	m.ShadowChunksAllocated.Store(sh.allocated)
+	m.ShadowChunksLive.Store(resident)
+	m.ShadowChunksEvicted.Store(sh.evicted)
+	m.ShadowChunksPeak.Store(uint64(sh.peakLive))
+	m.ShadowBytesResident.Store(resident * perChunk)
+	m.ShadowBytesPeak.Store(uint64(sh.peakLive) * perChunk)
+	m.ShadowCacheHits.Store(sh.cacheHits)
+	m.ShadowCacheMisses.Store(sh.cacheMisses)
+	m.ShadowChunksRecycled.Store(sh.recycled)
 
-	m.ClassifySpans.Store(spans)
-	m.ClassifyRuns.Store(runs)
-	m.ClassifyGranules.Store(granules)
+	m.ClassifySpans.Store(t.spans)
+	m.ClassifyRuns.Store(t.runs)
+	m.ClassifyGranules.Store(t.granules)
 
 	if b := t.opts.Trace; b != nil {
 		m.TraceSpans.Store(b.Recorder().SpanCount())

@@ -96,12 +96,6 @@ type Suite struct {
 	// coreOptions.
 	Workers int
 
-	// ClassifyWorkers, when positive, runs every profiling run's
-	// classification on that many shard workers off the interpreter thread
-	// (core.Options.ClassifyWorkers). Runs that need the FIFO eviction
-	// limit (dedup with DedupShadowLimit) fall back inline automatically.
-	ClassifyWorkers int
-
 	// Ctx, when non-nil, cancels the suite's profiling runs cooperatively
 	// (cmd/experiments wires it to SIGINT/SIGTERM).
 	Ctx context.Context
@@ -211,7 +205,7 @@ func NewSuite() *Suite {
 }
 
 func (s *Suite) coreOptions(name string, mode Mode) core.Options {
-	opts := core.Options{ClassifyWorkers: s.ClassifyWorkers}
+	var opts core.Options
 	switch mode {
 	case ModeReuse:
 		opts.TrackReuse = true

@@ -32,13 +32,6 @@ const (
 	SinkSync   = "trace.sink.sync"
 	SinkClose  = "trace.sink.close"
 	SinkRename = "trace.sink.rename"
-
-	// The sharded classification engine's per-record drain step. Only
-	// reachable with core.Options.ClassifyWorkers > 0, so it is not part
-	// of Points(); the chaos sweep drives it through a dedicated
-	// worker-count matrix instead, asserting the salvage invariant
-	// records == drained + dropped at every worker count.
-	ClassifyDrain = "core.classify.drain"
 )
 
 // Points returns every canonical fault point, in a stable order. The chaos

@@ -14,7 +14,8 @@ import (
 //   - pairs with a sync.WaitGroup: it calls Done (usually deferred) and a
 //     Wait call exists — in the launching function it must be reachable
 //     from the launch site on the CFG; a Wait elsewhere in the package
-//     (the engine joins in finish, not where it spawns) also counts;
+//     (a type that joins its goroutines in a stop method, not where it
+//     spawns them) also counts;
 //   - drains a channel to completion: `for x := range ch` terminates when
 //     the producer closes the channel;
 //   - listens for cancellation: it receives from a channel (a stop chan

@@ -3,14 +3,15 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"sigil/internal/lint/analysis"
 )
 
 // Hotalloc keeps functions marked //sigil:hot allocation-free. These are
 // the per-record and per-access paths — the classifier's read/write range
-// handlers, the trace writer's Emit, the engine's recordAccess — where PR 8
-// found 2.4 MB/op of accidental garbage by hand. The static version flags
+// handlers and the trace writer's Emit — where PR 8 found 2.4 MB/op of
+// accidental garbage by hand. The static version flags
 // the four allocation sources that caused it:
 //
 //   - interface boxing: a concrete value passed or assigned where an
@@ -39,7 +40,7 @@ func runHotalloc(pass *analysis.Pass) (any, error) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if directiveRole(fd.Doc, "sigil:hot") == "" && !hasBareDirective(fd.Doc, "sigil:hot") {
+			if !hasDirective(fd.Doc, "sigil:hot") {
 				continue
 			}
 			checkHot(pass, fd)
@@ -48,15 +49,15 @@ func runHotalloc(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// hasBareDirective reports whether the comment group contains the directive
-// with no argument (//sigil:hot stands alone).
-func hasBareDirective(cg *ast.CommentGroup, directive string) bool {
+// hasDirective reports whether the comment group carries the directive,
+// alone or followed by a reason (//sigil:hot, //sigil:hot per access).
+func hasDirective(cg *ast.CommentGroup, directive string) bool {
 	if cg == nil {
 		return false
 	}
 	for _, c := range cg.List {
-		text := c.Text
-		if text == "//"+directive || text == "// "+directive {
+		fields := strings.Fields(strings.TrimPrefix(c.Text, "//"))
+		if len(fields) > 0 && fields[0] == directive {
 			return true
 		}
 	}

@@ -33,7 +33,6 @@ var All = []*analysis.Analyzer{
 	Sinkerr,
 	Exposition,
 	Detorder,
-	Shardown,
 	Hotalloc,
 	Goleak,
 }

@@ -35,11 +35,6 @@ func TestDetorder(t *testing.T) {
 		"detorder/internal/report", "detorder/other")
 }
 
-func TestShardown(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Shardown,
-		"shardown/internal/core", "shardown/other")
-}
-
 func TestHotalloc(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.Hotalloc,
 		"hotalloc/internal/core")

@@ -67,19 +67,6 @@ type Metrics struct {
 	ClassifyRuns     atomic.Uint64
 	ClassifyGranules atomic.Uint64
 
-	// Sharded classification pipeline (ClassifyWorkers > 0): worker count,
-	// access records appended by the interpreter, records drained/dropped by
-	// the workers (appended == drained + dropped once the run ends), slabs
-	// published, publishes that stalled on a saturated shard, and
-	// call-boundary barriers executed.
-	ClassifyWorkers  atomic.Uint64
-	ClassifyRecords  atomic.Uint64
-	ClassifyDrained  atomic.Uint64
-	ClassifyDropped  atomic.Uint64
-	ClassifyBatches  atomic.Uint64
-	ClassifyStalls   atomic.Uint64
-	ClassifyBarriers atomic.Uint64
-
 	// Event-file emission. EventsEmitted counts records accepted by the
 	// sink; the rest mirror the async v3 writer's pipeline: batches queued
 	// for the background encoder, Emit hand-offs that blocked on it, frames
@@ -133,9 +120,6 @@ func (m *Metrics) BeginRun(start time.Time, budgetInstrs uint64, budgetWall time
 		&m.ShadowChunksPeak, &m.ShadowBytesResident, &m.ShadowBytesPeak,
 		&m.ShadowCacheHits, &m.ShadowCacheMisses, &m.ShadowChunksRecycled,
 		&m.ClassifySpans, &m.ClassifyRuns, &m.ClassifyGranules,
-		&m.ClassifyWorkers, &m.ClassifyRecords, &m.ClassifyDrained,
-		&m.ClassifyDropped, &m.ClassifyBatches, &m.ClassifyStalls,
-		&m.ClassifyBarriers,
 		&m.EventsEmitted, &m.EventQueueDepth, &m.EventEmitStalls,
 		&m.EventFrames, &m.EventBytesCompressed,
 		&m.EventsDropped, &m.EventRetries, &m.EventSinkDegraded,
@@ -184,14 +168,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		ClassifySpans:    m.ClassifySpans.Load(),
 		ClassifyRuns:     m.ClassifyRuns.Load(),
 		ClassifyGranules: m.ClassifyGranules.Load(),
-
-		ClassifyWorkers:  m.ClassifyWorkers.Load(),
-		ClassifyRecords:  m.ClassifyRecords.Load(),
-		ClassifyDrained:  m.ClassifyDrained.Load(),
-		ClassifyDropped:  m.ClassifyDropped.Load(),
-		ClassifyBatches:  m.ClassifyBatches.Load(),
-		ClassifyStalls:   m.ClassifyStalls.Load(),
-		ClassifyBarriers: m.ClassifyBarriers.Load(),
 
 		EventsEmitted:        m.EventsEmitted.Load(),
 		EventQueueDepth:      m.EventQueueDepth.Load(),
@@ -253,14 +229,6 @@ type Snapshot struct {
 	ClassifySpans    uint64 `json:"classify_spans"`
 	ClassifyRuns     uint64 `json:"classify_runs"`
 	ClassifyGranules uint64 `json:"classify_granules"`
-
-	ClassifyWorkers  uint64 `json:"classify_workers"`
-	ClassifyRecords  uint64 `json:"classify_records"`
-	ClassifyDrained  uint64 `json:"classify_drained"`
-	ClassifyDropped  uint64 `json:"classify_dropped"`
-	ClassifyBatches  uint64 `json:"classify_batches"`
-	ClassifyStalls   uint64 `json:"classify_stalls"`
-	ClassifyBarriers uint64 `json:"classify_barriers"`
 
 	EventsEmitted        uint64 `json:"events_emitted"`
 	EventQueueDepth      uint64 `json:"event_queue_depth"`
@@ -331,9 +299,6 @@ func (s Snapshot) Text() string {
 		s.ShadowBytesPeak, s.ShadowCacheHits, s.ShadowCacheMisses)
 	fmt.Fprintf(&sb, "classify: %d spans, %d runs, %d granules\n",
 		s.ClassifySpans, s.ClassifyRuns, s.ClassifyGranules)
-	fmt.Fprintf(&sb, "classify pipeline: %d workers, %d records (%d drained, %d dropped), %d batches, %d stalls, %d barriers\n",
-		s.ClassifyWorkers, s.ClassifyRecords, s.ClassifyDrained,
-		s.ClassifyDropped, s.ClassifyBatches, s.ClassifyStalls, s.ClassifyBarriers)
 	fmt.Fprintf(&sb, "sim: %d accesses, %d L1 misses, %d LL misses, %d prefetches, %d/%d branches mispredicted\n",
 		s.CacheAccesses, s.CacheL1Misses, s.CacheLLMisses, s.CachePrefetches,
 		s.BranchMispredicts, s.Branches)
@@ -391,13 +356,6 @@ var promMetrics = []promMetric{
 	{"sigil_classify_spans_total", "counter", "Per-chunk spans classified by the batched path", func(s Snapshot) uint64 { return s.ClassifySpans }},
 	{"sigil_classify_runs_total", "counter", "State-uniform runs classified by the batched path", func(s Snapshot) uint64 { return s.ClassifyRuns }},
 	{"sigil_classify_granules_total", "counter", "Granules covered by batched classification runs", func(s Snapshot) uint64 { return s.ClassifyGranules }},
-	{"sigil_classify_workers", "gauge", "Sharded classification workers attached to the run (0 = inline)", func(s Snapshot) uint64 { return s.ClassifyWorkers }},
-	{"sigil_classify_records_total", "counter", "Access records appended to classification slabs", func(s Snapshot) uint64 { return s.ClassifyRecords }},
-	{"sigil_classify_drained_total", "counter", "Access records drained by classification workers", func(s Snapshot) uint64 { return s.ClassifyDrained }},
-	{"sigil_classify_dropped_total", "counter", "Access records lost to failed classification workers (exact loss)", func(s Snapshot) uint64 { return s.ClassifyDropped }},
-	{"sigil_classify_batches_total", "counter", "Classification slabs published to shard workers", func(s Snapshot) uint64 { return s.ClassifyBatches }},
-	{"sigil_classify_stalls_total", "counter", "Slab publishes that blocked on a saturated shard", func(s Snapshot) uint64 { return s.ClassifyStalls }},
-	{"sigil_classify_barriers_total", "counter", "Call-boundary barriers executed by the sharded engine", func(s Snapshot) uint64 { return s.ClassifyBarriers }},
 	{"sigil_events_emitted_total", "counter", "Event-file records emitted", func(s Snapshot) uint64 { return s.EventsEmitted }},
 	{"sigil_event_queue_depth", "gauge", "Event batches queued for the background encoder", func(s Snapshot) uint64 { return s.EventQueueDepth }},
 	{"sigil_event_emit_stalls_total", "counter", "Event emissions that blocked on the encoder", func(s Snapshot) uint64 { return s.EventEmitStalls }},

@@ -7,7 +7,10 @@
 #
 # Usage:
 #   scripts/bench.sh [regexp]              run benches (default pattern below),
-#                                          write $OUT (default BENCH_5.json)
+#                                          write $OUT (default
+#                                          .bench_build/bench.json, which git
+#                                          ignores; name a BENCH_N.json in OUT
+#                                          to record a committed entry)
 #   scripts/bench.sh compare OLD NEW       diff two bench JSON files; exits 1
 #                                          if any shared benchmark regressed
 #                                          >10% in ns/op or >25% in bytes/op
@@ -81,7 +84,8 @@ fi
 
 PATTERN="${1:-Overhead|Ablation|MemRead|MemWrite|Shadow|TraceEmit|TraceDecode}"
 BENCHTIME="${BENCHTIME:-1x}"
-OUT="${OUT:-BENCH_5.json}"
+OUT="${OUT:-.bench_build/bench.json}"
+mkdir -p "$(dirname "$OUT")"
 
 raw=$(go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" . ./internal/core ./internal/trace)
 echo "$raw"

@@ -1,9 +1,8 @@
 #!/bin/sh
 # Full pre-merge check: vet, build, race-enabled tests, the benchmark's
-# smoke test, worker-pool shakeouts of the parallel experiments suite, the
-# sharded classification engine and the parallel event-file decoder, and a
-# short fuzz smoke over the input parsers, the batched classifier and the
-# critical-path analyzer.
+# smoke test, worker-pool shakeouts of the parallel experiments suite and
+# the parallel event-file decoder, and a short fuzz smoke over every fuzz
+# target (scripts/fuzz.sh).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -23,7 +22,7 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== sigil-lint (8 analyzers incl. shardown/hotalloc/goleak)"
+echo "== sigil-lint (7 analyzers incl. hotalloc/goleak)"
 go run ./cmd/sigil-lint ./...
 
 echo "== sigil-lint -vm (static program verifier over checked-in assembly)"
@@ -41,22 +40,14 @@ echo "== perfbench smoke (its own module: profile and event-file digests of ever
 echo "== experiments worker-pool shakeout (-race, uncached)"
 go test -race -count=1 -run 'TestProfileSingleflight|TestParallelSuite|TestRunPool' ./internal/experiments
 
-echo "== sharded classification shakeout (-race, uncached)"
-go test -race -count=1 -run 'TestShardShakeout|TestShardedRepeatRunsIdentical' ./internal/core
-
 echo "== parallel decode shakeout (-race: frame buffers recycled between merge and workers)"
 go test -race -count=10 -run 'TestV3MultiFrameRoundTrip|TestParallelCorruptFrame' ./internal/trace
 
 echo "== chaos sweep (short; scripts/chaos.sh runs the full matrix)"
 go test -short -count=1 -run TestChaos ./internal/chaos
 
-echo "== fuzz smoke ($FUZZTIME each)"
-go test -run '^$' -fuzz FuzzReader -fuzztime "$FUZZTIME" ./internal/trace
-go test -run '^$' -fuzz FuzzFrameReader -fuzztime "$FUZZTIME" ./internal/trace
-go test -run '^$' -fuzz FuzzQuarantineReader -fuzztime "$FUZZTIME" ./internal/trace
-go test -run '^$' -fuzz FuzzReadProfile -fuzztime "$FUZZTIME" ./internal/core
-go test -run '^$' -fuzz FuzzBatchedClassifier -fuzztime "$FUZZTIME" ./internal/core
-go test -run '^$' -fuzz FuzzAnalyzeReader -fuzztime "$FUZZTIME" ./internal/critpath
+echo "== fuzz smoke ($FUZZTIME each, every target)"
+FUZZTIME="$FUZZTIME" sh scripts/fuzz.sh
 
 echo "== bench smoke (scratch output; committed BENCH_N.json untouched)"
 OUT="$(mktemp)" BENCHTIME=1x sh scripts/bench.sh 'AblationTelemetry' > /dev/null
