@@ -203,6 +203,30 @@ func TestAssembleErrors(t *testing.T) {
 	}
 }
 
+// TestAssembleRejectsBadReserve: a reserved region may neither reach the
+// heap, where the first alloc would alias it, nor wrap past 2^64, where the
+// next global would land inside it.
+func TestAssembleRejectsBadReserve(t *testing.T) {
+	cases := map[string]struct{ src, want string }{
+		"reaches heap": {
+			".reserve big 0x10000000\nfunc main {\n movi r1, 8\n alloc r2, r1\n halt\n}",
+			`reserved region "big" (268435456 bytes at 0x10000) reaches the heap at 0x10000000`,
+		},
+		"wraps": {
+			".reserve big 0xFFFFFFFFFFFFFFC0\n.data d \"x\"\nfunc main {\n movi r1, d\n load1 r2, r1, 0\n halt\n}",
+			`reserved region "big" (18446744073709551552 bytes at 0x10000) wraps past the top of the address space`,
+		},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			_, err := Assemble(c.src)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("err = %v, want it to say %q", err, c.want)
+			}
+		})
+	}
+}
+
 func TestAssembleCommentsAndWhitespace(t *testing.T) {
 	m := assembleRun(t, strings.Join([]string{
 		"; leading comment",

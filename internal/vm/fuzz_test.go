@@ -28,6 +28,9 @@ func FuzzAssemble(f *testing.F) {
 		"func main {\nl: br l\n}",                               // no reachable ret/halt
 		"func main {\n movi r1, 16\n load8 r2, r1, 0\n halt\n}", // wild constant address
 		"func main {\n store8 r5, 0, r6\n halt\n}",              // zeroed entry register as base
+		// Reserved regions that reach the heap or wrap past 2^64.
+		".reserve big 0x10000000\nfunc main {\n movi r1, 8\n alloc r2, r1\n halt\n}",
+		".reserve big 0xFFFFFFFFFFFFFFC0\n.data d \"x\"\nfunc main {\n movi r1, d\n load1 r2, r1, 0\n halt\n}",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -125,6 +125,18 @@ func (p *Program) Validate() error {
 			}
 		}
 	}
+	// The first alloc returns HeapBase, so a reserved region reaching it
+	// would alias heap objects; one wrapping past 2^64 would make the
+	// builder place the next global inside it.
+	for _, r := range p.Reserved {
+		end := r.Addr + r.Size
+		if end < r.Addr {
+			return fmt.Errorf("vm: reserved region %q (%d bytes at %#x) wraps past the top of the address space", r.Name, r.Size, r.Addr)
+		}
+		if end > HeapBase {
+			return fmt.Errorf("vm: reserved region %q (%d bytes at %#x) reaches the heap at %#x", r.Name, r.Size, r.Addr, HeapBase)
+		}
+	}
 	return nil
 }
 

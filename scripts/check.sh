@@ -1,8 +1,8 @@
 #!/bin/sh
 # Full pre-merge check: vet, build, race-enabled tests, the benchmark's
-# smoke test, worker-pool shakeouts of the parallel experiments suite and
-# the parallel event-file decoder, and a short fuzz smoke over every fuzz
-# target (scripts/fuzz.sh).
+# smoke test, shakeouts of the classification worker, the parallel
+# experiments suite and the parallel event-file decoder, and a short fuzz
+# smoke over every fuzz target (scripts/fuzz.sh).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -36,6 +36,12 @@ go test -race ./...
 
 echo "== perfbench smoke (its own module: profile and event-file digests of every workload)"
 (cd perfbench && go test ./...)
+
+echo "== classification worker shakeout (-race: worker = inline, joined on every exit)"
+go test -race -count=10 -run 'TestWorkerMatchesInline|TestWorkerJoinedOnEveryExit' ./internal/core
+
+echo "== reference differentials on both schedules (GOMAXPROCS 1 inline, 2 worker)"
+go test -cpu 1,2 -run 'TestDifferentialAgainstReference|TestBatchedMatchesScalarOnWorkloads|TestCommunicationIndependentOfSubstrate' ./internal/core
 
 echo "== experiments worker-pool shakeout (-race, uncached)"
 go test -race -count=1 -run 'TestProfileSingleflight|TestParallelSuite|TestRunPool' ./internal/experiments
