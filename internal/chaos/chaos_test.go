@@ -370,8 +370,7 @@ func chaosCallgrind(t *testing.T, b *baseline) {
 }
 
 // chaosSigil drives the event-file pipeline — FileSink around the async v3
-// writer, plus the reader and the legacy v2 writer — through its fault
-// points.
+// writer, plus the reader — through its fault points.
 func chaosSigil(t *testing.T, b *baseline) {
 	// Sink creation failing means no run at all: typed error, path intact.
 	t.Run("trace.sink.create/err", func(t *testing.T) {
@@ -572,27 +571,41 @@ func chaosSigil(t *testing.T, b *baseline) {
 		checkSalvageAgainstBaseline(t, b, tr, rep)
 	})
 
-	// The legacy v2 writer has no frames to quarantine, so its contract is
-	// the strict one: a sink fault surfaces as a typed error.
-	for _, mode := range []faultinject.Mode{faultinject.Err, faultinject.Torn} {
-		t.Run("trace.v2.write/"+mode.String(), func(t *testing.T) {
-			install(faultinject.TraceWriteV2, faultinject.Plan{Mode: mode, Nth: 1})
-			defer faultinject.Disable()
-			var buf bytes.Buffer
-			w := trace.NewWriterV2(&buf)
-			var err error
-			for _, e := range b.tr.Events {
-				if err = w.Emit(e); err != nil {
-					break
-				}
-			}
-			if cerr := w.Close(); err == nil {
-				err = cerr
-			}
+	// A read that fails past the header is a failing source, not a cut
+	// file: the injected error must reach the caller as itself, at every
+	// decode width, and salvage must not report the stream truncated. The
+	// file is served in small reads so the fault lands mid-stream.
+	t.Run("trace.read/err-mid-stream", func(t *testing.T) {
+		const chunk = 256
+		nth := uint64(len(b.evt)/chunk/2 + 1)
+		defer faultinject.Disable()
+		for _, workers := range []int{1, 4} {
+			install(faultinject.TraceRead, faultinject.Plan{Mode: faultinject.Err, Nth: nth})
+			_, err := trace.ReadAllWorkers(&chunkReader{r: bytes.NewReader(b.evt), n: chunk}, workers)
 			if !errors.Is(err, faultinject.ErrInjected) {
-				t.Errorf("injected v2 %s fault surfaced as %v", mode, err)
+				t.Errorf("%d workers: mid-stream read fault surfaced as %v", workers, err)
 			}
-			checkFlightFault(t, faultinject.TraceWriteV2)
-		})
-	}
+			checkFlightFault(t, faultinject.TraceRead)
+		}
+		install(faultinject.TraceRead, faultinject.Plan{Mode: faultinject.Err, Nth: nth})
+		_, rep, err := trace.Salvage(&chunkReader{r: bytes.NewReader(b.evt), n: chunk})
+		if err != nil {
+			t.Fatalf("salvage rejected the header it read before the fault: %v", err)
+		}
+		if !errors.Is(rep.Err, faultinject.ErrInjected) || rep.Truncated {
+			t.Errorf("mid-stream read fault salvaged as Err=%v Truncated=%v, want the injected error, not truncated", rep.Err, rep.Truncated)
+		}
+		checkFlightFault(t, faultinject.TraceRead)
+	})
+}
+
+// chunkReader serves at most n bytes per Read, so each Read is one small,
+// predictable step through the stream.
+type chunkReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	return c.r.Read(p[:min(len(p), c.n)])
 }

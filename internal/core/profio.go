@@ -22,12 +22,10 @@ import (
 //
 // v2 appends an end-of-stream footer, `end <records> <crc32>`, checksumming
 // every record line, so a truncated or bit-flipped profile is detected at
-// read time instead of silently under-reporting. v1 files (no footer) are
-// still read.
+// read time instead of silently under-reporting.
 
 const (
-	profileMagic   = "# sigil profile v2"
-	profileMagicV1 = "# sigil profile v1"
+	profileMagic = "# sigil profile v2"
 
 	// maxProfileID bounds context ids so a corrupt or adversarial
 	// profile cannot make the reader allocate unbounded slices.
@@ -39,7 +37,7 @@ const (
 	maxHistBins = 1 << 22
 )
 
-// ErrProfileTruncated reports a v2 profile that ended before its footer;
+// ErrProfileTruncated reports a profile that ended before its footer;
 // ErrProfileCorrupt reports a footer that disagrees with the records read.
 var (
 	ErrProfileTruncated = errors.New("core: profile truncated (missing end record)")
@@ -139,25 +137,19 @@ func ReadProfileFile(path string) (*Result, error) {
 
 func quote(s string) string { return strconv.Quote(s) }
 
-// ReadProfile parses a profile written by WriteProfile (v2, footer
-// verified) or by earlier releases (v1, no footer). The reconstructed
-// Result carries the full calltree and all statistics; the Program pointer
-// is nil (the binary itself is not part of a profile). A v2 stream that
-// ends before its footer returns ErrProfileTruncated; a footer that
-// disagrees with the records returns ErrProfileCorrupt.
+// ReadProfile parses a profile written by WriteProfile and verifies its
+// footer. The reconstructed Result carries the full calltree and all
+// statistics; the Program pointer is nil (the binary itself is not part of
+// a profile). A stream that ends before its footer returns
+// ErrProfileTruncated; a footer that disagrees with the records returns
+// ErrProfileCorrupt.
 func ReadProfile(r io.Reader) (*Result, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("core: empty profile")
 	}
-	version := 0
-	switch strings.TrimSpace(sc.Text()) {
-	case profileMagic:
-		version = 2
-	case profileMagicV1:
-		version = 1
-	default:
+	if strings.TrimSpace(sc.Text()) != profileMagic {
 		return nil, fmt.Errorf("core: not a sigil profile (bad header)")
 	}
 	res := &Result{Profile: &callgrind.Profile{}}
@@ -188,30 +180,28 @@ func ReadProfile(r io.Reader) (*Result, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		if version >= 2 {
-			if footerSeen {
-				return nil, fmt.Errorf("%w: record after end on line %d", ErrProfileCorrupt, lineNo)
-			}
-			if fields[0] == "end" {
-				if len(fields) != 3 {
-					return nil, fmt.Errorf("%w: malformed end record", ErrProfileCorrupt)
-				}
-				wantN, err1 := strconv.ParseUint(fields[1], 10, 64)
-				wantCRC, err2 := strconv.ParseUint(fields[2], 10, 32)
-				if err1 != nil || err2 != nil {
-					return nil, fmt.Errorf("%w: malformed end record", ErrProfileCorrupt)
-				}
-				if wantN != records || uint32(wantCRC) != crc {
-					return nil, fmt.Errorf("%w: footer says %d records crc %#x, stream has %d records crc %#x",
-						ErrProfileCorrupt, wantN, uint32(wantCRC), records, crc)
-				}
-				footerSeen = true
-				continue
-			}
-			crc = crc32.Update(crc, crc32.IEEETable, []byte(raw))
-			crc = crc32.Update(crc, crc32.IEEETable, []byte{'\n'})
-			records++
+		if footerSeen {
+			return nil, fmt.Errorf("%w: record after end on line %d", ErrProfileCorrupt, lineNo)
 		}
+		if fields[0] == "end" {
+			if len(fields) != 3 {
+				return nil, fmt.Errorf("%w: malformed end record", ErrProfileCorrupt)
+			}
+			wantN, err1 := strconv.ParseUint(fields[1], 10, 64)
+			wantCRC, err2 := strconv.ParseUint(fields[2], 10, 32)
+			if err1 != nil || err2 != nil {
+				return nil, fmt.Errorf("%w: malformed end record", ErrProfileCorrupt)
+			}
+			if wantN != records || uint32(wantCRC) != crc {
+				return nil, fmt.Errorf("%w: footer says %d records crc %#x, stream has %d records crc %#x",
+					ErrProfileCorrupt, wantN, uint32(wantCRC), records, crc)
+			}
+			footerSeen = true
+			continue
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, []byte(raw))
+		crc = crc32.Update(crc, crc32.IEEETable, []byte{'\n'})
+		records++
 		bad := func(err error) error {
 			return fmt.Errorf("core: profile line %d (%s): %v", lineNo, fields[0], err)
 		}
@@ -421,7 +411,7 @@ func ReadProfile(r io.Reader) (*Result, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if version >= 2 && !footerSeen {
+	if !footerSeen {
 		return nil, ErrProfileTruncated
 	}
 	// Resolve the tree.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"runtime"
 	"strings"
 	"testing"
@@ -34,17 +35,19 @@ func FuzzReadProfile(f *testing.F) {
 	seed := profileSeed(f)
 	f.Add(seed)
 	f.Add([]byte(profileMagic + "\n"))
-	f.Add([]byte(profileMagicV1 + "\n"))
-	f.Add([]byte(profileMagicV1 + "\nctx 0 -1 1 \"main\"\ncost 0 1 2 3 4 5 6 7 8 9 10 11 12 13\n"))
-	// Historic crashers: negative ids indexed slices, huge ids allocated them.
-	f.Add([]byte(profileMagicV1 + "\nctx -5 -1 1 \"x\"\n"))
-	f.Add([]byte(profileMagicV1 + "\nctx 0 -1 1 \"x\"\ncost 18446744073709551615 1 2 3 4 5 6 7 8 9 10 11 12 13\n"))
-	f.Add([]byte(profileMagicV1 + "\ncomm 99999999999 1 2 3 4 5 6\n"))
-	f.Add([]byte(profileMagicV1 + "\nctx 0 1 1 \"a\"\nctx 1 0 1 \"b\"\n"))
+	f.Add([]byte(retiredProfileMagic + "\n"))
+	f.Add([]byte(signedProfile("ctx 0 -1 1 \"main\"\ncost 0 1 2 3 4 5 6 7 8 9 10 11 12 13\n")))
+	// Historic crashers: negative ids indexed slices, huge ids allocated
+	// them. Signed like real profiles, they reach the checks behind the
+	// footer too.
+	f.Add([]byte(signedProfile("ctx -5 -1 1 \"x\"\n")))
+	f.Add([]byte(signedProfile("ctx 0 -1 1 \"x\"\ncost 18446744073709551615 1 2 3 4 5 6 7 8 9 10 11 12 13\n")))
+	f.Add([]byte(signedProfile("comm 99999999999 1 2 3 4 5 6\n")))
+	f.Add([]byte(signedProfile("ctx 0 1 1 \"a\"\nctx 1 0 1 \"b\"\n")))
 	f.Add(bytes.Replace(seed, []byte("end "), []byte("end 0 "), 1))
 	f.Add(seed[:len(seed)/2])
-	f.Add([]byte(profileMagicV1 + "\n" + hostileUndeclaredBody()))
-	f.Add([]byte(profileMagicV1 + "\n" + hostileHistBody()))
+	f.Add([]byte(signedProfile(hostileUndeclaredBody())))
+	f.Add([]byte(signedProfile(hostileHistBody())))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := ReadProfile(bytes.NewReader(data))
@@ -61,7 +64,26 @@ func FuzzReadProfile(f *testing.F) {
 	})
 }
 
-// hostileUndeclaredBody is a v1 profile body under 1 KB that once made the
+// retiredProfileMagic is the header of the footer-less first profile
+// format, which the reader refuses.
+const retiredProfileMagic = "# sigil profile v1"
+
+// signedProfile frames a record body as WriteProfile would: the header, the
+// records, and an end record whose count and CRC match them, so a reader
+// that refuses it does so for the records themselves.
+func signedProfile(body string) string {
+	var crc uint32
+	records := 0
+	for _, line := range strings.SplitAfter(body, "\n") {
+		if strings.TrimSpace(line) != "" {
+			crc = crc32.Update(crc, crc32.IEEETable, []byte(line))
+			records++
+		}
+	}
+	return fmt.Sprintf("%s\n%send %d %d\n", profileMagic, body, records, crc)
+}
+
+// hostileUndeclaredBody is a profile body under 1 KB that once made the
 // reader allocate gigabytes: comm, reuse and rhist records on ids no ctx
 // record declared, each rhist at a bin near the old per-context cap.
 func hostileUndeclaredBody() string {
@@ -109,10 +131,13 @@ func TestReadProfileRejectsHostileIDs(t *testing.T) {
 	for name, body := range cases {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := ReadProfile(strings.NewReader(profileMagicV1 + "\n" + body))
+		_, err := ReadProfile(strings.NewReader(signedProfile(body)))
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("%s accepted", name)
+		}
+		if errors.Is(err, ErrProfileTruncated) || errors.Is(err, ErrProfileCorrupt) {
+			t.Errorf("%s refused by its footer, not its records: %v", name, err)
 		}
 		if n := after.TotalAlloc - before.TotalAlloc; n >= allocBound {
 			t.Errorf("%s: reader allocated %d bytes, want < %d", name, n, allocBound)
@@ -120,21 +145,13 @@ func TestReadProfileRejectsHostileIDs(t *testing.T) {
 	}
 }
 
-func TestReadProfileV1Compat(t *testing.T) {
-	v1 := profileMagicV1 + "\n" +
-		"total 100\n" +
-		"root 0\n" +
-		"ctx 0 -1 1 \"main\"\n" +
-		"cost 0 100 1 2 3 4 5 6 7 8 9 10 11 12\n" +
-		"comm 0 1 2 3 4 5 6\n" +
-		"shadow 1 1 0 1 4096 1\n" +
-		"external 1 2 3\n"
-	res, err := ReadProfile(strings.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 profile rejected: %v", err)
-	}
-	if res.Profile.TotalInstrs != 100 || len(res.Profile.Nodes) != 1 {
-		t.Errorf("v1 profile misread: %+v", res.Profile)
+// TestReadProfileRejectsRetiredHeader: a real profile under the retired
+// footer-less header is refused, not read without its checksum.
+func TestReadProfileRejectsRetiredHeader(t *testing.T) {
+	seed := profileSeed(t)
+	old := bytes.Replace(seed, []byte(profileMagic), []byte(retiredProfileMagic), 1)
+	if _, err := ReadProfile(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "bad header") {
+		t.Fatalf("retired header: err = %v, want bad header", err)
 	}
 }
 

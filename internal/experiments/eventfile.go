@@ -9,16 +9,14 @@ import (
 	"sigil/internal/workloads"
 )
 
-// EventFileRow is one workload's on-disk event-file footprint: the flat
-// varint v2 encoding against the framed, delta-encoded, DEFLATE-compressed
-// v3 encoding the writer now produces.
+// EventFileRow is one workload's on-disk event-file footprint in the
+// framed, delta-encoded, DEFLATE-compressed format the writer produces.
 type EventFileRow struct {
-	Name    string
-	Events  int     // records in the stream, context definitions included
-	V2Bytes int     // flat v2 file size
-	V3Bytes int     // framed v3 file size
-	Frames  uint64  // v3 frames written
-	Ratio   float64 // V2Bytes / V3Bytes (higher = v3 smaller)
+	Name          string
+	Events        int     // records in the stream, context definitions included
+	Bytes         int     // file size
+	Frames        uint64  // frames written
+	BytesPerEvent float64 // Bytes / Events
 }
 
 // EventFileResult is the event-file footprint study across all workloads.
@@ -45,8 +43,8 @@ func streamEvents(tr *trace.Trace) []trace.Event {
 	return append(events, tr.Events...)
 }
 
-// EventFileStats encodes every workload's simsmall event stream in both
-// formats and reports the footprint each would occupy on disk.
+// EventFileStats encodes every workload's simsmall event stream and reports
+// the footprint it occupies on disk.
 func (s *Suite) EventFileStats() (*EventFileResult, error) {
 	out := &EventFileResult{}
 	for _, name := range workloads.Names() {
@@ -56,37 +54,25 @@ func (s *Suite) EventFileStats() (*EventFileResult, error) {
 		}
 		events := streamEvents(tr)
 
-		var v2 bytes.Buffer
-		w2 := trace.NewWriterV2(&v2)
+		var buf bytes.Buffer
+		w := trace.NewWriter(&buf)
 		for _, e := range events {
-			if err := w2.Emit(e); err != nil {
+			if err := w.Emit(e); err != nil {
 				return nil, err
 			}
 		}
-		if err := w2.Close(); err != nil {
-			return nil, err
-		}
-
-		var v3 bytes.Buffer
-		w3 := trace.NewWriter(&v3)
-		for _, e := range events {
-			if err := w3.Emit(e); err != nil {
-				return nil, err
-			}
-		}
-		if err := w3.Close(); err != nil {
+		if err := w.Close(); err != nil {
 			return nil, err
 		}
 
 		row := EventFileRow{
-			Name:    name,
-			Events:  len(events),
-			V2Bytes: v2.Len(),
-			V3Bytes: v3.Len(),
-			Frames:  w3.Stats().Frames,
+			Name:   name,
+			Events: len(events),
+			Bytes:  buf.Len(),
+			Frames: w.Stats().Frames,
 		}
-		if row.V3Bytes > 0 {
-			row.Ratio = float64(row.V2Bytes) / float64(row.V3Bytes)
+		if row.Events > 0 {
+			row.BytesPerEvent = float64(row.Bytes) / float64(row.Events)
 		}
 		out.Rows = append(out.Rows, row)
 	}
@@ -96,16 +82,15 @@ func (s *Suite) EventFileStats() (*EventFileResult, error) {
 // Render prints the footprint study.
 func (r *EventFileResult) Render() string {
 	tb := &table{
-		title:   "Event-file footprint: flat v2 vs framed+compressed v3 (simsmall)",
-		headers: []string{"workload", "events", "v2 bytes", "v3 bytes", "frames", "v2/v3"},
+		title:   "Event-file footprint (simsmall)",
+		headers: []string{"workload", "events", "bytes", "frames", "bytes/event"},
 	}
 	for _, row := range r.Rows {
 		tb.add(row.Name,
 			fmt.Sprintf("%d", row.Events),
-			fmt.Sprintf("%d", row.V2Bytes),
-			fmt.Sprintf("%d", row.V3Bytes),
+			fmt.Sprintf("%d", row.Bytes),
 			fmt.Sprintf("%d", row.Frames),
-			f2(row.Ratio))
+			f2(row.BytesPerEvent))
 	}
 	return tb.String()
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
@@ -21,24 +22,47 @@ func TestEventFileStats(t *testing.T) {
 		t.Fatalf("rows = %d, want %d", len(r.Rows), len(workloads.Names()))
 	}
 	for _, row := range r.Rows {
-		if row.Events == 0 || row.V2Bytes == 0 || row.V3Bytes == 0 {
+		if row.Events == 0 || row.Bytes == 0 {
 			t.Errorf("%s: empty row %+v", row.Name, row)
 		}
 		if row.Frames == 0 {
 			t.Errorf("%s: no frames recorded", row.Name)
 		}
-		// The issue pins real event files at >= 2x smaller; streams long
-		// enough to fill frames must clear it comfortably.
-		if row.Events > 1000 && row.Ratio < 2 {
-			t.Errorf("%s: v2/v3 ratio %.2f below 2x on %d events", row.Name, row.Ratio, row.Events)
+		if want := float64(row.Bytes) / float64(row.Events); row.BytesPerEvent != want {
+			t.Errorf("%s: bytes/event %.3f, want %.3f", row.Name, row.BytesPerEvent, want)
+		}
+		// Real event files are pinned at >= 2x smaller than the same
+		// events as flat varint records; streams long enough to fill
+		// frames must clear it comfortably.
+		tr, err := suite().Trace(row.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flat := flatRecordBytes(streamEvents(tr)); row.Events > 1000 && row.Bytes*2 > flat {
+			t.Errorf("%s: %d bytes vs %d flat on %d events: less than 2x smaller", row.Name, row.Bytes, flat, row.Events)
 		}
 	}
 	out := r.Render()
-	for _, want := range []string{"workload", "v2 bytes", "v3 bytes", "frames"} {
+	for _, want := range []string{"workload", "bytes", "frames", "bytes/event"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}
 	}
+}
+
+// flatRecordBytes is the size of events as flat varint records — a kind
+// byte, eight uvarints (the two context ids zigzag-encoded) and the name —
+// the baseline the framed, compressed format must beat.
+func flatRecordBytes(events []trace.Event) int {
+	var buf [binary.MaxVarintLen64]byte
+	n := 0
+	for _, e := range events {
+		n += 1 + len(e.Name) + binary.PutVarint(buf[:], int64(e.Ctx)) + binary.PutVarint(buf[:], int64(e.SrcCtx))
+		for _, v := range [...]uint64{e.Call, e.SrcCall, e.Bytes, e.Ops, e.Time, uint64(len(e.Name))} {
+			n += binary.PutUvarint(buf[:], v)
+		}
+	}
+	return n
 }
 
 // TestStreamEventsRoundTrips: the reconstructed defctx-first sequence must

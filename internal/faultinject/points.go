@@ -19,11 +19,10 @@ const (
 	SafeioRename = "safeio.rename"
 
 	// The v3 trace writer's sink writes (frame bytes and footer, beneath
-	// the encoder's buffer) and the v2 legacy writer's record writes.
+	// the encoder's buffer).
 	TraceWriteV3 = "trace.v3.write"
-	TraceWriteV2 = "trace.v2.write"
 
-	// The event-file reader's source reads (all format versions).
+	// The event-file reader's source reads.
 	TraceRead = "trace.read"
 
 	// trace.FileSink: the event file's own temp-create/fsync/close/rename
@@ -40,7 +39,7 @@ const (
 func Points() []string {
 	return []string{
 		SafeioCreate, SafeioWrite, SafeioSync, SafeioClose, SafeioRename,
-		TraceWriteV3, TraceWriteV2, TraceRead,
+		TraceWriteV3, TraceRead,
 		SinkCreate, SinkSync, SinkClose, SinkRename,
 	}
 }
@@ -48,7 +47,7 @@ func Points() []string {
 // WritePoints returns the points that carry a data buffer on the write
 // side, where ShortWrite/Torn/BitFlip plans are meaningful.
 func WritePoints() []string {
-	return []string{SafeioWrite, TraceWriteV3, TraceWriteV2}
+	return []string{SafeioWrite, TraceWriteV3}
 }
 
 // ReadPoints returns the points that carry a data buffer on the read side.

@@ -9,9 +9,8 @@ import (
 // Microbenchmarks for the event-file hot paths, named so scripts/bench.sh
 // picks them up (TraceEmit|TraceDecode). Each op processes a full stream of
 // benchStreamEvents records so ns/op tracks whole-file throughput: the emit
-// benches pin the async v3 writer against the flat v2 encoder, the decode
-// benches pin the framed reader (sequential and 4-way parallel) against the
-// v2 byte-at-a-time CRC reader.
+// benches time the async writer, the decode benches the framed reader
+// sequentially and 4-way parallel.
 
 const benchStreamEvents = 1 << 14
 
@@ -20,48 +19,19 @@ func benchStream(b *testing.B) []Event {
 	return genEvents(benchStreamEvents)
 }
 
-func benchEncode(b *testing.B, events []Event, v3 bool) []byte {
+func benchEncode(b *testing.B, events []Event) []byte {
 	b.Helper()
 	var buf bytes.Buffer
-	var err error
-	if v3 {
-		w := NewWriter(&buf)
-		for _, e := range events {
-			if err = w.Emit(e); err != nil {
-				b.Fatal(err)
-			}
-		}
-		err = w.Close()
-	} else {
-		w := NewWriterV2(&buf)
-		for _, e := range events {
-			if err = w.Emit(e); err != nil {
-				b.Fatal(err)
-			}
-		}
-		err = w.Close()
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func BenchmarkTraceEmitV2(b *testing.B) {
-	events := benchStream(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := NewWriterV2(io.Discard)
-		for _, e := range events {
-			if err := w.Emit(e); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
+	w := NewWriter(&buf)
+	for _, e := range events {
+		if err := w.Emit(e); err != nil {
 			b.Fatal(err)
 		}
 	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func BenchmarkTraceEmitV3(b *testing.B) {
@@ -81,28 +51,12 @@ func BenchmarkTraceEmitV3(b *testing.B) {
 	}
 }
 
-// The EmitCall pair measures the per-call latency the instrumented run pays
-// inline. For v3 that is a slab append plus an occasional batch hand-off;
-// encoding and compression ride on the writer's background goroutine, so on
-// multi-core hosts they overlap the run (on a single-CPU host the encoder
-// still shares the measured thread's core — see BenchmarkTraceEmitV3 for
-// whole-stream wall time including that work).
-func BenchmarkTraceEmitCallV2(b *testing.B) {
-	events := benchStream(b)
-	w := NewWriterV2(io.Discard)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.Emit(events[i%len(events)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
-}
-
+// BenchmarkTraceEmitCallV3 measures the per-call latency the instrumented
+// run pays inline: a slab append plus an occasional batch hand-off.
+// Encoding and compression ride on the writer's background goroutine, so
+// on multi-core hosts they overlap the run (on a single-CPU host the
+// encoder still shares the measured thread's core — see
+// BenchmarkTraceEmitV3 for whole-stream wall time including that work).
 func BenchmarkTraceEmitCallV3(b *testing.B) {
 	events := benchStream(b)
 	w := NewWriter(io.Discard)
@@ -119,19 +73,8 @@ func BenchmarkTraceEmitCallV3(b *testing.B) {
 	}
 }
 
-func BenchmarkTraceDecodeV2(b *testing.B) {
-	data := benchEncode(b, benchStream(b), false)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadAll(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkTraceDecodeV3Seq(b *testing.B) {
-	data := benchEncode(b, benchStream(b), true)
+	data := benchEncode(b, benchStream(b))
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -142,7 +85,7 @@ func BenchmarkTraceDecodeV3Seq(b *testing.B) {
 }
 
 func BenchmarkTraceDecodeV3Par4(b *testing.B) {
-	data := benchEncode(b, benchStream(b), true)
+	data := benchEncode(b, benchStream(b))
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -25,9 +25,11 @@ import (
 //	        file instead of reading as a shorter run.
 //	trailer: uint32-LE(footer length, marker through the crc uvarint)  "SGF3"
 //
-// The payload is eventCount records, each the v2 record layout except that
-// Call and Time are zigzag deltas against the previous record in the frame
-// (both start from zero at the frame head, so frames decode independently).
+// The payload is eventCount records, each a kind byte, then uvarints for
+// zigzag(Ctx), Call, zigzag(SrcCtx), SrcCall, Bytes, Ops, Time and the name
+// length, then the name bytes. Call and Time are zigzag deltas against the
+// previous record in the frame (both start from zero at the frame head, so
+// frames decode independently).
 // The fixed 8-byte trailer lets a seeking reader jump straight to the frame
 // index without scanning the stream.
 const (
@@ -53,8 +55,13 @@ const (
 	// reject event counts that could not fit the declared payload.
 	minRecordBytes = 9
 
-	// maxNameLen bounds a single record's name field, as in v1/v2.
+	// maxNameLen bounds a single record's name field.
 	maxNameLen = 1 << 20
+
+	// maxEventsPerByte bounds the event total a footer may declare for the
+	// stream that carries it, before the total sizes a preallocation. The
+	// bundled workloads' simsmall streams take 0.35–3.64 bytes per event.
+	maxEventsPerByte = 64
 )
 
 var trailerMagic = [4]byte{'S', 'G', 'F', '3'}
@@ -328,7 +335,9 @@ func parseFooterBody(data []byte, hasLoss bool) (*footerInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > maxFrameEvents {
+	// Each index entry takes at least two bytes, so the footer's own length
+	// bounds the index it sizes.
+	if n > maxFrameEvents || n > uint64(len(data)/2) {
 		return nil, fmt.Errorf("%w: implausible frame count %d", ErrCorrupt, n)
 	}
 	info := &footerInfo{frames: make([]frameEntry, 0, n)}
@@ -367,8 +376,9 @@ func parseFooterBody(data []byte, hasLoss bool) (*footerInfo, error) {
 
 // peekFooter reads the footer of a v3 stream through its fixed trailer
 // without disturbing r's position. It returns nil (no error) when the
-// source is not a complete v3 file — callers use it only as a hint for
-// preallocation, never for integrity decisions.
+// source is not a complete v3 file, or when the footer declares more events
+// than the stream's bytes and frame index could hold — callers use it only
+// as a hint for preallocation, never for integrity decisions.
 func peekFooter(r io.ReadSeeker) *footerInfo {
 	cur, err := r.Seek(0, io.SeekCurrent)
 	if err != nil {
@@ -404,7 +414,8 @@ func peekFooter(r io.ReadSeeker) *footerInfo {
 		return nil
 	}
 	info, err := parseFooterBody(foot[1:], foot[0] == footerLossByte)
-	if err != nil {
+	if err != nil || info.total > maxFrameEvents*uint64(len(info.frames)+1) ||
+		info.total > maxEventsPerByte*uint64(end-cur) {
 		return nil
 	}
 	return info

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -18,10 +20,9 @@ func fuzzEvents() []Event {
 }
 
 // FuzzReader checks the event-file decoder never panics or over-allocates
-// on corrupt input, across all three format versions and both the
-// sequential and parallel decode paths.
+// on corrupt input, across both the sequential and parallel decode paths.
 func FuzzReader(f *testing.F) {
-	// Seed with real encoded streams of each version and mutations of them.
+	// Seed with a real encoded stream and mutations of it.
 	var v3 bytes.Buffer
 	w := NewWriter(&v3)
 	for _, e := range fuzzEvents() {
@@ -29,32 +30,20 @@ func FuzzReader(f *testing.F) {
 	}
 	_ = w.Close()
 	f.Add(v3.Bytes())
-
-	var v2 bytes.Buffer
-	w2 := NewWriterV2(&v2)
-	for _, e := range fuzzEvents() {
-		_ = w2.Emit(e)
+	// The same stream under the retired version bytes 2 and 1.
+	for _, v := range []byte{2, 1} {
+		old := bytes.Clone(v3.Bytes())
+		old[len(magic)-1] = v
+		f.Add(old)
 	}
-	_ = w2.Close()
-	f.Add(v2.Bytes())
-
-	// A v1 stream: v2 records with the footer stripped and the version byte
-	// rewound (the footer is the trailing marker + 2 uvarints).
-	v1 := append([]byte{}, v2.Bytes()...)
-	for i := len(v1) - 1; i > len(magic); i-- {
-		if v1[i] == footerByte {
-			v1 = v1[:i]
-			break
-		}
-	}
-	v1[len(magic)-1] = 1
-	f.Add(v1)
-
 	f.Add([]byte{})
 	f.Add([]byte("SIGEVT"))
 	f.Add(append(append([]byte{}, v3.Bytes()...), 0xFF, 0xFF, 0xFF))
 	f.Add(v3.Bytes()[:len(v3.Bytes())-2]) // cut mid-trailer
-	f.Add(v2.Bytes()[:len(v2.Bytes())-2]) // cut mid-footer
+	f.Add(v3.Bytes()[:len(magic)+12])     // cut inside the first frame
+	for _, hf := range hostileFooters() {
+		f.Add(hf.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
@@ -76,10 +65,8 @@ func FuzzReader(f *testing.F) {
 			}
 		}
 		// Salvage must tolerate anything with a readable header.
-		if _, _, err := Salvage(bytes.NewReader(data)); err != nil && len(data) >= len(magic) {
-			if bytes.Equal(data[:len(magic)-1], magic[:len(magic)-1]) && (data[len(magic)-1] >= 1 && data[len(magic)-1] <= 3) {
-				t.Fatalf("salvage failed on valid header: %v", err)
-			}
+		if _, _, err := Salvage(bytes.NewReader(data)); err != nil && bytes.HasPrefix(data, magic) {
+			t.Fatalf("salvage failed on valid header: %v", err)
 		}
 	})
 }
@@ -193,4 +180,48 @@ func FuzzQuarantineReader(f *testing.F) {
 			t.Fatalf("contradictory report: %+v", rep)
 		}
 	})
+}
+
+// hostileFooter is a complete-looking event file a few dozen bytes long.
+type hostileFooter struct {
+	name string
+	data []byte
+}
+
+// hostileFooters once made ReadAllWorkers preallocate hundreds of
+// megabytes to gigabytes: footers whose event total or index length far
+// exceeds what the file's bytes could hold.
+func hostileFooters() []hostileFooter {
+	// A footer body that declares 2^24 index entries and then ends; the
+	// trailer still frames it, so it reaches the footer parser.
+	foot := binary.AppendUvarint([]byte{footerByte}, 1<<24)
+	hugeIndex := append(bytes.Clone(magic), foot...)
+	hugeIndex = binary.LittleEndian.AppendUint32(hugeIndex, uint32(len(foot)))
+	hugeIndex = append(hugeIndex, trailerMagic[:]...)
+	return []hostileFooter{
+		{"empty index, 2^24 events", appendFooter(bytes.Clone(magic), nil, 1<<24, 0)},
+		{"one index entry, 2^25 events", appendFooter(bytes.Clone(magic), []frameEntry{{}}, 1<<25, 0)},
+		{"2^24 index entries", hugeIndex},
+	}
+}
+
+// TestHostileFooterBoundedAlloc checks the footer's preallocation hint is
+// bounded by the input: each hostile file must be refused as corrupt or
+// truncated after allocating under 1 MiB, sequentially and in parallel.
+func TestHostileFooterBoundedAlloc(t *testing.T) {
+	const allocBound = 1 << 20
+	for _, hf := range hostileFooters() {
+		for _, workers := range []int{1, 4} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ReadAllWorkers(bytes.NewReader(hf.data), workers)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
+				t.Errorf("%s (%d bytes), %d workers: err = %v, want corrupt or truncated", hf.name, len(hf.data), workers, err)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n >= allocBound {
+				t.Errorf("%s (%d bytes), %d workers: allocated %d bytes, want < %d", hf.name, len(hf.data), workers, n, allocBound)
+			}
+		}
+	}
 }

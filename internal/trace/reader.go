@@ -13,91 +13,32 @@ import (
 	"sigil/internal/faultinject"
 )
 
-// hashReader tees every byte delivered to the v1/v2 decoder into a running
-// CRC-32 and byte count, so the Reader can verify the v2 footer and
-// Salvage can report how many bytes of valid prefix it consumed.
-type hashReader struct {
-	r     *bufio.Reader
-	crc   uint32
-	bytes int64
-}
-
-func (h *hashReader) ReadByte() (byte, error) {
-	b, err := h.r.ReadByte()
-	if err == nil {
-		h.crc = crc32.Update(h.crc, crc32.IEEETable, []byte{b})
-		h.bytes++
-	}
-	return b, err
-}
-
-func (h *hashReader) readFull(p []byte) error {
-	// Count partial reads too: on a mid-record cut the consumed bytes must
-	// still show up in Salvage's byte accounting.
-	n, err := io.ReadFull(h.r, p)
-	h.crc = crc32.Update(h.crc, crc32.IEEETable, p[:n])
-	h.bytes += int64(n)
-	return err
-}
-
-// v3state is the sequential version-3 decoder: one frame is fetched,
-// verified and decoded at a time, and Next serves from the decoded batch.
-type v3state struct {
-	br     *bufio.Reader
-	fr     io.ReadCloser // reusable flate reader
-	comp   []byte        // compressed payload scratch
-	raw    []byte        // inflated payload scratch
-	events []Event       // decoded current frame
-	pos    int
-	frames uint64
-	read   int64 // bytes consumed after the magic
-	valid  int64 // bytes consumed through the last verified frame/footer
-}
-
-func (s *v3state) readByte() (byte, error) {
-	b, err := s.br.ReadByte()
-	if err == nil {
-		s.read++
-	}
-	return b, err
-}
-
-func (s *v3state) readFull(p []byte) error {
-	n, err := io.ReadFull(s.br, p)
-	s.read += int64(n)
-	return err
-}
-
-// Reader decodes an event stream (v1, v2 or v3). For v2+ streams, hitting
-// end of input without the footer yields ErrTruncated instead of io.EOF,
-// and checksums that disagree with the bytes read yield ErrCorrupt — so a
-// clean io.EOF certifies the stream complete and checksummed. Version-3
-// frames are verified and decoded one at a time; ReadAll decodes them on a
-// worker pool instead.
+// Reader decodes an event stream. Hitting end of input without the footer
+// yields ErrTruncated instead of io.EOF, and checksums that disagree with
+// the bytes read yield ErrCorrupt — so a clean io.EOF certifies the stream
+// complete and checksummed. Frames are verified and decoded one at a time;
+// ReadAll decodes them on a worker pool instead.
 type Reader struct {
 	br         *bufio.Reader
-	r          *hashReader // v1/v2 record decoding
-	v3         *v3state    // non-nil once a v3 header is read
 	started    bool
-	version    int
-	count      uint64 // events decoded so far
+	read       int64         // bytes consumed after the magic
+	fr         io.ReadCloser // reusable flate reader
+	comp       []byte        // compressed payload scratch
+	raw        []byte        // inflated payload scratch
+	events     []Event       // decoded current frame
+	pos        int
+	frames     uint64 // frames decoded so far
+	count      uint64 // events served so far
 	footerSeen bool
 	dropped    uint64 // loss footer's recorded write-side drop count
-	// pendingTotal carries the footer's declared event total from
-	// loadFooterShallow to the parallel merge's count check.
-	pendingTotal uint64
 }
 
 // NewReader returns a Reader over r. The source passes through the
 // trace.read fault point, so the chaos sweep can inject read errors and
 // in-flight corruption beneath the decoder.
 func NewReader(r io.Reader) *Reader {
-	br := bufio.NewReaderSize(faultinject.WrapReader(faultinject.TraceRead, r), 1<<16)
-	return &Reader{br: br, r: &hashReader{r: br}}
+	return &Reader{br: bufio.NewReaderSize(faultinject.WrapReader(faultinject.TraceRead, r), 1<<16)}
 }
-
-// Version returns the stream's format version (0 before the header is read).
-func (r *Reader) Version() int { return r.version }
 
 // readHeader consumes and validates the magic; it is idempotent.
 func (r *Reader) readHeader() error {
@@ -113,122 +54,94 @@ func (r *Reader) readHeader() error {
 			return errors.New("trace: bad magic (not an event file)")
 		}
 	}
-	switch head[len(magic)-1] {
-	case 1, 2:
-		r.version = int(head[len(magic)-1])
-	case 3:
-		r.version = 3
-		r.v3 = &v3state{br: r.br}
-	default:
-		return fmt.Errorf("trace: unsupported format version %d", head[len(magic)-1])
+	if v := head[len(magic)-1]; v != magic[len(magic)-1] {
+		return fmt.Errorf("trace: unsupported format version %d", v)
 	}
 	r.started = true
 	return nil
 }
 
-// trunc types a mid-record read failure: on a v2+ stream an EOF inside a
-// record is a truncated file (ErrTruncated), matching the end-of-stream
-// case; other causes pass through.
-func (r *Reader) trunc(what string, err error) error {
-	if r.version >= 2 && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
+func (r *Reader) readByte() (byte, error) {
+	b, err := r.br.ReadByte()
+	if err == nil {
+		r.read++
+	}
+	return b, err
+}
+
+func (r *Reader) readFull(p []byte) error {
+	n, err := io.ReadFull(r.br, p)
+	r.read += int64(n)
+	return err
+}
+
+// byteReaderFunc adapts a readByte method to io.ByteReader.
+type byteReaderFunc func() (byte, error)
+
+func (f byteReaderFunc) ReadByte() (byte, error) { return f() }
+
+// cutShort types a read failure inside a record: end of input is a
+// truncated stream, and any other failure (a failing disk, an injected
+// fault) passes through so it is not mistaken for a crashed writer.
+func cutShort(what string, err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 		return fmt.Errorf("%w: %s cut short", ErrTruncated, what)
 	}
-	return fmt.Errorf("trace: truncated %s: %w", what, err)
+	return fmt.Errorf("trace: reading %s: %w", what, err)
+}
+
+// nextRecord fetches the next record. For a frame it parses the header and
+// reads the compressed payload, into buf when buf has room; the payload is
+// not yet verified. For a footer it returns the marker alone and leaves the
+// body to readFooterFields. Truncation and corruption are typed here for
+// every caller: end of input where a record should start is ErrTruncated,
+// an unknown marker or implausible header is ErrCorrupt.
+func (r *Reader) nextRecord(buf []byte) (marker byte, h frameHeader, comp []byte, err error) {
+	marker, err = r.readByte()
+	if errors.Is(err, io.EOF) {
+		return 0, h, buf, ErrTruncated
+	}
+	if err != nil {
+		return 0, h, buf, fmt.Errorf("trace: reading record marker: %w", err)
+	}
+	switch marker {
+	case footerByte, footerLossByte:
+		return marker, h, buf, nil
+	case frameByte:
+	default:
+		return 0, h, buf, fmt.Errorf("%w: unknown record marker %#x", ErrCorrupt, marker)
+	}
+	if h, err = readFrameHeader(byteReaderFunc(r.readByte)); err != nil {
+		if errors.Is(err, ErrCorrupt) {
+			return 0, h, buf, err
+		}
+		return 0, h, buf, cutShort("frame header", err)
+	}
+	if cap(buf) < h.compSize {
+		buf = make([]byte, h.compSize)
+	}
+	buf = buf[:h.compSize]
+	if err := r.readFull(buf); err != nil {
+		return 0, h, buf, cutShort("frame payload", err)
+	}
+	return marker, h, buf, nil
 }
 
 // Next returns the next event, or io.EOF at a verified end of stream.
 func (r *Reader) Next() (Event, error) {
-	if !r.started {
-		if err := r.readHeader(); err != nil {
-			return Event{}, err
-		}
-	}
-	if r.footerSeen {
-		return Event{}, io.EOF
-	}
-	if r.version >= 3 {
-		return r.nextV3()
-	}
-	return r.nextV1V2()
-}
-
-func (r *Reader) nextV1V2() (Event, error) {
-	// Snapshot the digest before this record: the footer's checksum covers
-	// everything up to (not including) the footer itself.
-	preCRC := r.r.crc
-	kb, err := r.r.ReadByte()
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			if r.version >= 2 {
-				return Event{}, ErrTruncated
-			}
-			return Event{}, io.EOF
-		}
+	if err := r.readHeader(); err != nil {
 		return Event{}, err
 	}
-	if r.version >= 2 && kb == footerByte {
-		wantCount, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return Event{}, fmt.Errorf("%w: footer cut short", ErrTruncated)
-		}
-		wantCRC, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return Event{}, fmt.Errorf("%w: footer cut short", ErrTruncated)
-		}
-		if wantCount != r.count || uint32(wantCRC) != preCRC {
-			return Event{}, fmt.Errorf("%w: footer says %d events crc %#x, stream has %d events crc %#x",
-				ErrCorrupt, wantCount, uint32(wantCRC), r.count, preCRC)
-		}
-		r.footerSeen = true
-		return Event{}, io.EOF
-	}
-	var e Event
-	e.Kind = Kind(kb)
-	fields := [7]uint64{}
-	for i := range fields {
-		v, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return Event{}, r.trunc("event", err)
-		}
-		fields[i] = v
-	}
-	e.Ctx = unzigzag(fields[0])
-	e.Call = fields[1]
-	e.SrcCtx = unzigzag(fields[2])
-	e.SrcCall = fields[3]
-	e.Bytes = fields[4]
-	e.Ops = fields[5]
-	e.Time = fields[6]
-	nameLen, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return Event{}, r.trunc("event", err)
-	}
-	if nameLen > 0 {
-		if nameLen > maxNameLen {
-			return Event{}, fmt.Errorf("trace: implausible name length %d", nameLen)
-		}
-		name := make([]byte, nameLen)
-		if err := r.r.readFull(name); err != nil {
-			return Event{}, r.trunc("name", err)
-		}
-		e.Name = string(name)
-	}
-	r.count++
-	return e, nil
-}
-
-func (r *Reader) nextV3() (Event, error) {
-	s := r.v3
-	for s.pos >= len(s.events) {
-		if err := r.loadFrame(); err != nil {
-			return Event{}, err
-		}
+	for r.pos >= len(r.events) {
 		if r.footerSeen {
 			return Event{}, io.EOF
 		}
+		if err := r.loadFrame(); err != nil {
+			return Event{}, err
+		}
 	}
-	e := s.events[s.pos]
-	s.pos++
+	e := r.events[r.pos]
+	r.pos++
 	r.count++
 	return e, nil
 }
@@ -236,52 +149,45 @@ func (r *Reader) nextV3() (Event, error) {
 // loadFrame fetches, verifies and decodes the next frame, or validates the
 // footer and trailer at end of stream.
 func (r *Reader) loadFrame() error {
-	s := r.v3
-	marker, err := s.readByte()
+	marker, h, comp, err := r.nextRecord(r.comp)
+	r.comp = comp
 	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return ErrTruncated
-		}
 		return err
 	}
-	switch marker {
-	case frameByte:
-		h, err := readFrameHeader(byteReaderFunc(s.readByte))
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return fmt.Errorf("%w: frame header cut short", ErrTruncated)
-			}
-			return err
+	if marker != frameByte {
+		ff, err := r.readFooterFields(marker == footerLossByte)
+		if err == nil {
+			err = ff.check(r.frames, r.count)
 		}
-		if cap(s.comp) < h.compSize {
-			s.comp = make([]byte, h.compSize)
-		}
-		s.comp = s.comp[:h.compSize]
-		if err := s.readFull(s.comp); err != nil {
-			return fmt.Errorf("%w: frame payload cut short", ErrTruncated)
-		}
-		raw, fr, err := inflateFrame(h, s.comp, s.raw, s.fr)
-		s.raw, s.fr = raw, fr
 		if err != nil {
 			return err
 		}
-		if s.events, err = decodePayload(s.raw, h.events, s.events[:0]); err != nil {
-			return err
-		}
-		s.pos = 0
-		s.frames++
-		s.valid = s.read
+		r.dropped = ff.dropped
+		r.footerSeen = true
 		return nil
-	case footerByte, footerLossByte:
-		return r.loadFooter(marker == footerLossByte)
-	default:
-		return fmt.Errorf("%w: unknown record marker %#x", ErrCorrupt, marker)
 	}
+	if err := r.decodeFrame(h); err != nil {
+		return err
+	}
+	r.pos = 0
+	r.frames++
+	return nil
+}
+
+// decodeFrame verifies and inflates the payload nextRecord left in r.comp
+// and decodes it into r.events.
+func (r *Reader) decodeFrame(h frameHeader) error {
+	raw, fr, err := inflateFrame(h, r.comp, r.raw, r.fr)
+	r.raw, r.fr = raw, fr
+	if err != nil {
+		return err
+	}
+	r.events, err = decodePayload(r.raw, h.events, r.events[:0])
+	return err
 }
 
 // footerFields is a streaming-parsed, CRC-verified footer (trailer
-// included): what both the sequential and parallel paths validate their
-// decode against.
+// included): what every decode path validates the stream against.
 type footerFields struct {
 	frameCount  uint64
 	indexEvents uint64 // sum of the index entries' event counts
@@ -289,18 +195,26 @@ type footerFields struct {
 	dropped     uint64 // loss footers only
 }
 
+// check compares the footer with the frames and events a decode saw.
+func (ff footerFields) check(frames, events uint64) error {
+	if ff.frameCount != frames || ff.total != events || ff.indexEvents != events {
+		return fmt.Errorf("%w: footer says %d frames / %d events, stream has %d frames / %d events",
+			ErrCorrupt, ff.frameCount, ff.total, frames, events)
+	}
+	return nil
+}
+
 // readFooterFields consumes the footer body after its marker, verifies the
 // body CRC and the fixed trailer, and returns the parsed fields. It
 // reconstructs the body bytes as it reads so the checksum covers exactly
 // what the writer signed.
 func (r *Reader) readFooterFields(hasLoss bool) (footerFields, error) {
-	s := r.v3
 	var ff footerFields
 	var body []byte
 	readUvarint := func() (uint64, error) {
-		v, err := binary.ReadUvarint(byteReaderFunc(s.readByte))
+		v, err := binary.ReadUvarint(byteReaderFunc(r.readByte))
 		if err != nil {
-			return 0, fmt.Errorf("%w: footer cut short", ErrTruncated)
+			return 0, cutShort("footer", err)
 		}
 		body = binary.AppendUvarint(body, v)
 		return v, nil
@@ -330,16 +244,16 @@ func (r *Reader) readFooterFields(hasLoss bool) (footerFields, error) {
 			return ff, err
 		}
 	}
-	wantCRC, err := binary.ReadUvarint(byteReaderFunc(s.readByte))
+	wantCRC, err := binary.ReadUvarint(byteReaderFunc(r.readByte))
 	if err != nil {
-		return ff, fmt.Errorf("%w: footer cut short", ErrTruncated)
+		return ff, cutShort("footer", err)
 	}
 	if uint32(wantCRC) != crc32.ChecksumIEEE(body) {
 		return ff, fmt.Errorf("%w: footer checksum mismatch", ErrCorrupt)
 	}
 	var tail [trailerLen]byte
-	if err := s.readFull(tail[:]); err != nil {
-		return ff, fmt.Errorf("%w: trailer cut short", ErrTruncated)
+	if err := r.readFull(tail[:]); err != nil {
+		return ff, cutShort("trailer", err)
 	}
 	if [4]byte(tail[4:8]) != trailerMagic {
 		return ff, fmt.Errorf("%w: bad trailer magic", ErrCorrupt)
@@ -347,58 +261,17 @@ func (r *Reader) readFooterFields(hasLoss bool) (footerFields, error) {
 	return ff, nil
 }
 
-// loadFooter validates the footer record and the fixed trailer against
-// everything decoded so far.
-func (r *Reader) loadFooter(hasLoss bool) error {
-	s := r.v3
-	ff, err := r.readFooterFields(hasLoss)
-	if err != nil {
-		return err
-	}
-	if ff.frameCount != s.frames || ff.total != r.count || ff.indexEvents != r.count {
-		return fmt.Errorf("%w: footer says %d frames / %d events, stream has %d frames / %d events",
-			ErrCorrupt, ff.frameCount, ff.total, s.frames, r.count)
-	}
-	r.dropped = ff.dropped
-	r.footerSeen = true
-	s.valid = s.read
-	return nil
-}
-
-// byteReaderFunc adapts a readByte method to io.ByteReader.
-type byteReaderFunc func() (byte, error)
-
-func (f byteReaderFunc) ReadByte() (byte, error) { return f() }
-
-// bytesConsumed reports record bytes read so far (header excluded).
-func (r *Reader) bytesConsumed() int64 {
-	if r.v3 != nil {
-		return r.v3.read
-	}
-	return r.r.bytes
-}
-
-// bytesValid reports the verified prefix: for v3 that is bytes through the
-// last checksummed frame (a partially read frame does not count); for
-// v1/v2 every consumed byte belonged to the valid record prefix.
-func (r *Reader) bytesValid() int64 {
-	if r.v3 != nil {
-		return r.v3.valid
-	}
-	return r.r.bytes
-}
-
 // ReadAll loads an entire stream, separating context definitions from the
-// event sequence. Version-3 streams are decoded with one worker per CPU;
-// use ReadAllWorkers to pick the pool size explicitly.
+// event sequence. Frames are decoded with one worker per CPU; use
+// ReadAllWorkers to pick the pool size explicitly.
 func ReadAll(r io.Reader) (*Trace, error) {
 	return ReadAllWorkers(r, runtime.GOMAXPROCS(0))
 }
 
-// ReadAllWorkers loads an entire stream, decoding version-3 frames on a
-// pool of `workers` goroutines with an ordered merge (workers <= 1, or a
-// v1/v2 stream, decodes sequentially). When r supports seeking, the footer
-// is consulted up front to preallocate the event slice.
+// ReadAllWorkers loads an entire stream, decoding frames on a pool of
+// `workers` goroutines with an ordered merge (workers <= 1 decodes
+// sequentially). When r supports seeking, the footer is consulted up front
+// to preallocate the event slice.
 func ReadAllWorkers(r io.Reader, workers int) (*Trace, error) {
 	var pre *footerInfo
 	if rs, ok := r.(io.ReadSeeker); ok {
@@ -408,7 +281,7 @@ func ReadAllWorkers(r io.Reader, workers int) (*Trace, error) {
 	if err := rd.readHeader(); err != nil {
 		return nil, err
 	}
-	if rd.version >= 3 && workers > 1 {
+	if workers > 1 {
 		return readAllParallel(rd, workers, pre)
 	}
 	return readAllSequential(rd, pre)
@@ -416,7 +289,7 @@ func ReadAllWorkers(r io.Reader, workers int) (*Trace, error) {
 
 func newTrace(pre *footerInfo) *Trace {
 	tr := &Trace{Contexts: make(map[int32]CtxInfo)}
-	if pre != nil && pre.total > 0 && pre.total <= maxFrameEvents*uint64(len(pre.frames)+1) {
+	if pre != nil && pre.total > 0 {
 		tr.Events = make([]Event, 0, pre.total)
 	}
 	return tr
@@ -462,20 +335,19 @@ type frameRes struct {
 // dispatchEnd reports how the frame-fetch loop finished.
 type dispatchEnd struct {
 	frames int
-	total  uint64 // footer's total event count
+	foot   footerFields
 	err    error
 }
 
-// readAllParallel implements the v3 fast path: the caller's goroutine
-// fetches frames in stream order (cheap, sequential I/O), a bounded worker
-// pool checksums/inflates/decodes them, and the results are merged back in
-// frame order. The error surfaced matches sequential semantics: the
-// lowest-indexed failure wins, and footer mismatches are checked against
-// the merged totals. Once the merge has copied a frame's events it hands
-// the slice back to the workers through a bounded free list, so a stream
-// needs about a pool's width of frame buffers instead of one per frame.
+// readAllParallel is the fast path: the caller's goroutine fetches frames
+// in stream order (cheap, sequential I/O), a bounded worker pool
+// checksums/inflates/decodes them, and the results are merged back in frame
+// order. The error surfaced matches sequential semantics: the lowest-indexed
+// failure wins, and footer mismatches are checked against the merged
+// totals. Once the merge has copied a frame's events it hands the slice
+// back to the workers through a bounded free list, so a stream needs about
+// a pool's width of frame buffers instead of one per frame.
 func readAllParallel(rd *Reader, workers int, pre *footerInfo) (*Trace, error) {
-	s := rd.v3
 	jobs := make(chan frameJob, workers)
 	results := make(chan frameRes, workers)
 	// Two buffers per worker cover the frames a pool has in flight (one
@@ -520,42 +392,19 @@ func readAllParallel(rd *Reader, workers int, pre *footerInfo) (*Trace, error) {
 	endCh := make(chan dispatchEnd, 1)
 	go func() {
 		defer close(jobs)
-		idx := 0
-		for {
-			marker, err := s.readByte()
+		for idx := 0; ; idx++ {
+			marker, h, comp, err := rd.nextRecord(nil)
+			if err == nil && marker != frameByte {
+				var ff footerFields
+				ff, err = rd.readFooterFields(marker == footerLossByte)
+				endCh <- dispatchEnd{frames: idx, foot: ff, err: err}
+				return
+			}
 			if err != nil {
-				if errors.Is(err, io.EOF) {
-					endCh <- dispatchEnd{frames: idx, err: ErrTruncated}
-				} else {
-					endCh <- dispatchEnd{frames: idx, err: err}
-				}
+				endCh <- dispatchEnd{frames: idx, err: err}
 				return
 			}
-			switch marker {
-			case frameByte:
-				h, err := readFrameHeader(byteReaderFunc(s.readByte))
-				if err != nil {
-					if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-						err = fmt.Errorf("%w: frame header cut short", ErrTruncated)
-					}
-					endCh <- dispatchEnd{frames: idx, err: err}
-					return
-				}
-				comp := make([]byte, h.compSize)
-				if err := s.readFull(comp); err != nil {
-					endCh <- dispatchEnd{frames: idx, err: fmt.Errorf("%w: frame payload cut short", ErrTruncated)}
-					return
-				}
-				jobs <- frameJob{idx: idx, head: h, comp: comp}
-				idx++
-			case footerByte, footerLossByte:
-				err := rd.loadFooterShallow(uint64(idx), marker == footerLossByte)
-				endCh <- dispatchEnd{frames: idx, total: rd.pendingTotal, err: err}
-				return
-			default:
-				endCh <- dispatchEnd{frames: idx, err: fmt.Errorf("%w: unknown record marker %#x", ErrCorrupt, marker)}
-				return
-			}
+			jobs <- frameJob{idx: idx, head: h, comp: comp}
 		}
 	}()
 
@@ -600,28 +449,9 @@ func readAllParallel(rd *Reader, workers int, pre *footerInfo) (*Trace, error) {
 	if end.err != nil {
 		return nil, end.err
 	}
-	if end.total != merged {
-		return nil, fmt.Errorf("%w: footer says %d events, stream decoded %d", ErrCorrupt, end.total, merged)
+	if err := end.foot.check(uint64(end.frames), merged); err != nil {
+		return nil, err
 	}
-	tr.EventsDropped = rd.dropped
+	tr.EventsDropped = end.foot.dropped
 	return tr, nil
-}
-
-// loadFooterShallow parses and verifies the footer without the decoded-count
-// checks the sequential path performs inline; the parallel merge does those
-// against pendingTotal once every frame has been merged.
-func (r *Reader) loadFooterShallow(frames uint64, hasLoss bool) error {
-	s := r.v3
-	ff, err := r.readFooterFields(hasLoss)
-	if err != nil {
-		return err
-	}
-	if ff.frameCount != frames {
-		return fmt.Errorf("%w: footer says %d frames, stream has %d", ErrCorrupt, ff.frameCount, frames)
-	}
-	r.footerSeen = true
-	r.pendingTotal = ff.total
-	r.dropped = ff.dropped
-	s.valid = s.read
-	return nil
 }

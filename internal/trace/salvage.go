@@ -91,164 +91,89 @@ func (r SalvageReport) String() string {
 // first decode failure: crashed profiling runs leave truncated event files,
 // damaged media leaves corrupt ones, and the data around the fault is still
 // good. It returns the recovered Trace and a report saying precisely how
-// much of the stream survived. On version-3 streams recovery is
-// frame-granular and quarantine-and-continue: a mid-stream frame whose
-// checksum, inflation or decode fails is skipped — its exact byte range
-// recorded in the report — and the scan resumes at the next frame, so one
-// damaged frame costs only its own events. Truncation (the stream ends
-// before its footer) is reported distinctly via Truncated. Only an
-// unreadable header (not an event file at all) returns an error.
+// much of the stream survived. Recovery is frame-granular and
+// quarantine-and-continue: each frame's payload is fully read before it is
+// verified, so a mid-stream frame whose checksum, inflation or decode fails
+// leaves the scan aligned on the next record marker. The frame is skipped —
+// its position, exact byte range and declared event count recorded in the
+// report — so one damaged frame costs only its own events. The scan stops
+// early only when it loses framing (a header it cannot parse, an unknown
+// marker), because past that point byte offsets mean nothing, or when the
+// input ends or fails. Truncation (the stream ends before its footer) is
+// reported distinctly via Truncated. Only an unreadable header (not an
+// event file at all) returns an error.
 func Salvage(r io.Reader) (*Trace, *SalvageReport, error) {
 	rd := NewReader(r)
-	tr := &Trace{Contexts: make(map[int32]CtxInfo)}
-	rep := &SalvageReport{}
 	if err := rd.readHeader(); err != nil {
 		return nil, nil, err
 	}
-	if rd.version >= 3 {
-		salvageV3(rd, tr, rep)
-	} else {
-		salvageV1V2(rd, tr, rep)
+	tr := &Trace{Contexts: make(map[int32]CtxInfo)}
+	rep := &SalvageReport{}
+	if err := salvageFrames(rd, tr, rep); err != nil {
+		rep.Err = err
+		rep.Truncated = errors.Is(err, ErrTruncated)
 	}
-	rep.BytesTotal = rd.bytesConsumed() + drain(rd.br)
+	rep.BytesTotal = rd.read + drain(rd.br)
 	return tr, rep, nil
 }
 
-// salvageV1V2 scans a flat record stream, stopping at the first failure:
-// v1/v2 records are not self-delimiting, so there is no resynchronization
-// point to continue from.
-func salvageV1V2(rd *Reader, tr *Trace, rep *SalvageReport) {
-	for {
-		e, err := rd.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				rep.Complete = rd.version < 2 || rd.footerSeen
-			} else {
-				rep.Err = err
-				rep.Truncated = errors.Is(err, ErrTruncated)
-			}
-			rep.BytesValid = rd.bytesValid()
-			return
-		}
-		rep.Events++
-		if e.Kind == KindDefCtx {
-			rep.Contexts++
-			tr.Contexts[e.Ctx] = CtxInfo{ID: e.Ctx, Parent: e.SrcCtx, Name: e.Name}
-			continue
-		}
-		tr.Events = append(tr.Events, e)
-	}
-}
-
-// salvageV3 scans frame by frame. Each frame's payload is fully read before
-// verification, so a frame that fails its checksum, inflation or decode
-// leaves the scan aligned on the next record marker: the frame is
-// quarantined (position, byte range, declared event count) and the scan
-// continues. The scan only stops early when it loses framing — a header it
-// cannot parse, or an unknown marker — because past that point byte offsets
-// mean nothing.
-func salvageV3(rd *Reader, tr *Trace, rep *SalvageReport) {
-	s := rd.v3
-	var events []Event
+// salvageFrames scans frame by frame into tr and rep, and returns the error
+// that ended the scan before a verified footer (nil otherwise).
+func salvageFrames(rd *Reader, tr *Trace, rep *SalvageReport) error {
 	var quarDeclared uint64 // events the quarantined frames' headers declared
 	var decoded uint64
-	frameIdx := 0
-	add := func(e Event) {
-		rep.Events++
-		if e.Kind == KindDefCtx {
-			rep.Contexts++
-			tr.Contexts[e.Ctx] = CtxInfo{ID: e.Ctx, Parent: e.SrcCtx, Name: e.Name}
-			return
-		}
-		tr.Events = append(tr.Events, e)
-	}
-	for {
-		recStart := s.read
-		marker, err := s.readByte()
+	for frameIdx := 0; ; frameIdx++ {
+		recStart := rd.read
+		marker, h, comp, err := rd.nextRecord(rd.comp)
+		rd.comp = comp
 		if err != nil {
-			// End of input without a footer: the classic crash truncation.
-			rep.Truncated = true
-			rep.Err = ErrTruncated
-			return
+			return err
 		}
-		switch marker {
-		case frameByte:
-			h, err := readFrameHeader(byteReaderFunc(s.readByte))
-			if err != nil {
-				if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-					rep.Truncated = true
-					rep.Err = fmt.Errorf("%w: frame header cut short", ErrTruncated)
-				} else {
-					// An implausible header: framing is lost, the tail is
-					// unreadable.
-					rep.Err = err
-				}
-				return
-			}
-			if cap(s.comp) < h.compSize {
-				s.comp = make([]byte, h.compSize)
-			}
-			s.comp = s.comp[:h.compSize]
-			if err := s.readFull(s.comp); err != nil {
-				rep.Truncated = true
-				rep.Err = fmt.Errorf("%w: frame payload cut short", ErrTruncated)
-				return
-			}
-			raw, fr, err := inflateFrame(h, s.comp, s.raw, s.fr)
-			s.raw, s.fr = raw, fr
-			if err == nil {
-				events, err = decodePayload(s.raw, h.events, events[:0])
-			}
-			if err != nil {
-				// The payload was fully read, so the scan is still aligned:
-				// quarantine this frame and continue at the next marker.
-				rep.FramesQuarantined++
-				rep.Quarantined = append(rep.Quarantined, QuarantinedFrame{
-					Index:  frameIdx,
-					Start:  int64(len(magic)) + recStart,
-					End:    int64(len(magic)) + s.read,
-					Events: uint64(h.events),
-					Err:    err,
-				})
-				rep.BytesQuarantined += s.read - recStart
-				quarDeclared += uint64(h.events)
-				tracing.Flight().Record(tracing.KindQuarantine, "trace.salvage",
-					uint64(frameIdx), uint64(s.read-recStart))
-				frameIdx++
-				continue
-			}
-			for _, e := range events {
-				add(e)
-			}
-			decoded += uint64(len(events))
-			rep.BytesValid += s.read - recStart
-			frameIdx++
-		case footerByte, footerLossByte:
+		if marker != frameByte {
 			ff, err := rd.readFooterFields(marker == footerLossByte)
 			if err != nil {
-				rep.Truncated = errors.Is(err, ErrTruncated)
-				rep.Err = err
-				return
+				return err
 			}
 			rep.EventsDropped = ff.dropped
-			if ff.frameCount != uint64(frameIdx) || ff.total != decoded+quarDeclared {
-				// The footer checksummed correctly but disagrees with the
-				// stream (e.g. a quarantined frame's header lied about its
-				// event count). The recovered events stand; the stream is
-				// not certified.
-				rep.Err = fmt.Errorf("%w: footer says %d frames / %d events, salvage saw %d frames / %d events",
-					ErrCorrupt, ff.frameCount, ff.total, frameIdx, decoded+quarDeclared)
-				return
+			// A footer that checksummed correctly but disagrees with the
+			// stream (e.g. a quarantined frame's header lied about its
+			// event count) leaves the recovered events standing but the
+			// stream uncertified.
+			if err := ff.check(uint64(frameIdx), decoded+quarDeclared); err != nil {
+				return err
 			}
-			rep.BytesValid += s.read - recStart
+			rep.BytesValid += rd.read - recStart
 			// Write-side drops count as loss too: a loss-footer stream is
 			// well-formed but not the run's complete event sequence.
 			rep.Complete = rep.FramesQuarantined == 0 && ff.dropped == 0
-			return
-		default:
-			rep.Err = fmt.Errorf("%w: unknown record marker %#x", ErrCorrupt, marker)
-			return
+			return nil
 		}
+		if err := rd.decodeFrame(h); err != nil {
+			// The payload was fully read, so the scan is still aligned:
+			// quarantine this frame and continue at the next marker.
+			rep.FramesQuarantined++
+			rep.Quarantined = append(rep.Quarantined, QuarantinedFrame{
+				Index:  frameIdx,
+				Start:  int64(len(magic)) + recStart,
+				End:    int64(len(magic)) + rd.read,
+				Events: uint64(h.events),
+				Err:    err,
+			})
+			rep.BytesQuarantined += rd.read - recStart
+			quarDeclared += uint64(h.events)
+			tracing.Flight().Record(tracing.KindQuarantine, "trace.salvage",
+				uint64(frameIdx), uint64(rd.read-recStart))
+			continue
+		}
+		for _, e := range rd.events {
+			rep.Events++
+			if e.Kind == KindDefCtx {
+				rep.Contexts++
+			}
+			tr.add(e)
+		}
+		decoded += uint64(len(rd.events))
+		rep.BytesValid += rd.read - recStart
 	}
 }
 

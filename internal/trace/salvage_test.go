@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,27 +21,6 @@ func encodeStream(t *testing.T, events []Event) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// v1Stream re-encodes events as a version-1 file: same records, no footer.
-func v1Stream(t *testing.T, events []Event) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := NewWriterV2(&buf)
-	for _, e := range events {
-		if err := w.Emit(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	footer := append([]byte{footerByte}, binary.AppendUvarint(nil, w.count)...)
-	footer = binary.AppendUvarint(footer, uint64(w.crc))
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	v1 := append([]byte{}, full[:len(full)-len(footer)]...)
-	v1[len(magic)-1] = 1
-	return v1
 }
 
 func TestSalvageComplete(t *testing.T) {
@@ -124,33 +102,6 @@ func TestSalvageCorrupt(t *testing.T) {
 func TestSalvageNotAnEventFile(t *testing.T) {
 	if _, _, err := Salvage(bytes.NewReader([]byte("definitely not"))); err == nil {
 		t.Error("garbage accepted")
-	}
-}
-
-func TestSalvageV1NoFooter(t *testing.T) {
-	events := sampleEvents()
-	tr, rep, err := Salvage(bytes.NewReader(v1Stream(t, events)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A v1 stream has no footer to verify, but a clean EOF still counts
-	// as complete.
-	if !rep.Complete {
-		t.Errorf("v1 stream reported incomplete: %+v", rep)
-	}
-	if len(tr.Events)+len(tr.Contexts) != len(events) {
-		t.Errorf("v1 trace holds %d events + %d contexts", len(tr.Events), len(tr.Contexts))
-	}
-}
-
-func TestReaderV1Compat(t *testing.T) {
-	events := sampleEvents()
-	tr, err := ReadAll(bytes.NewReader(v1Stream(t, events)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Events)+len(tr.Contexts) != len(events) {
-		t.Errorf("v1 read: %d events + %d contexts", len(tr.Events), len(tr.Contexts))
 	}
 }
 

@@ -4,13 +4,11 @@
 // separated by data-transfer edges — which downstream analyses (critical
 // path, scheduling) consume.
 //
-// Three on-disk versions exist. Version 1 is a flat varint record stream;
-// version 2 adds an end-of-stream footer (event count + CRC-32); version 3
-// — the format NewWriter produces — packs events into self-contained
-// frames (delta-encoded, DEFLATE-compressed, individually checksummed) and
-// ends with a footer carrying a frame index, so readers can decode frames
-// in parallel and recover every complete frame from a truncated file. All
-// three versions are read transparently.
+// The on-disk format (version 3) packs events into self-contained frames
+// (delta-encoded, DEFLATE-compressed, individually checksummed) and ends
+// with a footer carrying a frame index, so readers can decode frames in
+// parallel and recover every complete frame from a truncated file. Files
+// that carry any other version byte are refused.
 package trace
 
 import (
@@ -96,17 +94,10 @@ func (b *Buffer) Emit(e Event) error {
 }
 
 // magic identifies event files; the trailing byte is the format version.
-// Version 3 (the current write format) is framed and compressed; version 2
-// appends an end-of-stream footer (event count + CRC-32) so a truncated or
-// corrupt file is detectable; version 1 files (no footer) are still read.
-var (
-	magic   = []byte{'S', 'I', 'G', 'E', 'V', 'T', 0, 3}
-	magicV2 = []byte{'S', 'I', 'G', 'E', 'V', 'T', 0, 2}
-	magicV1 = []byte{'S', 'I', 'G', 'E', 'V', 'T', 0, 1}
-)
+var magic = []byte{'S', 'I', 'G', 'E', 'V', 'T', 0, 3}
 
-// ErrTruncated reports a v2/v3 stream that ended without its footer: the
-// writer crashed (or the file was cut) mid-stream.
+// ErrTruncated reports a stream that ended without its footer: the writer
+// crashed (or the file was cut) mid-stream.
 var ErrTruncated = errors.New("trace: stream truncated (missing footer)")
 
 // ErrCorrupt reports a stream whose checksums or counts do not match the

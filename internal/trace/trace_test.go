@@ -3,8 +3,10 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -101,6 +103,26 @@ func TestBadMagic(t *testing.T) {
 	r := NewReader(bytes.NewReader([]byte("not an event file at all")))
 	if _, err := r.Next(); err == nil {
 		t.Error("bad magic accepted")
+	}
+}
+
+// TestUnsupportedVersionRefused rewrites a real stream's version byte:
+// every entry point must refuse anything but the current version.
+func TestUnsupportedVersionRefused(t *testing.T) {
+	good := encodeStream(t, sampleEvents())
+	for _, v := range []byte{0, 1, 2, 4, 0xFF} {
+		data := bytes.Clone(good)
+		data[len(magic)-1] = v
+		want := fmt.Sprintf("unsupported format version %d", v)
+		_, nextErr := NewReader(bytes.NewReader(data)).Next()
+		_, allErr := ReadAll(bytes.NewReader(data))
+		_, parErr := ReadAllWorkers(bytes.NewReader(data), 4)
+		_, _, salvErr := Salvage(bytes.NewReader(data))
+		for name, err := range map[string]error{"Next": nextErr, "ReadAll": allErr, "ReadAllWorkers": parErr, "Salvage": salvErr} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("version %d: %s err = %v, want %q", v, name, err, want)
+			}
+		}
 	}
 }
 

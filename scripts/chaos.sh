@@ -1,6 +1,6 @@
 #!/bin/sh
 # Full chaos sweep: replay every registered fault point (safeio pipeline,
-# v3/v2 trace writers, reader, FileSink finalization) against real workload
+# v3 trace writer, reader, FileSink finalization) against real workload
 # runs in both output modes — callgrind dumps and sigil event files — and
 # assert the survival contracts: a typed injected error with the previous
 # artifact intact, or a salvageable stream whose recovered events are a
