@@ -1,9 +1,7 @@
 // Command sigil-lint runs sigil's project-specific analyzer suite — the
 // invariants past PRs fixed by hand, enforced mechanically:
 //
-//	atomicfield  sync/atomic fields accessed atomically, owning structs never copied
 //	detorder     no map-ordered iteration feeding rendered output
-//	exposition   every telemetry.Metrics counter wired through Snapshot + Prometheus
 //	goleak       every go statement has a reachable join or cancel
 //	hotalloc     //sigil:hot functions stay allocation-free
 //	panicfree    no panic in internal/core, internal/trace, internal/vm

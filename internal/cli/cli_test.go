@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sigil/internal/telemetry"
 )
 
 func TestExitCode(t *testing.T) {
@@ -94,7 +96,7 @@ func TestServedMetricsReflectLiveBlock(t *testing.T) {
 	if err := fs.Parse([]string{"-telemetry-addr", "127.0.0.1:0"}); err != nil {
 		t.Fatal(err)
 	}
-	tel.Metrics().Instrs.Store(4242)
+	tel.Metrics().Store(telemetry.Instrs, 4242)
 	stop, err := tel.Start()
 	if err != nil {
 		t.Fatal(err)

@@ -215,7 +215,7 @@ func runTool(ctx context.Context, tool *Tool, p *vm.Program, opts Options, input
 	if b := opts.Trace; b != nil {
 		prev := b.SetMetrics(tel)
 		defer b.SetMetrics(prev)
-		tracing.Flight().Record(tracing.KindPhase, "run:start", tel.RunEpoch.Load(), 0)
+		tracing.Flight().Record(tracing.KindPhase, "run:start", tel.Load(telemetry.RunEpoch), 0)
 		runSpan = b.Start("run")
 	}
 

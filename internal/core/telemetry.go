@@ -15,7 +15,7 @@ import (
 func (t *Tool) sampleInto(m *telemetry.Metrics) {
 	t.sampleRun(m)
 	t.publish(m)
-	m.Samples.Add(1)
+	m.Add(telemetry.Samples, 1)
 }
 
 // poll takes the sample of one machine poll point (every
@@ -37,18 +37,18 @@ func (t *Tool) poll() {
 	t.sampleRun(m)
 	s := tracing.Sample{
 		TimeNanos: time.Now().UnixNano(),
-		Instrs:    m.Instrs.Load(),
-		HeapBytes: m.HeapBytes.Load(),
-		Events:    m.EventsEmitted.Load(),
+		Instrs:    m.Load(telemetry.Instrs),
+		HeapBytes: m.Load(telemetry.HeapBytes),
+		Events:    m.Load(telemetry.EventsEmitted),
 	}
 	if t.pipe != nil {
 		t.send(record{op: opSample, addr: s.Instrs, n: s.HeapBytes, now: uint64(s.TimeNanos), call: s.Events})
 		return
 	}
 	t.publish(m)
-	m.Samples.Add(1)
+	m.Add(telemetry.Samples, 1)
 	if b := t.opts.Trace; b != nil {
-		s.ShadowBytes = m.ShadowBytesResident.Load()
+		s.ShadowBytes = m.Load(telemetry.ShadowBytesResident)
 		pollSample(b, s)
 	}
 }
@@ -64,39 +64,39 @@ func pollSample(b *tracing.Buf, s tracing.Sample) {
 // substrate's, the trace's and the event sink's.
 func (t *Tool) sampleRun(m *telemetry.Metrics) {
 	live := t.sub.Live()
-	m.Instrs.Store(live.Instrs)
-	m.CallDepth.Store(uint64(live.CallDepth))
-	m.Contexts.Store(uint64(live.Contexts))
-	m.HeapBytes.Store(live.HeapBytes)
-	m.MemPages.Store(uint64(live.MemPages))
-	m.CacheAccesses.Store(live.Cache.Accesses)
-	m.CacheL1Misses.Store(live.Cache.L1Misses)
-	m.CacheLLMisses.Store(live.Cache.LLMisses)
-	m.CachePrefetches.Store(live.Cache.Prefetches)
-	m.Branches.Store(live.Branches)
-	m.BranchMispredicts.Store(live.Mispredicts)
-	m.ClassifyWaits.Store(t.waits)
+	m.Store(telemetry.Instrs, live.Instrs)
+	m.Store(telemetry.CallDepth, uint64(live.CallDepth))
+	m.Store(telemetry.Contexts, uint64(live.Contexts))
+	m.Store(telemetry.HeapBytes, live.HeapBytes)
+	m.Store(telemetry.MemPages, uint64(live.MemPages))
+	m.Store(telemetry.CacheAccesses, live.Cache.Accesses)
+	m.Store(telemetry.CacheL1Misses, live.Cache.L1Misses)
+	m.Store(telemetry.CacheLLMisses, live.Cache.LLMisses)
+	m.Store(telemetry.CachePrefetches, live.Cache.Prefetches)
+	m.Store(telemetry.Branches, live.Branches)
+	m.Store(telemetry.BranchMispredicts, live.Mispredicts)
+	m.Store(telemetry.ClassifyWaits, t.waits)
 
 	if b := t.opts.Trace; b != nil {
-		m.TraceSpans.Store(b.Recorder().SpanCount())
+		m.Store(telemetry.TraceSpans, b.Recorder().SpanCount())
 		fl := tracing.Flight()
-		m.FlightRecorded.Store(fl.Recorded())
-		m.FlightOverwritten.Store(fl.Overwritten())
+		m.Store(telemetry.FlightRecorded, fl.Recorded())
+		m.Store(telemetry.FlightOverwritten, fl.Overwritten())
 	}
 
-	m.EventsEmitted.Store(t.emitted)
+	m.Store(telemetry.EventsEmitted, t.emitted)
 	if t.evStats != nil {
 		ws := t.evStats()
-		m.EventQueueDepth.Store(uint64(ws.QueueDepth))
-		m.EventEmitStalls.Store(ws.Stalls)
-		m.EventFrames.Store(ws.Frames)
-		m.EventBytesCompressed.Store(ws.CompressedBytes)
-		m.EventsDropped.Store(ws.Dropped)
-		m.EventRetries.Store(ws.Retries)
+		m.Store(telemetry.EventQueueDepth, uint64(ws.QueueDepth))
+		m.Store(telemetry.EventEmitStalls, ws.Stalls)
+		m.Store(telemetry.EventFrames, ws.Frames)
+		m.Store(telemetry.EventBytesCompressed, ws.CompressedBytes)
+		m.Store(telemetry.EventsDropped, ws.Dropped)
+		m.Store(telemetry.EventRetries, ws.Retries)
 		if ws.Degraded {
-			m.EventSinkDegraded.Store(1)
+			m.Store(telemetry.EventSinkDegraded, 1)
 		} else {
-			m.EventSinkDegraded.Store(0)
+			m.Store(telemetry.EventSinkDegraded, 0)
 		}
 	}
 }
@@ -108,29 +108,29 @@ func (c *classifier) publish(m *telemetry.Metrics) {
 	for i := range c.comm {
 		cs.Add(c.comm[i])
 	}
-	m.InputUniqueBytes.Store(cs.InputUnique)
-	m.InputNonUniqueBytes.Store(cs.InputNonUnique)
-	m.OutputUniqueBytes.Store(cs.OutputUnique)
-	m.OutputNonUniqueBytes.Store(cs.OutputNonUnique)
-	m.LocalUniqueBytes.Store(cs.LocalUnique)
-	m.LocalNonUniqueBytes.Store(cs.LocalNonUnique)
+	m.Store(telemetry.InputUniqueBytes, cs.InputUnique)
+	m.Store(telemetry.InputNonUniqueBytes, cs.InputNonUnique)
+	m.Store(telemetry.OutputUniqueBytes, cs.OutputUnique)
+	m.Store(telemetry.OutputNonUniqueBytes, cs.OutputNonUnique)
+	m.Store(telemetry.LocalUniqueBytes, cs.LocalUnique)
+	m.Store(telemetry.LocalNonUniqueBytes, cs.LocalNonUnique)
 
 	sh := c.shadow
 	perChunk := sh.bytesPerChunk()
 	resident := uint64(len(sh.chunks))
-	m.ShadowChunksAllocated.Store(sh.allocated)
-	m.ShadowChunksLive.Store(resident)
-	m.ShadowChunksEvicted.Store(sh.evicted)
-	m.ShadowChunksPeak.Store(uint64(sh.peakLive))
-	m.ShadowBytesResident.Store(resident * perChunk)
-	m.ShadowBytesPeak.Store(uint64(sh.peakLive) * perChunk)
-	m.ShadowCacheHits.Store(sh.cacheHits)
-	m.ShadowCacheMisses.Store(sh.cacheMisses)
-	m.ShadowChunksRecycled.Store(sh.recycled)
+	m.Store(telemetry.ShadowChunksAllocated, sh.allocated)
+	m.Store(telemetry.ShadowChunksLive, resident)
+	m.Store(telemetry.ShadowChunksEvicted, sh.evicted)
+	m.Store(telemetry.ShadowChunksPeak, uint64(sh.peakLive))
+	m.Store(telemetry.ShadowBytesResident, resident*perChunk)
+	m.Store(telemetry.ShadowBytesPeak, uint64(sh.peakLive)*perChunk)
+	m.Store(telemetry.ShadowCacheHits, sh.cacheHits)
+	m.Store(telemetry.ShadowCacheMisses, sh.cacheMisses)
+	m.Store(telemetry.ShadowChunksRecycled, sh.recycled)
 
-	m.ClassifySpans.Store(c.spans)
-	m.ClassifyRuns.Store(c.runs)
-	m.ClassifyGranules.Store(c.granules)
+	m.Store(telemetry.ClassifySpans, c.spans)
+	m.Store(telemetry.ClassifyRuns, c.runs)
+	m.Store(telemetry.ClassifyGranules, c.granules)
 }
 
 // finalSnapshot takes the end-of-run sample and freezes it for the Result.
@@ -145,6 +145,6 @@ func finalSnapshot(tool *Tool, m *telemetry.Metrics, opts Options, start time.Ti
 	}
 	tool.sampleInto(m)
 	snap := m.Snapshot()
-	snap.WallNanos = int64(wall)
+	snap[telemetry.WallNanos] = uint64(wall)
 	return &snap
 }

@@ -9,6 +9,7 @@ import (
 
 	"sigil/internal/telemetry"
 	"sigil/internal/trace"
+	"sigil/internal/workloads"
 )
 
 // TestFinalSnapshotMatchesResult reconciles the telemetry counters against
@@ -26,49 +27,49 @@ func TestFinalSnapshotMatchesResult(t *testing.T) {
 		t.Fatal("Result.Telemetry not populated")
 	}
 
-	if snap.Instrs != res.Profile.TotalInstrs {
-		t.Errorf("Instrs = %d, Profile.TotalInstrs = %d", snap.Instrs, res.Profile.TotalInstrs)
+	if snap[telemetry.Instrs] != res.Profile.TotalInstrs {
+		t.Errorf("Instrs = %d, Profile.TotalInstrs = %d", snap[telemetry.Instrs], res.Profile.TotalInstrs)
 	}
-	if snap.EventsEmitted != uint64(len(buf.Events)) {
-		t.Errorf("EventsEmitted = %d, buffer holds %d", snap.EventsEmitted, len(buf.Events))
+	if snap[telemetry.EventsEmitted] != uint64(len(buf.Events)) {
+		t.Errorf("EventsEmitted = %d, buffer holds %d", snap[telemetry.EventsEmitted], len(buf.Events))
 	}
-	if snap.Contexts != uint64(len(res.Profile.Nodes)) {
-		t.Errorf("Contexts = %d, profile has %d", snap.Contexts, len(res.Profile.Nodes))
+	if snap[telemetry.Contexts] != uint64(len(res.Profile.Nodes)) {
+		t.Errorf("Contexts = %d, profile has %d", snap[telemetry.Contexts], len(res.Profile.Nodes))
 	}
 
 	total := res.TotalCommunicated()
-	if snap.InputUniqueBytes != total.InputUnique ||
-		snap.InputNonUniqueBytes != total.InputNonUnique ||
-		snap.OutputUniqueBytes != total.OutputUnique ||
-		snap.OutputNonUniqueBytes != total.OutputNonUnique ||
-		snap.LocalUniqueBytes != total.LocalUnique ||
-		snap.LocalNonUniqueBytes != total.LocalNonUnique {
+	if snap[telemetry.InputUniqueBytes] != total.InputUnique ||
+		snap[telemetry.InputNonUniqueBytes] != total.InputNonUnique ||
+		snap[telemetry.OutputUniqueBytes] != total.OutputUnique ||
+		snap[telemetry.OutputNonUniqueBytes] != total.OutputNonUnique ||
+		snap[telemetry.LocalUniqueBytes] != total.LocalUnique ||
+		snap[telemetry.LocalNonUniqueBytes] != total.LocalNonUnique {
 		t.Errorf("comm axes diverge: snapshot %+v, result %+v", snap, total)
 	}
 
 	sh := res.Shadow
-	if snap.ShadowChunksAllocated != sh.ChunksAllocated ||
-		snap.ShadowChunksLive != sh.ChunksLive ||
-		snap.ShadowChunksEvicted != sh.ChunksEvicted ||
-		snap.ShadowChunksPeak != sh.PeakLiveChunks {
+	if snap[telemetry.ShadowChunksAllocated] != sh.ChunksAllocated ||
+		snap[telemetry.ShadowChunksLive] != sh.ChunksLive ||
+		snap[telemetry.ShadowChunksEvicted] != sh.ChunksEvicted ||
+		snap[telemetry.ShadowChunksPeak] != sh.PeakLiveChunks {
 		t.Errorf("shadow chunks diverge: snapshot %+v, result %+v", snap, sh)
 	}
-	if snap.ShadowBytesPeak != sh.PeakBytes {
-		t.Errorf("ShadowBytesPeak = %d, result %d", snap.ShadowBytesPeak, sh.PeakBytes)
+	if snap[telemetry.ShadowBytesPeak] != sh.PeakBytes {
+		t.Errorf("ShadowBytesPeak = %d, result %d", snap[telemetry.ShadowBytesPeak], sh.PeakBytes)
 	}
-	if snap.ShadowBytesResident != sh.ChunksLive*sh.BytesPerChunk {
-		t.Errorf("ShadowBytesResident = %d, want %d", snap.ShadowBytesResident, sh.ChunksLive*sh.BytesPerChunk)
+	if snap[telemetry.ShadowBytesResident] != sh.ChunksLive*sh.BytesPerChunk {
+		t.Errorf("ShadowBytesResident = %d, want %d", snap[telemetry.ShadowBytesResident], sh.ChunksLive*sh.BytesPerChunk)
 	}
 
-	if snap.WallNanos != int64(res.Wall) {
-		t.Errorf("WallNanos = %d, res.Wall = %d", snap.WallNanos, res.Wall)
+	if snap[telemetry.WallNanos] != uint64(res.Wall) {
+		t.Errorf("WallNanos = %d, res.Wall = %d", snap[telemetry.WallNanos], res.Wall)
 	}
-	if snap.Samples == 0 {
+	if snap[telemetry.Samples] == 0 {
 		t.Error("no sampler invocations recorded")
 	}
 	// The caller's live block saw the same final sample.
-	if live := m.Snapshot(); live.Instrs != snap.Instrs {
-		t.Errorf("live metrics (%d instrs) diverge from snapshot (%d)", live.Instrs, snap.Instrs)
+	if live := m.Snapshot(); live[telemetry.Instrs] != snap[telemetry.Instrs] {
+		t.Errorf("live metrics (%d instrs) diverge from snapshot (%d)", live[telemetry.Instrs], snap[telemetry.Instrs])
 	}
 }
 
@@ -97,17 +98,17 @@ func TestSampleIntoCarriesWriterStats(t *testing.T) {
 	if st.Frames == 0 {
 		t.Fatal("writer wrote no frames")
 	}
-	if snap.EventFrames != st.Frames {
-		t.Errorf("EventFrames = %d, writer reports %d", snap.EventFrames, st.Frames)
+	if snap[telemetry.EventFrames] != st.Frames {
+		t.Errorf("EventFrames = %d, writer reports %d", snap[telemetry.EventFrames], st.Frames)
 	}
-	if snap.EventBytesCompressed != st.CompressedBytes {
-		t.Errorf("EventBytesCompressed = %d, writer reports %d", snap.EventBytesCompressed, st.CompressedBytes)
+	if snap[telemetry.EventBytesCompressed] != st.CompressedBytes {
+		t.Errorf("EventBytesCompressed = %d, writer reports %d", snap[telemetry.EventBytesCompressed], st.CompressedBytes)
 	}
-	if snap.EventQueueDepth != 0 {
-		t.Errorf("EventQueueDepth = %d after Close", snap.EventQueueDepth)
+	if snap[telemetry.EventQueueDepth] != 0 {
+		t.Errorf("EventQueueDepth = %d after Close", snap[telemetry.EventQueueDepth])
 	}
-	if snap.EventEmitStalls != st.Stalls {
-		t.Errorf("EventEmitStalls = %d, writer reports %d", snap.EventEmitStalls, st.Stalls)
+	if snap[telemetry.EventEmitStalls] != st.Stalls {
+		t.Errorf("EventEmitStalls = %d, writer reports %d", snap[telemetry.EventEmitStalls], st.Stalls)
 	}
 }
 
@@ -130,14 +131,41 @@ func TestSnapshotCarriesWriterStats(t *testing.T) {
 	}
 	st := sink.Stats()
 	snap := res.Telemetry
-	if snap.EventsEmitted != st.Events {
-		t.Errorf("EventsEmitted = %d, sink accepted %d", snap.EventsEmitted, st.Events)
+	if snap[telemetry.EventsEmitted] != st.Events {
+		t.Errorf("EventsEmitted = %d, sink accepted %d", snap[telemetry.EventsEmitted], st.Events)
 	}
-	if snap.EventFrames > st.Frames {
-		t.Errorf("EventFrames = %d exceeds final %d", snap.EventFrames, st.Frames)
+	if snap[telemetry.EventFrames] > st.Frames {
+		t.Errorf("EventFrames = %d exceeds final %d", snap[telemetry.EventFrames], st.Frames)
 	}
-	if snap.EventBytesCompressed > st.CompressedBytes {
-		t.Errorf("EventBytesCompressed = %d exceeds final %d", snap.EventBytesCompressed, st.CompressedBytes)
+	if snap[telemetry.EventBytesCompressed] > st.CompressedBytes {
+		t.Errorf("EventBytesCompressed = %d exceeds final %d", snap[telemetry.EventBytesCompressed], st.CompressedBytes)
+	}
+}
+
+// TestSharedMetricsSamplesPerRun: two runs that share one Metrics block,
+// as sigil-report's two profiles do, each report the samples of their own
+// run, the same as a run on a fresh block, on both schedules.
+func TestSharedMetricsSamplesPerRun(t *testing.T) {
+	prog, input, err := workloads.Build("fft", workloads.SimSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 2} {
+		_, fresh, err := runAt(t, procs, prog, input, Options{Telemetry: &telemetry.Metrics{}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fresh.Telemetry[telemetry.Samples]
+		shared := &telemetry.Metrics{}
+		for run := 1; run <= 2; run++ {
+			_, res, err := runAt(t, procs, prog, input, Options{Telemetry: shared}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Telemetry[telemetry.Samples]; got != want {
+				t.Errorf("GOMAXPROCS %d, run %d on a shared block: %d samples, a fresh run %d", procs, run, got, want)
+			}
+		}
 	}
 }
 
@@ -152,8 +180,8 @@ func TestSnapshotWithoutMetrics(t *testing.T) {
 	if res.Telemetry == nil {
 		t.Fatal("Result.Telemetry nil without Options.Telemetry")
 	}
-	if res.Telemetry.Instrs != res.Profile.TotalInstrs {
-		t.Errorf("Instrs = %d, want %d", res.Telemetry.Instrs, res.Profile.TotalInstrs)
+	if res.Telemetry[telemetry.Instrs] != res.Profile.TotalInstrs {
+		t.Errorf("Instrs = %d, want %d", res.Telemetry[telemetry.Instrs], res.Profile.TotalInstrs)
 	}
 }
 
@@ -164,11 +192,11 @@ func TestSnapshotCarriesBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Telemetry.BudgetInstrs != 1<<30 {
-		t.Errorf("BudgetInstrs = %d", res.Telemetry.BudgetInstrs)
+	if res.Telemetry[telemetry.BudgetInstrs] != 1<<30 {
+		t.Errorf("BudgetInstrs = %d", res.Telemetry[telemetry.BudgetInstrs])
 	}
-	if res.Telemetry.BudgetWallNanos != int64(time.Hour) {
-		t.Errorf("BudgetWallNanos = %d", res.Telemetry.BudgetWallNanos)
+	if res.Telemetry[telemetry.BudgetWallNanos] != uint64(time.Hour) {
+		t.Errorf("BudgetWallNanos = %d", res.Telemetry[telemetry.BudgetWallNanos])
 	}
 }
 
@@ -195,11 +223,11 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 					return
 				default:
 					s := m.Snapshot()
-					if s.Instrs < lastInstrs {
-						t.Errorf("instruction counter went backwards: %d -> %d", lastInstrs, s.Instrs)
+					if s[telemetry.Instrs] < lastInstrs {
+						t.Errorf("instruction counter went backwards: %d -> %d", lastInstrs, s[telemetry.Instrs])
 						return
 					}
-					lastInstrs = s.Instrs
+					lastInstrs = s[telemetry.Instrs]
 				}
 			}
 		}()

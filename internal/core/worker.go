@@ -159,13 +159,13 @@ func (w *worker) run(c *classifier, b []record) {
 // the worker's track and in the flight recorder.
 func (w *worker) sample(c *classifier, r *record) {
 	c.publish(w.tel)
-	w.tel.Samples.Add(1)
+	w.tel.Add(telemetry.Samples, 1)
 	if w.trace != nil {
 		pollSample(w.trace, tracing.Sample{
 			TimeNanos:   int64(r.now),
 			Instrs:      r.addr,
 			HeapBytes:   r.n,
-			ShadowBytes: w.tel.ShadowBytesResident.Load(),
+			ShadowBytes: w.tel.Load(telemetry.ShadowBytesResident),
 			Events:      r.call,
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -42,13 +43,15 @@ func runAt(t *testing.T, procs int, prog *vm.Program, input []byte, opts Options
 // shadow table produce; both paths must agree on every one.
 func classifyCounters(s *telemetry.Snapshot) []uint64 {
 	return []uint64{
-		s.InputUniqueBytes, s.InputNonUniqueBytes,
-		s.OutputUniqueBytes, s.OutputNonUniqueBytes,
-		s.LocalUniqueBytes, s.LocalNonUniqueBytes,
-		s.ShadowChunksAllocated, s.ShadowChunksLive, s.ShadowChunksEvicted,
-		s.ShadowChunksPeak, s.ShadowBytesResident, s.ShadowBytesPeak,
-		s.ShadowCacheHits, s.ShadowCacheMisses, s.ShadowChunksRecycled,
-		s.ClassifySpans, s.ClassifyRuns, s.ClassifyGranules, s.Samples,
+		s[telemetry.InputUniqueBytes], s[telemetry.InputNonUniqueBytes],
+		s[telemetry.OutputUniqueBytes], s[telemetry.OutputNonUniqueBytes],
+		s[telemetry.LocalUniqueBytes], s[telemetry.LocalNonUniqueBytes],
+		s[telemetry.ShadowChunksAllocated], s[telemetry.ShadowChunksLive],
+		s[telemetry.ShadowChunksEvicted], s[telemetry.ShadowChunksPeak],
+		s[telemetry.ShadowBytesResident], s[telemetry.ShadowBytesPeak],
+		s[telemetry.ShadowCacheHits], s[telemetry.ShadowCacheMisses],
+		s[telemetry.ShadowChunksRecycled], s[telemetry.ClassifySpans],
+		s[telemetry.ClassifyRuns], s[telemetry.ClassifyGranules], s[telemetry.Samples],
 	}
 }
 
@@ -412,7 +415,7 @@ func TestClassifyWaits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w := res.Telemetry.ClassifyWaits; w != 0 {
+		if w := res.Telemetry[telemetry.ClassifyWaits]; w != 0 {
 			t.Errorf("%s: classify_waits = %d, want 0", c.name, w)
 		}
 	}
@@ -433,11 +436,11 @@ func TestClassifyWaits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waits := res.Telemetry.ClassifyWaits
+	waits := res.Telemetry[telemetry.ClassifyWaits]
 	if waits == 0 {
 		t.Fatal("classify_waits = 0 behind a slowed worker")
 	}
-	if live := opts.Telemetry.ClassifyWaits.Load(); live != waits {
+	if live := opts.Telemetry.Load(telemetry.ClassifyWaits); live != waits {
 		t.Errorf("live counter %d, result %d", live, waits)
 	}
 	var prom bytes.Buffer
@@ -447,8 +450,8 @@ func TestClassifyWaits(t *testing.T) {
 	if !strings.Contains(prom.String(), "\nsigil_classify_waits_total ") {
 		t.Error("Prometheus output has no sigil_classify_waits_total")
 	}
-	if !strings.Contains(res.Telemetry.Text(), " waits on the worker") {
-		t.Error("text dump has no classify waits")
+	if dump := res.Telemetry.Text(); !strings.Contains(dump, " classify_waits "+strconv.FormatUint(waits, 10)) {
+		t.Errorf("text dump has no classify_waits %d:\n%s", waits, dump)
 	}
 
 	rep := tracing.NewReport("sigil", rec)

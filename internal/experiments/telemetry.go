@@ -3,6 +3,7 @@ package experiments
 import (
 	"time"
 
+	"sigil/internal/telemetry"
 	"sigil/internal/workloads"
 )
 
@@ -37,11 +38,11 @@ func (s *Suite) RunTelemetry() (*TelemetryResult, error) {
 		}
 		row := TelemetryRow{Name: name, Wall: r.Wall}
 		if t := r.Telemetry; t != nil {
-			row.Instrs = t.Instrs
+			row.Instrs = t[telemetry.Instrs]
 			row.InstrsPerSec = t.InstrsPerSec(time.Time{})
-			row.PeakShadowChunks = t.ShadowChunksPeak
-			row.PeakShadowBytes = t.ShadowBytesPeak
-			row.Events = t.EventsEmitted
+			row.PeakShadowChunks = t[telemetry.ShadowChunksPeak]
+			row.PeakShadowBytes = t[telemetry.ShadowBytesPeak]
+			row.Events = t[telemetry.EventsEmitted]
 		}
 		out.Rows = append(out.Rows, row)
 	}

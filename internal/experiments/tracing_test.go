@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"sigil/internal/telemetry"
 	"sigil/internal/tracing"
 	"sigil/internal/workloads"
 )
@@ -57,17 +58,17 @@ func testSpanReconciliation(t *testing.T, workers int) {
 			if res.Telemetry == nil {
 				t.Fatalf("%s: result has no telemetry snapshot", label)
 			}
-			if sp.Deltas.Instrs != res.Telemetry.Instrs {
+			if sp.Deltas.Instrs != res.Telemetry[telemetry.Instrs] {
 				t.Errorf("%s: span instrs %d != telemetry instrs %d",
-					label, sp.Deltas.Instrs, res.Telemetry.Instrs)
+					label, sp.Deltas.Instrs, res.Telemetry[telemetry.Instrs])
 			}
-			if sp.Deltas.Events != res.Telemetry.EventsEmitted {
+			if sp.Deltas.Events != res.Telemetry[telemetry.EventsEmitted] {
 				t.Errorf("%s: span events %d != telemetry events %d",
-					label, sp.Deltas.Events, res.Telemetry.EventsEmitted)
+					label, sp.Deltas.Events, res.Telemetry[telemetry.EventsEmitted])
 			}
-			if sp.Deltas.ShadowBytes != res.Telemetry.ShadowBytesResident {
+			if sp.Deltas.ShadowBytes != res.Telemetry[telemetry.ShadowBytesResident] {
 				t.Errorf("%s: span shadow bytes %d != telemetry resident %d",
-					label, sp.Deltas.ShadowBytes, res.Telemetry.ShadowBytesResident)
+					label, sp.Deltas.ShadowBytes, res.Telemetry[telemetry.ShadowBytesResident])
 			}
 		}
 		// The event-trace run records on its own track too.

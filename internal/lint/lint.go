@@ -1,9 +1,9 @@
 // Package lint is sigil's project-specific analyzer suite. Each analyzer
 // encodes an invariant a past PR fixed the hard way — panics that destroyed
-// salvageable runs, atomics read non-atomically, sink errors silently
-// dropped, telemetry counters that drifted out of the exposition, map
-// iteration leaking nondeterminism into reports — so the next regression is
-// a build failure instead of a debugging session.
+// salvageable runs, sink errors silently dropped, map iteration leaking
+// nondeterminism into reports, allocations on hot paths, goroutines with
+// no join — so the next regression is a build failure instead of a
+// debugging session.
 //
 // A finding can be suppressed where the violation is the documented design
 // (e.g. a recovery boundary that re-panics) by annotating the offending
@@ -17,7 +17,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
@@ -29,9 +28,7 @@ import (
 // All is the full suite, in the order the driver runs them.
 var All = []*analysis.Analyzer{
 	Panicfree,
-	Atomicfield,
 	Sinkerr,
-	Exposition,
 	Detorder,
 	Hotalloc,
 	Goleak,
@@ -144,22 +141,4 @@ func inScope(pkgPath string, suffixes []string) bool {
 		}
 	}
 	return false
-}
-
-// walkStack traverses the AST below root, calling fn with each node and
-// the stack of its ancestors (outermost first, not including n). If fn
-// returns false the node's children are skipped.
-func walkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if !fn(n, stack) {
-			return false
-		}
-		stack = append(stack, n)
-		return true
-	})
 }

@@ -14,20 +14,10 @@ func TestPanicfree(t *testing.T) {
 		"panicfree/internal/core", "panicfree/other")
 }
 
-func TestAtomicfield(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Atomicfield,
-		"atomicfield/internal/telemetry", "atomicfield/internal/core")
-}
-
 func TestSinkerr(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.Sinkerr,
 		"sinkerr/internal/trace", "sinkerr/internal/safeio",
 		"sinkerr/internal/faultinject", "sinkerr/cmd/tool")
-}
-
-func TestExposition(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Exposition,
-		"exposition/internal/telemetry", "exposition/clean/internal/telemetry")
 }
 
 func TestDetorder(t *testing.T) {

@@ -50,26 +50,26 @@ func (h *Heartbeat) beat(prev *Snapshot, prevAt *time.Time, final bool) {
 
 	ips := 0.0
 	if elapsed > 0 {
-		ips = float64(delta(cur.Instrs, prev.Instrs)) / elapsed.Seconds()
+		ips = float64(cur.Delta(*prev, Instrs)) / elapsed.Seconds()
 	}
 	attrs := []any{
-		slog.Uint64("instrs", cur.Instrs),
+		slog.Uint64("instrs", cur[Instrs]),
 		slog.Float64("instrs_per_sec", ips),
-		slog.Uint64("shadow_chunks", cur.ShadowChunksLive),
-		slog.Float64("shadow_mib", float64(cur.ShadowBytesResident)/(1<<20)),
-		slog.Uint64("shadow_growth_chunks", delta(cur.ShadowChunksAllocated, prev.ShadowChunksAllocated)),
-		slog.Uint64("events", cur.EventsEmitted),
-		slog.Uint64("contexts", cur.Contexts),
+		slog.Uint64("shadow_chunks", cur[ShadowChunksLive]),
+		slog.Float64("shadow_mib", float64(cur[ShadowBytesResident])/(1<<20)),
+		slog.Uint64("shadow_growth_chunks", cur.Delta(*prev, ShadowChunksAllocated)),
+		slog.Uint64("events", cur[EventsEmitted]),
+		slog.Uint64("contexts", cur[Contexts]),
 	}
-	if b := cur.BudgetInstrs; b > 0 {
+	if b := cur[BudgetInstrs]; b > 0 {
 		left := uint64(0)
-		if cur.Instrs < b {
-			left = b - cur.Instrs
+		if cur[Instrs] < b {
+			left = b - cur[Instrs]
 		}
 		attrs = append(attrs, slog.Uint64("budget_instrs_left", left))
 	}
-	if b := cur.BudgetWallNanos; b > 0 && cur.RunStartNanos > 0 {
-		left := time.Duration(cur.RunStartNanos + b - now.UnixNano())
+	if b := int64(cur[BudgetWallNanos]); b > 0 && cur[RunStartNanos] > 0 {
+		left := time.Duration(int64(cur[RunStartNanos]) + b - now.UnixNano())
 		if left < 0 {
 			left = 0
 		}

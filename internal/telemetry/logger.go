@@ -24,13 +24,3 @@ func NewLogger(w io.Writer, format string, level slog.Leveler) (*slog.Logger, er
 		return nil, fmt.Errorf("telemetry: unknown log format %q (want text or json)", format)
 	}
 }
-
-// delta is a reset-tolerant subtraction: BeginRun zeroes counters, so a
-// heartbeat interval straddling run boundaries reports the new run's
-// absolute value rather than a wrapped difference.
-func delta(cur, base uint64) uint64 {
-	if cur < base {
-		return cur
-	}
-	return cur - base
-}

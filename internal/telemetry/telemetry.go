@@ -3,409 +3,290 @@
 // that emits nothing until it finishes (or trips a budget) is a black box;
 // this package turns it into an observable process at negligible cost.
 //
+// Every counter is declared once, as a row of the counters table: its JSON
+// key, Prometheus series, kind, help text and the layer of the run that
+// produces it. A Counter constant indexes the rows, the atomic slots of
+// Metrics and the values of a Snapshot; the reset in BeginRun, Snapshot,
+// the text dump, JSON and Prometheus output are loops over the table.
+// Adding a counter takes one row plus the line in core that samples it.
+//
 // The design is single-writer/multi-reader: the run goroutine publishes
 // counters with atomic stores from the interpreter's existing
 // 16K-instruction poll point (so the hot dispatch loop itself pays
 // nothing) — a run that classifies on a worker goroutine leaves the
 // classification and shadow counters to the worker until the run ends, so
-// each counter still has one writer at a time — and any number of readers — the progress heartbeat, the
-// /metrics endpoint, expvar — take consistent-enough point-in-time
-// snapshots with atomic loads. No locks, no channels, no allocation on the
-// sampling path.
+// each counter still has one writer at a time — and any number of readers
+// — the progress heartbeat, the /metrics endpoint, expvar — take
+// consistent-enough point-in-time snapshots with atomic loads. No locks, no
+// channels, no allocation on the sampling path.
 package telemetry
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 )
 
-// Metrics is the shared live-counter block for one profiling process. All
-// fields are owned by the sampler (the run goroutine, or its
-// classification worker for the classification and shadow counters);
-// readers must go through Snapshot. The zero value is ready to use.
-type Metrics struct {
-	// Run framing, stored by BeginRun.
-	RunEpoch        atomic.Uint64 // runs begun in this process
-	RunStartNanos   atomic.Int64  // wall-clock start of the current run
-	BudgetInstrs    atomic.Uint64 // retired-instruction budget (0 = unlimited)
-	BudgetWallNanos atomic.Int64  // wall-clock budget (0 = unlimited)
+// Counter indexes one row of the counters table.
+type Counter int
 
-	// Interpreter progress.
-	Instrs    atomic.Uint64 // instructions retired
-	CallDepth atomic.Uint64 // live call-stack depth
-	Contexts  atomic.Uint64 // calling contexts materialized
-	HeapBytes atomic.Uint64 // bytes bump-allocated by the program
-	MemPages  atomic.Uint64 // program memory pages materialized
+// The counters, grouped by layer in the order the text dump prints them.
+const (
+	Instrs Counter = iota
+	CallDepth
+	HeapBytes
+	MemPages
 
-	// Communication classification (the paper's two axes).
-	InputUniqueBytes     atomic.Uint64
-	InputNonUniqueBytes  atomic.Uint64
-	OutputUniqueBytes    atomic.Uint64
-	OutputNonUniqueBytes atomic.Uint64
-	LocalUniqueBytes     atomic.Uint64
-	LocalNonUniqueBytes  atomic.Uint64
+	Contexts
+	CacheAccesses
+	CacheL1Misses
+	CacheLLMisses
+	CachePrefetches
+	Branches
+	BranchMispredicts
 
-	// Shadow memory footprint.
-	ShadowChunksAllocated atomic.Uint64
-	ShadowChunksLive      atomic.Uint64
-	ShadowChunksEvicted   atomic.Uint64
-	ShadowChunksPeak      atomic.Uint64
-	ShadowBytesResident   atomic.Uint64
-	ShadowBytesPeak       atomic.Uint64
+	InputUniqueBytes
+	InputNonUniqueBytes
+	OutputUniqueBytes
+	OutputNonUniqueBytes
+	LocalUniqueBytes
+	LocalNonUniqueBytes
+	ShadowChunksAllocated
+	ShadowChunksLive
+	ShadowChunksEvicted
+	ShadowChunksPeak
+	ShadowBytesResident
+	ShadowBytesPeak
+	ShadowCacheHits
+	ShadowCacheMisses
+	ShadowChunksRecycled
+	ClassifySpans
+	ClassifyRuns
+	ClassifyGranules
+	ClassifyWaits
 
-	// Shadow lookup machinery: direct-mapped chunk-cache effectiveness and
-	// buffer recycling under the FIFO limit.
-	ShadowCacheHits      atomic.Uint64
-	ShadowCacheMisses    atomic.Uint64
-	ShadowChunksRecycled atomic.Uint64
+	EventsEmitted
+	EventQueueDepth
+	EventEmitStalls
+	EventFrames
+	EventBytesCompressed
+	EventsDropped
+	EventRetries
+	EventSinkDegraded
 
-	// Batched classifier amortization: per-chunk spans classified, the
-	// state-uniform runs within them, and the granules those runs covered
-	// (granules/runs is the average batching factor).
-	ClassifySpans    atomic.Uint64
-	ClassifyRuns     atomic.Uint64
-	ClassifyGranules atomic.Uint64
+	TraceSpans
+	FlightRecorded
+	FlightOverwritten
 
-	// ClassifyWaits counts the times the interpreter goroutine blocked on
-	// the classification worker: no free batch at a hand-off, or a drain
-	// for the shadow-chunk budget or at the end of the run that found
-	// records not yet applied. It stays 0 on inline runs.
-	ClassifyWaits atomic.Uint64
+	RunEpoch
+	RunStartNanos
+	BudgetInstrs
+	BudgetWallNanos
+	Samples
+	WallNanos
 
-	// Event-file emission. EventsEmitted counts records accepted by the
-	// sink; the rest mirror the async v3 writer's pipeline: batches queued
-	// for the background encoder, Emit hand-offs that blocked on it, frames
-	// written, and their on-wire (compressed) size.
-	EventsEmitted        atomic.Uint64
-	EventQueueDepth      atomic.Uint64
-	EventEmitStalls      atomic.Uint64
-	EventFrames          atomic.Uint64
-	EventBytesCompressed atomic.Uint64
+	numCounters
+)
 
-	// Event-sink failure handling: events the writer discarded instead of
-	// persisting (exact loss), sink writes the retry layer repeated, and
-	// whether a degraded-mode writer has started shedding (0/1).
-	EventsDropped     atomic.Uint64
-	EventRetries      atomic.Uint64
-	EventSinkDegraded atomic.Uint64
-
-	// Substrate simulation.
-	CacheAccesses     atomic.Uint64
-	CacheL1Misses     atomic.Uint64
-	CacheLLMisses     atomic.Uint64
-	CachePrefetches   atomic.Uint64
-	Branches          atomic.Uint64
-	BranchMispredicts atomic.Uint64
-
-	// Run tracing: completed spans recorded by the tracing recorder, and
-	// the flight-recorder ring's recorded/overwritten totals. Stored by the
-	// poll-point sampler whenever a tracer is attached to the run.
-	TraceSpans        atomic.Uint64
-	FlightRecorded    atomic.Uint64
-	FlightOverwritten atomic.Uint64
-
-	// Samples counts sampler invocations (one per poll point).
-	Samples atomic.Uint64
+// counter describes one row of the table.
+type counter struct {
+	key      string // JSON key and text-dump label
+	prom     string // Prometheus series; a _seconds series exports nanoseconds as seconds
+	kind     string // Prometheus TYPE: "counter" (a _total series) or "gauge"
+	layer    string // the layer of the run that produces it, one of layers
+	help     string
+	omitZero bool // leave the JSON key out when zero (unlimited budget, live snapshot)
 }
 
-// BeginRun frames a new profiling run: progress counters reset and the
-// run's budgets are published so heartbeats can report remaining headroom.
-func (m *Metrics) BeginRun(start time.Time, budgetInstrs uint64, budgetWall time.Duration) {
-	m.RunEpoch.Add(1)
-	m.RunStartNanos.Store(start.UnixNano())
-	m.BudgetInstrs.Store(budgetInstrs)
-	m.BudgetWallNanos.Store(int64(budgetWall))
+// layers are the layers of a run, in the order the text dump prints them.
+var layers = []string{"vm", "callgrind", "sigil", "events", "trace", "run"}
 
-	for _, c := range []*atomic.Uint64{
-		&m.Instrs, &m.CallDepth, &m.Contexts, &m.HeapBytes, &m.MemPages,
-		&m.InputUniqueBytes, &m.InputNonUniqueBytes,
-		&m.OutputUniqueBytes, &m.OutputNonUniqueBytes,
-		&m.LocalUniqueBytes, &m.LocalNonUniqueBytes,
-		&m.ShadowChunksAllocated, &m.ShadowChunksLive, &m.ShadowChunksEvicted,
-		&m.ShadowChunksPeak, &m.ShadowBytesResident, &m.ShadowBytesPeak,
-		&m.ShadowCacheHits, &m.ShadowCacheMisses, &m.ShadowChunksRecycled,
-		&m.ClassifySpans, &m.ClassifyRuns, &m.ClassifyGranules, &m.ClassifyWaits,
-		&m.EventsEmitted, &m.EventQueueDepth, &m.EventEmitStalls,
-		&m.EventFrames, &m.EventBytesCompressed,
-		&m.EventsDropped, &m.EventRetries, &m.EventSinkDegraded,
-		&m.CacheAccesses, &m.CacheL1Misses, &m.CacheLLMisses, &m.CachePrefetches,
-		&m.Branches, &m.BranchMispredicts,
-		&m.TraceSpans, &m.FlightRecorded, &m.FlightOverwritten,
-	} {
-		c.Store(0)
+var counters = [numCounters]counter{
+	Instrs:    {key: "instrs", prom: "sigil_instructions_total", kind: "counter", layer: "vm", help: "Instructions retired by the current run"},
+	CallDepth: {key: "call_depth", prom: "sigil_call_depth", kind: "gauge", layer: "vm", help: "Live call-stack depth"},
+	HeapBytes: {key: "heap_bytes", prom: "sigil_heap_bytes", kind: "gauge", layer: "vm", help: "Program heap bytes bump-allocated"},
+	MemPages:  {key: "mem_pages", prom: "sigil_mem_pages", kind: "gauge", layer: "vm", help: "Program memory pages materialized"},
+
+	Contexts:          {key: "contexts", prom: "sigil_contexts", kind: "gauge", layer: "callgrind", help: "Calling contexts materialized"},
+	CacheAccesses:     {key: "cache_accesses", prom: "sigil_cache_accesses_total", kind: "counter", layer: "callgrind", help: "Simulated cache accesses"},
+	CacheL1Misses:     {key: "cache_l1_misses", prom: "sigil_cache_l1_misses_total", kind: "counter", layer: "callgrind", help: "Simulated L1 misses"},
+	CacheLLMisses:     {key: "cache_ll_misses", prom: "sigil_cache_ll_misses_total", kind: "counter", layer: "callgrind", help: "Simulated last-level misses"},
+	CachePrefetches:   {key: "cache_prefetches", prom: "sigil_cache_prefetches_total", kind: "counter", layer: "callgrind", help: "Simulated prefetches issued"},
+	Branches:          {key: "branches", prom: "sigil_branches_total", kind: "counter", layer: "callgrind", help: "Simulated conditional branches"},
+	BranchMispredicts: {key: "branch_mispredicts", prom: "sigil_branch_mispredicts_total", kind: "counter", layer: "callgrind", help: "Simulated branch mispredictions"},
+
+	InputUniqueBytes:      {key: "input_unique_bytes", prom: "sigil_comm_input_unique_bytes_total", kind: "counter", layer: "sigil", help: "Unique bytes read from other producers"},
+	InputNonUniqueBytes:   {key: "input_nonunique_bytes", prom: "sigil_comm_input_nonunique_bytes_total", kind: "counter", layer: "sigil", help: "Repeat bytes read from other producers"},
+	OutputUniqueBytes:     {key: "output_unique_bytes", prom: "sigil_comm_output_unique_bytes_total", kind: "counter", layer: "sigil", help: "Unique bytes consumed from this producer"},
+	OutputNonUniqueBytes:  {key: "output_nonunique_bytes", prom: "sigil_comm_output_nonunique_bytes_total", kind: "counter", layer: "sigil", help: "Repeat bytes consumed from this producer"},
+	LocalUniqueBytes:      {key: "local_unique_bytes", prom: "sigil_comm_local_unique_bytes_total", kind: "counter", layer: "sigil", help: "Unique bytes read by their own producer"},
+	LocalNonUniqueBytes:   {key: "local_nonunique_bytes", prom: "sigil_comm_local_nonunique_bytes_total", kind: "counter", layer: "sigil", help: "Repeat bytes read by their own producer"},
+	ShadowChunksAllocated: {key: "shadow_chunks_allocated", prom: "sigil_shadow_chunks_allocated_total", kind: "counter", layer: "sigil", help: "Shadow chunks ever materialized"},
+	ShadowChunksLive:      {key: "shadow_chunks_live", prom: "sigil_shadow_chunks_live", kind: "gauge", layer: "sigil", help: "Shadow chunks currently resident"},
+	ShadowChunksEvicted:   {key: "shadow_chunks_evicted", prom: "sigil_shadow_chunks_evicted_total", kind: "counter", layer: "sigil", help: "Shadow chunks dropped by the FIFO limit"},
+	ShadowChunksPeak:      {key: "shadow_chunks_peak", prom: "sigil_shadow_chunks_peak", kind: "gauge", layer: "sigil", help: "Peak shadow chunks resident"},
+	ShadowBytesResident:   {key: "shadow_bytes_resident", prom: "sigil_shadow_bytes_resident", kind: "gauge", layer: "sigil", help: "Shadow memory bytes currently resident"},
+	ShadowBytesPeak:       {key: "shadow_bytes_peak", prom: "sigil_shadow_bytes_peak", kind: "gauge", layer: "sigil", help: "Peak shadow memory bytes"},
+	ShadowCacheHits:       {key: "shadow_cache_hits", prom: "sigil_shadow_cache_hits_total", kind: "counter", layer: "sigil", help: "Chunk lookups served by the direct-mapped cache"},
+	ShadowCacheMisses:     {key: "shadow_cache_misses", prom: "sigil_shadow_cache_misses_total", kind: "counter", layer: "sigil", help: "Chunk lookups that fell through to the map"},
+	ShadowChunksRecycled:  {key: "shadow_chunks_recycled", prom: "sigil_shadow_chunks_recycled_total", kind: "counter", layer: "sigil", help: "Chunk materializations served by an evicted chunk buffer"},
+	ClassifySpans:         {key: "classify_spans", prom: "sigil_classify_spans_total", kind: "counter", layer: "sigil", help: "Per-chunk spans classified by the batched path"},
+	ClassifyRuns:          {key: "classify_runs", prom: "sigil_classify_runs_total", kind: "counter", layer: "sigil", help: "State-uniform runs classified by the batched path"},
+	ClassifyGranules:      {key: "classify_granules", prom: "sigil_classify_granules_total", kind: "counter", layer: "sigil", help: "Granules covered by batched classification runs"},
+	ClassifyWaits:         {key: "classify_waits", prom: "sigil_classify_waits_total", kind: "counter", layer: "sigil", help: "Times the interpreter blocked on the classification worker"},
+
+	EventsEmitted:        {key: "events_emitted", prom: "sigil_events_emitted_total", kind: "counter", layer: "events", help: "Event-file records emitted"},
+	EventQueueDepth:      {key: "event_queue_depth", prom: "sigil_event_queue_depth", kind: "gauge", layer: "events", help: "Event batches queued for the background encoder"},
+	EventEmitStalls:      {key: "event_emit_stalls", prom: "sigil_event_emit_stalls_total", kind: "counter", layer: "events", help: "Event emissions that blocked on the encoder"},
+	EventFrames:          {key: "event_frames", prom: "sigil_event_frames_total", kind: "counter", layer: "events", help: "Event-file frames written"},
+	EventBytesCompressed: {key: "event_bytes_compressed", prom: "sigil_event_bytes_compressed_total", kind: "counter", layer: "events", help: "Event-file bytes on the wire after compression"},
+	EventsDropped:        {key: "events_dropped", prom: "sigil_events_dropped_total", kind: "counter", layer: "events", help: "Event-file records discarded by the degraded sink (exact loss)"},
+	EventRetries:         {key: "event_retries", prom: "sigil_event_retries_total", kind: "counter", layer: "events", help: "Event-sink writes repeated by the retry layer"},
+	EventSinkDegraded:    {key: "event_sink_degraded", prom: "sigil_event_sink_degraded", kind: "gauge", layer: "events", help: "Whether the event sink has started shedding events (0/1)"},
+
+	TraceSpans:        {key: "trace_spans", prom: "sigil_trace_spans_total", kind: "counter", layer: "trace", help: "Completed tracing spans recorded this run"},
+	FlightRecorded:    {key: "flight_recorded", prom: "sigil_flight_events_total", kind: "counter", layer: "trace", help: "Events recorded into the flight-recorder ring"},
+	FlightOverwritten: {key: "flight_overwritten", prom: "sigil_flight_overwritten_total", kind: "counter", layer: "trace", help: "Flight-recorder events lost to ring wraparound"},
+
+	RunEpoch:        {key: "run_epoch", prom: "sigil_run_epoch", kind: "gauge", layer: "run", help: "Profiling runs begun in this process"},
+	RunStartNanos:   {key: "run_start_nanos", prom: "sigil_run_start_seconds", kind: "gauge", layer: "run", help: "Wall-clock start of the current run"},
+	BudgetInstrs:    {key: "budget_instrs", prom: "sigil_budget_instructions", kind: "gauge", layer: "run", help: "Retired-instruction budget (0 = unlimited)", omitZero: true},
+	BudgetWallNanos: {key: "budget_wall_nanos", prom: "sigil_budget_wall_seconds", kind: "gauge", layer: "run", help: "Wall-clock budget in seconds (0 = unlimited)", omitZero: true},
+	Samples:         {key: "samples", prom: "sigil_samples_total", kind: "counter", layer: "run", help: "Telemetry sampler invocations"},
+	// Set on the final snapshot only, so it has no live series.
+	WallNanos: {key: "wall_nanos", kind: "gauge", layer: "run", help: "Wall-clock duration of the finished run", omitZero: true},
+}
+
+// Metrics is the shared live-counter block for one profiling process, one
+// atomic slot per counter. Each counter is owned by the sampler (the run
+// goroutine, or its classification worker for the classification and
+// shadow counters); readers must go through Snapshot. The zero value is
+// ready to use.
+type Metrics struct {
+	v [numCounters]atomic.Uint64
+}
+
+// Store sets counter c to v.
+func (m *Metrics) Store(c Counter, v uint64) { m.v[c].Store(v) }
+
+// Add adds d to counter c.
+func (m *Metrics) Add(c Counter, d uint64) { m.v[c].Add(d) }
+
+// Load reads counter c.
+func (m *Metrics) Load(c Counter) uint64 { return m.v[c].Load() }
+
+// BeginRun frames a new profiling run: every counter but the run epoch
+// resets, and the run's start and budgets are published so heartbeats can
+// report remaining headroom.
+func (m *Metrics) BeginRun(start time.Time, budgetInstrs uint64, budgetWall time.Duration) {
+	for c := range m.v {
+		if Counter(c) != RunEpoch {
+			m.v[c].Store(0)
+		}
 	}
+	m.Add(RunEpoch, 1)
+	m.Store(RunStartNanos, uint64(start.UnixNano()))
+	m.Store(BudgetInstrs, budgetInstrs)
+	m.Store(BudgetWallNanos, uint64(budgetWall))
 }
 
 // Snapshot returns a point-in-time copy of every counter. Individual loads
 // are atomic; the snapshot as a whole is only as consistent as a running
 // sampler allows, which is exactly what a progress view needs.
 func (m *Metrics) Snapshot() Snapshot {
-	return Snapshot{
-		RunEpoch:        m.RunEpoch.Load(),
-		RunStartNanos:   m.RunStartNanos.Load(),
-		BudgetInstrs:    m.BudgetInstrs.Load(),
-		BudgetWallNanos: m.BudgetWallNanos.Load(),
-
-		Instrs:    m.Instrs.Load(),
-		CallDepth: m.CallDepth.Load(),
-		Contexts:  m.Contexts.Load(),
-		HeapBytes: m.HeapBytes.Load(),
-		MemPages:  m.MemPages.Load(),
-
-		InputUniqueBytes:     m.InputUniqueBytes.Load(),
-		InputNonUniqueBytes:  m.InputNonUniqueBytes.Load(),
-		OutputUniqueBytes:    m.OutputUniqueBytes.Load(),
-		OutputNonUniqueBytes: m.OutputNonUniqueBytes.Load(),
-		LocalUniqueBytes:     m.LocalUniqueBytes.Load(),
-		LocalNonUniqueBytes:  m.LocalNonUniqueBytes.Load(),
-
-		ShadowChunksAllocated: m.ShadowChunksAllocated.Load(),
-		ShadowChunksLive:      m.ShadowChunksLive.Load(),
-		ShadowChunksEvicted:   m.ShadowChunksEvicted.Load(),
-		ShadowChunksPeak:      m.ShadowChunksPeak.Load(),
-		ShadowBytesResident:   m.ShadowBytesResident.Load(),
-		ShadowBytesPeak:       m.ShadowBytesPeak.Load(),
-
-		ShadowCacheHits:      m.ShadowCacheHits.Load(),
-		ShadowCacheMisses:    m.ShadowCacheMisses.Load(),
-		ShadowChunksRecycled: m.ShadowChunksRecycled.Load(),
-
-		ClassifySpans:    m.ClassifySpans.Load(),
-		ClassifyRuns:     m.ClassifyRuns.Load(),
-		ClassifyGranules: m.ClassifyGranules.Load(),
-		ClassifyWaits:    m.ClassifyWaits.Load(),
-
-		EventsEmitted:        m.EventsEmitted.Load(),
-		EventQueueDepth:      m.EventQueueDepth.Load(),
-		EventEmitStalls:      m.EventEmitStalls.Load(),
-		EventFrames:          m.EventFrames.Load(),
-		EventBytesCompressed: m.EventBytesCompressed.Load(),
-		EventsDropped:        m.EventsDropped.Load(),
-		EventRetries:         m.EventRetries.Load(),
-		EventSinkDegraded:    m.EventSinkDegraded.Load(),
-
-		CacheAccesses:     m.CacheAccesses.Load(),
-		CacheL1Misses:     m.CacheL1Misses.Load(),
-		CacheLLMisses:     m.CacheLLMisses.Load(),
-		CachePrefetches:   m.CachePrefetches.Load(),
-		Branches:          m.Branches.Load(),
-		BranchMispredicts: m.BranchMispredicts.Load(),
-
-		TraceSpans:        m.TraceSpans.Load(),
-		FlightRecorded:    m.FlightRecorded.Load(),
-		FlightOverwritten: m.FlightOverwritten.Load(),
-
-		Samples: m.Samples.Load(),
+	var s Snapshot
+	for c := range m.v {
+		s[c] = m.v[c].Load()
 	}
+	return s
 }
 
-// Snapshot is one frozen view of the counters, the form that travels: it
-// hangs off core.Result, renders as human text, JSON, and Prometheus text
-// format, and backs the expvar export.
-type Snapshot struct {
-	RunEpoch        uint64 `json:"run_epoch"`
-	RunStartNanos   int64  `json:"run_start_nanos"`
-	BudgetInstrs    uint64 `json:"budget_instrs,omitempty"`
-	BudgetWallNanos int64  `json:"budget_wall_nanos,omitempty"`
+// Snapshot is one frozen view of the counters, indexed by Counter, the form
+// that travels: it hangs off core.Result, renders as human text, JSON, and
+// Prometheus text format, and backs the expvar export.
+type Snapshot [numCounters]uint64
 
-	Instrs    uint64 `json:"instrs"`
-	CallDepth uint64 `json:"call_depth"`
-	Contexts  uint64 `json:"contexts"`
-	HeapBytes uint64 `json:"heap_bytes"`
-	MemPages  uint64 `json:"mem_pages"`
-
-	InputUniqueBytes     uint64 `json:"input_unique_bytes"`
-	InputNonUniqueBytes  uint64 `json:"input_nonunique_bytes"`
-	OutputUniqueBytes    uint64 `json:"output_unique_bytes"`
-	OutputNonUniqueBytes uint64 `json:"output_nonunique_bytes"`
-	LocalUniqueBytes     uint64 `json:"local_unique_bytes"`
-	LocalNonUniqueBytes  uint64 `json:"local_nonunique_bytes"`
-
-	ShadowChunksAllocated uint64 `json:"shadow_chunks_allocated"`
-	ShadowChunksLive      uint64 `json:"shadow_chunks_live"`
-	ShadowChunksEvicted   uint64 `json:"shadow_chunks_evicted"`
-	ShadowChunksPeak      uint64 `json:"shadow_chunks_peak"`
-	ShadowBytesResident   uint64 `json:"shadow_bytes_resident"`
-	ShadowBytesPeak       uint64 `json:"shadow_bytes_peak"`
-
-	ShadowCacheHits      uint64 `json:"shadow_cache_hits"`
-	ShadowCacheMisses    uint64 `json:"shadow_cache_misses"`
-	ShadowChunksRecycled uint64 `json:"shadow_chunks_recycled"`
-
-	ClassifySpans    uint64 `json:"classify_spans"`
-	ClassifyRuns     uint64 `json:"classify_runs"`
-	ClassifyGranules uint64 `json:"classify_granules"`
-	ClassifyWaits    uint64 `json:"classify_waits"`
-
-	EventsEmitted        uint64 `json:"events_emitted"`
-	EventQueueDepth      uint64 `json:"event_queue_depth"`
-	EventEmitStalls      uint64 `json:"event_emit_stalls"`
-	EventFrames          uint64 `json:"event_frames"`
-	EventBytesCompressed uint64 `json:"event_bytes_compressed"`
-	EventsDropped        uint64 `json:"events_dropped"`
-	EventRetries         uint64 `json:"event_retries"`
-	EventSinkDegraded    uint64 `json:"event_sink_degraded"`
-
-	CacheAccesses     uint64 `json:"cache_accesses"`
-	CacheL1Misses     uint64 `json:"cache_l1_misses"`
-	CacheLLMisses     uint64 `json:"cache_ll_misses"`
-	CachePrefetches   uint64 `json:"cache_prefetches"`
-	Branches          uint64 `json:"branches"`
-	BranchMispredicts uint64 `json:"branch_mispredicts"`
-
-	TraceSpans        uint64 `json:"trace_spans"`
-	FlightRecorded    uint64 `json:"flight_recorded"`
-	FlightOverwritten uint64 `json:"flight_overwritten"`
-
-	Samples uint64 `json:"samples"`
-
-	// WallNanos is the run's wall-clock duration, filled in when the run
-	// completes (zero on live snapshots).
-	WallNanos int64 `json:"wall_nanos,omitempty"`
-}
-
-// TotalCommBytes sums the six classification axes.
-func (s Snapshot) TotalCommBytes() uint64 {
-	return s.InputUniqueBytes + s.InputNonUniqueBytes +
-		s.OutputUniqueBytes + s.OutputNonUniqueBytes +
-		s.LocalUniqueBytes + s.LocalNonUniqueBytes
+// Delta returns counter c's growth from base to s. It is reset-tolerant:
+// BeginRun zeroes counters, so across a run boundary it reports the new
+// run's absolute value rather than a wrapped difference.
+func (s Snapshot) Delta(base Snapshot, c Counter) uint64 {
+	if s[c] < base[c] {
+		return s[c]
+	}
+	return s[c] - base[c]
 }
 
 // InstrsPerSec estimates throughput over the run so far (or the whole run,
 // once WallNanos is set).
 func (s Snapshot) InstrsPerSec(now time.Time) float64 {
-	elapsed := s.WallNanos
-	if elapsed == 0 && s.RunStartNanos > 0 {
-		elapsed = now.UnixNano() - s.RunStartNanos
+	elapsed := int64(s[WallNanos])
+	if elapsed == 0 && s[RunStartNanos] > 0 {
+		elapsed = now.UnixNano() - int64(s[RunStartNanos])
 	}
 	if elapsed <= 0 {
 		return 0
 	}
-	return float64(s.Instrs) / (float64(elapsed) / float64(time.Second))
+	return float64(s[Instrs]) / (float64(elapsed) / float64(time.Second))
 }
 
-// Text renders the snapshot as a human-readable block, the form the CLI
-// tools print behind -telemetry-dump. Every Snapshot field appears with
-// its raw value (a reconciliation test pins text ≡ Snapshot fields); the
-// derived MiB and duration forms are decoration on top, never replacements.
+// Text renders the snapshot as the block the CLI tools print behind
+// -telemetry-dump: one line per layer, each counter as a "key value" pair.
 func (s Snapshot) Text() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "instrs %d  contexts %d  depth %d  samples %d\n",
-		s.Instrs, s.Contexts, s.CallDepth, s.Samples)
-	fmt.Fprintf(&sb, "run: epoch %d  start_nanos %d  budget_instrs %d  budget_wall_nanos %d\n",
-		s.RunEpoch, s.RunStartNanos, s.BudgetInstrs, s.BudgetWallNanos)
-	fmt.Fprintf(&sb, "comm bytes: in %d+%d  out %d+%d  local %d+%d (unique+repeat)\n",
-		s.InputUniqueBytes, s.InputNonUniqueBytes,
-		s.OutputUniqueBytes, s.OutputNonUniqueBytes,
-		s.LocalUniqueBytes, s.LocalNonUniqueBytes)
-	fmt.Fprintf(&sb, "shadow: %d chunks live (allocated %d, peak %d, evicted %d, recycled %d)\n",
-		s.ShadowChunksLive, s.ShadowChunksAllocated, s.ShadowChunksPeak,
-		s.ShadowChunksEvicted, s.ShadowChunksRecycled)
-	fmt.Fprintf(&sb, "shadow bytes: %d resident (%.1f MiB), %d peak; cache %d hits, %d misses\n",
-		s.ShadowBytesResident, float64(s.ShadowBytesResident)/(1<<20),
-		s.ShadowBytesPeak, s.ShadowCacheHits, s.ShadowCacheMisses)
-	fmt.Fprintf(&sb, "classify: %d spans, %d runs, %d granules, %d waits on the worker\n",
-		s.ClassifySpans, s.ClassifyRuns, s.ClassifyGranules, s.ClassifyWaits)
-	fmt.Fprintf(&sb, "sim: %d accesses, %d L1 misses, %d LL misses, %d prefetches, %d/%d branches mispredicted\n",
-		s.CacheAccesses, s.CacheL1Misses, s.CacheLLMisses, s.CachePrefetches,
-		s.BranchMispredicts, s.Branches)
-	fmt.Fprintf(&sb, "events emitted: %d (%d frames, %d bytes compressed, %d stalls, queue depth %d)\n",
-		s.EventsEmitted, s.EventFrames, s.EventBytesCompressed,
-		s.EventEmitStalls, s.EventQueueDepth)
-	fmt.Fprintf(&sb, "sink: %d dropped, %d retries, degraded=%d\n",
-		s.EventsDropped, s.EventRetries, s.EventSinkDegraded)
-	fmt.Fprintf(&sb, "tracing: %d spans, flight %d recorded / %d overwritten\n",
-		s.TraceSpans, s.FlightRecorded, s.FlightOverwritten)
-	fmt.Fprintf(&sb, "heap %d bytes (%.1f MiB), %d pages\n",
-		s.HeapBytes, float64(s.HeapBytes)/(1<<20), s.MemPages)
-	fmt.Fprintf(&sb, "wall_nanos %d", s.WallNanos)
-	if s.WallNanos > 0 {
-		fmt.Fprintf(&sb, " (%s, %.0f instrs/sec)",
-			time.Duration(s.WallNanos), s.InstrsPerSec(time.Time{}))
+	for _, layer := range layers {
+		sep := ": "
+		sb.WriteString(layer)
+		for c, d := range counters {
+			if d.layer == layer {
+				fmt.Fprintf(&sb, "%s%s %d", sep, d.key, s[c])
+				sep = "  "
+			}
+		}
+		sb.WriteByte('\n')
 	}
-	sb.WriteByte('\n')
 	return sb.String()
 }
 
 // JSON renders the snapshot as a single JSON object.
 func (s Snapshot) JSON() ([]byte, error) { return json.Marshal(s) }
 
-// promMetric is one exported series: Prometheus text-format metadata plus
-// the value extractor.
-type promMetric struct {
-	name  string
-	kind  string // "counter" or "gauge"
-	help  string
-	value func(Snapshot) uint64
-}
-
-var promMetrics = []promMetric{
-	{"sigil_instructions_total", "counter", "Instructions retired by the current run", func(s Snapshot) uint64 { return s.Instrs }},
-	{"sigil_contexts", "gauge", "Calling contexts materialized", func(s Snapshot) uint64 { return s.Contexts }},
-	{"sigil_call_depth", "gauge", "Live call-stack depth", func(s Snapshot) uint64 { return s.CallDepth }},
-	{"sigil_heap_bytes", "gauge", "Program heap bytes bump-allocated", func(s Snapshot) uint64 { return s.HeapBytes }},
-	{"sigil_mem_pages", "gauge", "Program memory pages materialized", func(s Snapshot) uint64 { return s.MemPages }},
-	{"sigil_comm_input_unique_bytes_total", "counter", "Unique bytes read from other producers", func(s Snapshot) uint64 { return s.InputUniqueBytes }},
-	{"sigil_comm_input_nonunique_bytes_total", "counter", "Repeat bytes read from other producers", func(s Snapshot) uint64 { return s.InputNonUniqueBytes }},
-	{"sigil_comm_output_unique_bytes_total", "counter", "Unique bytes consumed from this producer", func(s Snapshot) uint64 { return s.OutputUniqueBytes }},
-	{"sigil_comm_output_nonunique_bytes_total", "counter", "Repeat bytes consumed from this producer", func(s Snapshot) uint64 { return s.OutputNonUniqueBytes }},
-	{"sigil_comm_local_unique_bytes_total", "counter", "Unique bytes read by their own producer", func(s Snapshot) uint64 { return s.LocalUniqueBytes }},
-	{"sigil_comm_local_nonunique_bytes_total", "counter", "Repeat bytes read by their own producer", func(s Snapshot) uint64 { return s.LocalNonUniqueBytes }},
-	{"sigil_shadow_chunks_allocated_total", "counter", "Shadow chunks ever materialized", func(s Snapshot) uint64 { return s.ShadowChunksAllocated }},
-	{"sigil_shadow_chunks_live", "gauge", "Shadow chunks currently resident", func(s Snapshot) uint64 { return s.ShadowChunksLive }},
-	{"sigil_shadow_chunks_evicted_total", "counter", "Shadow chunks dropped by the FIFO limit", func(s Snapshot) uint64 { return s.ShadowChunksEvicted }},
-	{"sigil_shadow_chunks_peak", "gauge", "Peak shadow chunks resident", func(s Snapshot) uint64 { return s.ShadowChunksPeak }},
-	{"sigil_shadow_bytes_resident", "gauge", "Shadow memory bytes currently resident", func(s Snapshot) uint64 { return s.ShadowBytesResident }},
-	{"sigil_shadow_bytes_peak", "gauge", "Peak shadow memory bytes", func(s Snapshot) uint64 { return s.ShadowBytesPeak }},
-	{"sigil_shadow_cache_hits_total", "counter", "Chunk lookups served by the direct-mapped cache", func(s Snapshot) uint64 { return s.ShadowCacheHits }},
-	{"sigil_shadow_cache_misses_total", "counter", "Chunk lookups that fell through to the map", func(s Snapshot) uint64 { return s.ShadowCacheMisses }},
-	{"sigil_shadow_chunks_recycled_total", "counter", "Chunk materializations served by an evicted chunk buffer", func(s Snapshot) uint64 { return s.ShadowChunksRecycled }},
-	{"sigil_classify_spans_total", "counter", "Per-chunk spans classified by the batched path", func(s Snapshot) uint64 { return s.ClassifySpans }},
-	{"sigil_classify_runs_total", "counter", "State-uniform runs classified by the batched path", func(s Snapshot) uint64 { return s.ClassifyRuns }},
-	{"sigil_classify_granules_total", "counter", "Granules covered by batched classification runs", func(s Snapshot) uint64 { return s.ClassifyGranules }},
-	{"sigil_classify_waits_total", "counter", "Times the interpreter blocked on the classification worker", func(s Snapshot) uint64 { return s.ClassifyWaits }},
-	{"sigil_events_emitted_total", "counter", "Event-file records emitted", func(s Snapshot) uint64 { return s.EventsEmitted }},
-	{"sigil_event_queue_depth", "gauge", "Event batches queued for the background encoder", func(s Snapshot) uint64 { return s.EventQueueDepth }},
-	{"sigil_event_emit_stalls_total", "counter", "Event emissions that blocked on the encoder", func(s Snapshot) uint64 { return s.EventEmitStalls }},
-	{"sigil_event_frames_total", "counter", "Event-file frames written", func(s Snapshot) uint64 { return s.EventFrames }},
-	{"sigil_event_bytes_compressed_total", "counter", "Event-file bytes on the wire after compression", func(s Snapshot) uint64 { return s.EventBytesCompressed }},
-	{"sigil_events_dropped_total", "counter", "Event-file records discarded by the degraded sink (exact loss)", func(s Snapshot) uint64 { return s.EventsDropped }},
-	{"sigil_event_retries_total", "counter", "Event-sink writes repeated by the retry layer", func(s Snapshot) uint64 { return s.EventRetries }},
-	{"sigil_event_sink_degraded", "gauge", "Whether the event sink has started shedding events (0/1)", func(s Snapshot) uint64 { return s.EventSinkDegraded }},
-	{"sigil_cache_accesses_total", "counter", "Simulated cache accesses", func(s Snapshot) uint64 { return s.CacheAccesses }},
-	{"sigil_cache_l1_misses_total", "counter", "Simulated L1 misses", func(s Snapshot) uint64 { return s.CacheL1Misses }},
-	{"sigil_cache_ll_misses_total", "counter", "Simulated last-level misses", func(s Snapshot) uint64 { return s.CacheLLMisses }},
-	{"sigil_cache_prefetches_total", "counter", "Simulated prefetches issued", func(s Snapshot) uint64 { return s.CachePrefetches }},
-	{"sigil_branches_total", "counter", "Simulated conditional branches", func(s Snapshot) uint64 { return s.Branches }},
-	{"sigil_branch_mispredicts_total", "counter", "Simulated branch mispredictions", func(s Snapshot) uint64 { return s.BranchMispredicts }},
-	{"sigil_trace_spans_total", "counter", "Completed tracing spans recorded this run", func(s Snapshot) uint64 { return s.TraceSpans }},
-	{"sigil_flight_events_total", "counter", "Events recorded into the flight-recorder ring", func(s Snapshot) uint64 { return s.FlightRecorded }},
-	{"sigil_flight_overwritten_total", "counter", "Flight-recorder events lost to ring wraparound", func(s Snapshot) uint64 { return s.FlightOverwritten }},
-	{"sigil_samples_total", "counter", "Telemetry sampler invocations", func(s Snapshot) uint64 { return s.Samples }},
-	{"sigil_run_epoch", "gauge", "Profiling runs begun in this process", func(s Snapshot) uint64 { return s.RunEpoch }},
-	{"sigil_budget_instructions", "gauge", "Retired-instruction budget (0 = unlimited)", func(s Snapshot) uint64 { return s.BudgetInstrs }},
+// MarshalJSON writes one key per counter, leaving out the omitZero rows
+// that are zero.
+func (s Snapshot) MarshalJSON() ([]byte, error) {
+	b := []byte{'{'}
+	for c, d := range counters {
+		if d.omitZero && s[c] == 0 {
+			continue
+		}
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendQuote(b, d.key)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, s[c], 10)
+	}
+	return append(b, '}'), nil
 }
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format (version 0.0.4), one HELP/TYPE/sample triplet per series.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
-	for _, m := range promMetrics {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",
-			m.name, m.help, m.name, m.kind, m.name, m.value(s)); err != nil {
+	for c, d := range counters {
+		if d.prom == "" {
+			continue
+		}
+		v := strconv.FormatUint(s[c], 10)
+		if strings.HasSuffix(d.prom, "_seconds") {
+			v = strconv.FormatFloat(float64(s[c])/float64(time.Second), 'f', 3, 64)
+		}
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %s\n",
+			d.prom, d.help, d.prom, d.kind, d.prom, v); err != nil {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "# HELP sigil_run_start_seconds Wall-clock start of the current run\n"+
-		"# TYPE sigil_run_start_seconds gauge\nsigil_run_start_seconds %.3f\n",
-		float64(s.RunStartNanos)/float64(time.Second)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "# HELP sigil_budget_wall_seconds Wall-clock budget in seconds (0 = unlimited)\n"+
-		"# TYPE sigil_budget_wall_seconds gauge\nsigil_budget_wall_seconds %.3f\n",
-		float64(s.BudgetWallNanos)/float64(time.Second))
-	return err
+	return nil
 }

@@ -300,9 +300,9 @@ func (a *Active) finish(now time.Time, cpu time.Duration, attrs []Attr) {
 	if a.hasBase && b.metrics != nil {
 		cur := b.metrics.Snapshot()
 		a.span.Deltas = &Deltas{
-			Instrs:      delta(cur.Instrs, a.base.Instrs),
-			Events:      delta(cur.EventsEmitted, a.base.EventsEmitted),
-			ShadowBytes: delta(cur.ShadowBytesResident, a.base.ShadowBytesResident),
+			Instrs:      cur.Delta(a.base, telemetry.Instrs),
+			Events:      cur.Delta(a.base, telemetry.EventsEmitted),
+			ShadowBytes: cur.Delta(a.base, telemetry.ShadowBytesResident),
 		}
 		logAttrs = append(logAttrs,
 			slog.Uint64("instrs", a.span.Deltas.Instrs),
@@ -341,16 +341,6 @@ func (b *Buf) Sample(s Sample) {
 		b.sampleStride *= 2
 	}
 	b.samples = append(b.samples, s)
-}
-
-// delta is a reset-tolerant subtraction: BeginRun zeroes counters, so a
-// span straddling run boundaries reports the new run's absolute value
-// rather than a wrapped difference.
-func delta(cur, base uint64) uint64 {
-	if cur < base {
-		return cur
-	}
-	return cur - base
 }
 
 // processCPUTime returns the process's user+system CPU time, the span cost

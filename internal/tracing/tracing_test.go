@@ -50,9 +50,9 @@ func TestSpanDeltas(t *testing.T) {
 	b.SetMetrics(&m)
 
 	s := b.Start("run")
-	m.Instrs.Store(1000)
-	m.EventsEmitted.Store(40)
-	m.ShadowBytesResident.Store(1 << 20)
+	m.Store(telemetry.Instrs, 1000)
+	m.Store(telemetry.EventsEmitted, 40)
+	m.Store(telemetry.ShadowBytesResident, 1<<20)
 	s.End()
 
 	got := rec.Spans()[0].Deltas
@@ -73,14 +73,14 @@ func TestSpanLogsDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	var m telemetry.Metrics
-	m.Instrs.Store(100)
+	m.Store(telemetry.Instrs, 100)
 
 	b := NewRecorder().Local("main")
 	b.SetMetrics(&m)
 	b.SetLogger(log)
 	s := b.Start("assemble")
-	m.Instrs.Store(350)
-	m.EventsEmitted.Store(12)
+	m.Store(telemetry.Instrs, 350)
+	m.Store(telemetry.EventsEmitted, 12)
 	s.End()
 
 	out := buf.String()
@@ -95,13 +95,13 @@ func TestSpanLogsDeltas(t *testing.T) {
 // the new run's absolute counters, not a wrapped difference.
 func TestDeltaResetTolerant(t *testing.T) {
 	var m telemetry.Metrics
-	m.Instrs.Store(5000)
+	m.Store(telemetry.Instrs, 5000)
 
 	b := NewRecorder().Local("main")
 	b.SetMetrics(&m)
 	s := b.Start("phase")
 	m.BeginRun(time.Now(), 0, 0) // reset to zero
-	m.Instrs.Store(70)
+	m.Store(telemetry.Instrs, 70)
 	s.End()
 
 	spans := b.rec.Spans()

@@ -22,7 +22,7 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== sigil-lint (7 analyzers incl. hotalloc/goleak)"
+echo "== sigil-lint (5 analyzers incl. hotalloc/goleak)"
 go run ./cmd/sigil-lint ./...
 
 echo "== sigil-lint -vm (static program verifier over checked-in assembly)"
