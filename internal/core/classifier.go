@@ -1,9 +1,15 @@
 package core
 
-// classifier is the classification engine: the shadow table plus every
-// aggregate that read/write classification updates. Tool embeds one and
-// runs it on the interpreter goroutine, or has the classification worker
-// (worker.go) run it from records, in program order either way.
+import (
+	"sigil/internal/trace"
+	"sigil/internal/vm"
+)
+
+// classifier consumes the run as one stream of records in program order:
+// classification, the call-stack mirror that names each access's frame,
+// and event segmentation and emission. Tool embeds one and applies each
+// record at once, or has the classification worker (worker.go) apply them;
+// either way one goroutine at a time owns all of the state below.
 type classifier struct {
 	shadow *shadowTable
 	shift  uint // log2 granule size: 0 in byte mode
@@ -41,10 +47,49 @@ type classifier struct {
 	runs     uint64
 	granules uint64
 
-	// onComm, when non-nil, receives every non-unique-filtered cross-context
-	// read so the event representation can attribute per-segment
-	// communication; Tool binds accumulateComm. nil means events are off.
-	onComm func(f *segFrame, srcEnc uint32, srcCall, bytes uint64)
+	// The call-stack mirror: one frame per open call, top the innermost
+	// (nil outside any call). The top frame reads and writes the accesses.
+	frames []segFrame
+	top    *segFrame
+
+	// Event emission. sink is nil when events are off; it stays the
+	// classifier's, so Emit runs on whichever goroutine applies records.
+	// evErr is the sink's first error, after which nothing more is
+	// emitted; emitted counts the events the sink accepted. evStats, when
+	// the sink exposes async-writer pipeline counters, feeds them to
+	// telemetry. defs holds each context's parent and function for its
+	// KindDefCtx, and prog names the function.
+	sink    trace.Sink
+	evErr   error
+	emitted uint64
+	evStats func() trace.WriterStats
+	defs    []ctxDef
+	prog    *vm.Program
+}
+
+// segFrame mirrors one open function call for event segmentation:
+// per-producer unique bytes accumulate until the segment closes at the next
+// call boundary, which emits them with the operations retired since mark.
+type segFrame struct {
+	ctx  int32
+	enc  uint32 // encoded ctx, cached for the hot path
+	call uint64
+	mark uint64 // machine operation count when the open segment began
+	comm []commAcc
+}
+
+type commAcc struct {
+	srcEnc  uint32
+	srcCall uint64
+	bytes   uint64
+}
+
+// ctxDef is what KindDefCtx says of a context: its parent (-1 for the
+// root) and its function, and whether it has been emitted.
+type ctxDef struct {
+	parent  int32
+	fn      int32
+	defined bool
 }
 
 // init wires the classifier for the given mode. The shadow table's eviction
@@ -66,71 +111,91 @@ func (c *classifier) init(opts Options) {
 	// episodes only when re-use mode is on.
 	wantReuse := opts.TrackReuse || opts.LineGranularity
 	c.shadow = newShadowTable(opts.MaxShadowChunks, wantReuse, c.flushChunk)
+	c.sink = opts.Events
+	if st, ok := opts.Events.(interface{ Stats() trace.WriterStats }); ok {
+		c.evStats = st.Stats
+	}
 }
 
 // Record ops.
 const (
-	opRead    uint8 = iota // a load by the record's frame
-	opWrite                // a store by the record's frame, or a kernel write
+	opRead    uint8 = iota // a load by the top frame
+	opWrite                // a store by the top frame
+	opKernel               // a syscall's output range, written by the kernel
 	opStartup              // ProgramStart data-segment marking: writer stamp only
-	opSysIn                // a syscall's input range: read by the frame, then sent to the kernel
-	opGrow                 // a context id seen for the first time, in ctx
-	opSample               // a telemetry poll point, taken by the worker (worker.go)
+	opSysIn                // a syscall's input range: read by the top frame, then sent to the kernel
+	opSys                  // a syscall by the top frame: vm.Sys in ctx, input and output bytes in addr and n
+	opGrow                 // a context id seen for the first time, in ctx: parent id in addr, function in n
+	opEnter                // a call of context ctx: call number in addr, operations retired in n
+	opLeave                // the top frame's call returns: operations retired in n
+	opSample               // a telemetry poll point: instructions, heap bytes and wall time in addr, n and now
 )
 
-// record is one step of classification the interpreter hands to the
-// worker, in program order: an access (op, the accessing frame's
-// ctx/enc/call, address, length and time), a syscall's input range, a newly
-// seen context id, which sizes comm and reuse before any access can name
-// it, or a poll point, which carries the poll's instructions, heap bytes,
-// wall time and events in addr, n, now and call. Kernel writes carry
-// CtxKernel and startup data CtxStartup.
+// record is one step of the run in program order, which the interpreter
+// applies at once or hands to the worker: an access, a syscall, a call
+// boundary, a newly seen context or a poll point. now is the retired
+// instruction count at the record, except on a poll point. The frame an
+// access belongs to is the classifier's top frame, so no record names it.
 type record struct {
-	addr, n, now, call uint64
-	ctx                int32
-	enc                uint32
-	op                 uint8
+	addr, n, now uint64
+	ctx          int32
+	op           uint8
 }
 
-// apply runs one record on the classifier. f is the frame the record
-// names: the interpreter's open frame inline, the worker's scratch frame
-// in the pipeline, and nil for kernel writes and startup data classified
-// inline.
-func (c *classifier) apply(r *record, f *segFrame) {
+// apply runs one record on the classifier.
+func (c *classifier) apply(r *record) {
 	switch r.op {
-	case opGrow:
-		c.growComm(int(r.ctx))
-	case opSysIn:
-		// The caller consumes the input like its own reads; the bytes then
-		// leave the program on an explicit edge to the kernel.
-		units := c.access(opRead, f, r.enc, r.call, r.addr, r.n, r.now)
-		c.kernelIn += units
-		if r.ctx >= 0 {
-			c.comm[r.ctx].OutputUnique += units
+	case opRead, opWrite:
+		if c.top != nil {
+			c.access(r.op, c.top, r.addr, r.n, r.now)
 		}
-		c.edge(r.enc, encKernel).Unique += units
-	default:
-		c.access(r.op, f, r.enc, r.call, r.addr, r.n, r.now)
+	case opKernel, opStartup:
+		c.access(r.op, nil, r.addr, r.n, r.now)
+	case opSysIn:
+		if f := c.top; f != nil {
+			// The caller consumes the input like its own reads; the
+			// bytes then leave the program on an explicit edge to the
+			// kernel.
+			units := c.access(opRead, f, r.addr, r.n, r.now)
+			c.kernelIn += units
+			c.comm[f.ctx].OutputUnique += units
+			c.edge(f.enc, encKernel).Unique += units
+		}
+	case opSys:
+		if f := c.top; f != nil && c.sink != nil {
+			c.emit(trace.Event{
+				Kind: trace.KindSys, Ctx: f.ctx, Call: f.call,
+				Bytes: r.addr, Ops: r.n, Time: r.now, Name: vm.Sys(r.ctx).Name(),
+			})
+		}
+	case opGrow:
+		c.growCtx(r.ctx, int32(r.addr), int32(r.n))
+	case opEnter:
+		c.enter(r.ctx, r.addr, r.n, r.now)
+	case opLeave:
+		c.leave(r.n, r.now)
 	}
 }
 
-// access classifies the n > 0 bytes at addr as op: read by frame f,
-// written by the producer enc/call, or produced at startup. It returns the
+// access classifies the n > 0 bytes at addr as op: read or written by
+// frame f, written by the kernel, or produced at startup. It returns the
 // number of granules the bytes cover. Bytes that wrap past 2^64 are
 // classified as two pieces, the top of the address space and its start,
 // because the machine's memory wraps the same way.
-func (c *classifier) access(op uint8, f *segFrame, enc uint32, call, addr, n, now uint64) uint64 {
+func (c *classifier) access(op uint8, f *segFrame, addr, n, now uint64) uint64 {
 	last := addr + n - 1
 	if last < addr {
 		top := -addr // bytes from addr to the top of the address space
-		return c.access(op, f, enc, call, addr, top, now) + c.access(op, f, enc, call, 0, n-top, now)
+		return c.access(op, f, addr, top, now) + c.access(op, f, 0, n-top, now)
 	}
 	g0, g1 := addr>>c.shift, last>>c.shift
 	switch op {
 	case opRead:
 		c.readRange(f, g0, g1, now)
 	case opWrite:
-		c.writeRange(enc, call, g0, g1, now)
+		c.writeRange(f.enc, f.call, g0, g1, now)
+	case opKernel:
+		c.writeRange(encKernel, 0, g0, g1, now)
 	default:
 		c.markStartup(g0, g1)
 	}
@@ -304,8 +369,8 @@ func (c *classifier) classifyRun(f *segFrame, obj shadowObj, bytes uint64) {
 	} else {
 		e.Unique += bytes
 	}
-	if !sameReader && c.onComm != nil && f.ctx >= 0 {
-		c.onComm(f, src, uint64(obj.writerCall), bytes)
+	if !sameReader && c.sink != nil && f.ctx >= 0 {
+		c.accumulateComm(f, src, uint64(obj.writerCall), bytes)
 	}
 }
 
@@ -478,8 +543,8 @@ func (c *classifier) readGranule(f *segFrame, g, now, bytes uint64) {
 		} else {
 			e.Unique += bytes
 		}
-		if !sameReader && c.onComm != nil && f.ctx >= 0 {
-			c.onComm(f, src, uint64(obj.writerCall), bytes)
+		if !sameReader && c.sink != nil && f.ctx >= 0 {
+			c.accumulateComm(f, src, uint64(obj.writerCall), bytes)
 		}
 	}
 
@@ -543,16 +608,22 @@ func (c *classifier) edge(srcEnc, dstEnc uint32) *Edge {
 	return e
 }
 
-// growComm sizes the per-context aggregates for context id. An opGrow
-// record precedes the first access by a newly entered context, so every
-// context the shadow state can name (writer or reader) already has its
-// slots.
-func (c *classifier) growComm(id int) {
-	for len(c.comm) <= id {
+// growCtx sizes the per-context aggregates for context id, and on an event
+// run keeps its parent and function for its KindDefCtx. An opGrow record
+// precedes the first access by a newly entered context, so every context
+// the shadow state can name (writer or reader) already has its slots.
+func (c *classifier) growCtx(id, parent, fn int32) {
+	if c.sink != nil {
+		for len(c.defs) <= int(id) {
+			c.defs = append(c.defs, ctxDef{parent: -1})
+		}
+		c.defs[id] = ctxDef{parent: parent, fn: fn}
+	}
+	for len(c.comm) <= int(id) {
 		c.comm = append(c.comm, CommStats{})
 	}
 	if c.trackReuse {
-		for len(c.reuse) <= id {
+		for len(c.reuse) <= int(id) {
 			c.reuse = append(c.reuse, ReuseStats{})
 		}
 	}
@@ -589,4 +660,108 @@ func (c *classifier) flushChunk(key uint64, ch *shadowChunk) {
 			ch.objs[i].reader = encInvalid
 		}
 	}
+}
+
+// --- call boundaries and event emission ---
+
+// enter opens a call of context ctx with call number call, ops operations
+// retired and now instructions: on an event run the caller's open segment
+// closes, the context is defined at its first call and the entry is
+// emitted.
+func (c *classifier) enter(ctx int32, call, ops, now uint64) {
+	if c.sink != nil {
+		if c.top != nil {
+			c.closeSegment(c.top, ops, now)
+		}
+		c.defineCtx(ctx)
+		c.emit(trace.Event{Kind: trace.KindEnter, Ctx: ctx, Call: call, Time: now})
+	}
+	// The new frame reuses the communication buffer of the call that last
+	// returned from this depth.
+	if len(c.frames) == cap(c.frames) {
+		c.frames = append(c.frames, segFrame{})
+	} else {
+		c.frames = c.frames[:len(c.frames)+1]
+	}
+	f := &c.frames[len(c.frames)-1]
+	*f = segFrame{ctx: ctx, enc: encodeCtx(ctx), call: call, mark: ops, comm: f.comm[:0]}
+	c.top = f
+}
+
+// leave ends the top frame's call with ops operations retired and now
+// instructions. The caller's next segment starts then, so its operation
+// mark moves past the operations the callee retired.
+func (c *classifier) leave(ops, now uint64) {
+	f := c.top
+	if f == nil {
+		return
+	}
+	if c.sink != nil {
+		c.closeSegment(f, ops, now)
+		c.emit(trace.Event{Kind: trace.KindLeave, Ctx: f.ctx, Call: f.call, Time: now})
+	}
+	c.frames = c.frames[:len(c.frames)-1]
+	c.top = nil
+	if n := len(c.frames); n > 0 {
+		c.top = &c.frames[n-1]
+		c.top.mark = ops
+	}
+}
+
+func (c *classifier) accumulateComm(f *segFrame, srcEnc uint32, srcCall, bytes uint64) {
+	for i := range f.comm {
+		if f.comm[i].srcEnc == srcEnc && f.comm[i].srcCall == srcCall {
+			f.comm[i].bytes += bytes
+			return
+		}
+	}
+	f.comm = append(f.comm, commAcc{srcEnc: srcEnc, srcCall: srcCall, bytes: bytes})
+}
+
+// closeSegment emits the open segment's accumulated communication and the
+// operations retired since the segment began, then resets the frame for its
+// next segment.
+func (c *classifier) closeSegment(f *segFrame, ops, now uint64) {
+	if ops == f.mark && len(f.comm) == 0 {
+		return
+	}
+	for _, cm := range f.comm {
+		c.emit(trace.Event{
+			Kind:    trace.KindComm,
+			Ctx:     f.ctx,
+			Call:    f.call,
+			SrcCtx:  decodeCtx(cm.srcEnc),
+			SrcCall: cm.srcCall,
+			Bytes:   cm.bytes,
+			Time:    now,
+		})
+	}
+	c.emit(trace.Event{Kind: trace.KindOps, Ctx: f.ctx, Call: f.call, Ops: ops - f.mark, Time: now})
+	f.mark = ops
+	f.comm = f.comm[:0]
+}
+
+// defineCtx emits KindDefCtx for ctx, after its parent's, unless it was
+// emitted already.
+func (c *classifier) defineCtx(ctx int32) {
+	d := &c.defs[ctx]
+	if d.defined {
+		return
+	}
+	if d.parent >= 0 {
+		c.defineCtx(d.parent)
+	}
+	d.defined = true
+	c.emit(trace.Event{Kind: trace.KindDefCtx, Ctx: ctx, SrcCtx: d.parent, Name: c.prog.FuncName(int(d.fn))})
+}
+
+func (c *classifier) emit(e trace.Event) {
+	if c.evErr != nil {
+		return
+	}
+	if err := c.sink.Emit(e); err != nil {
+		c.evErr = err
+		return
+	}
+	c.emitted++
 }

@@ -20,9 +20,9 @@ const benchBase = uint64(1) << 32 // arbitrary arena base, chunk-aligned
 func newBenchTool(opts Options, scalar bool) *Tool {
 	tool := mustNew(newSubstrate(), opts)
 	tool.scalar = scalar
-	tool.growCtx(0)
-	tool.growCtx(1)
-	tool.stack = append(tool.stack, segFrame{ctx: 0, enc: encodeCtx(0), call: 1})
+	tool.growCtx(0, -1, 0)
+	tool.growCtx(1, 0, 0)
+	tool.enter(0, 1, 0, 0)
 	return tool
 }
 
@@ -46,7 +46,7 @@ func benchPaths(b *testing.B, opts Options, fn func(b *testing.B, tool *Tool)) {
 func BenchmarkMemReadStream(b *testing.B) {
 	const span = 1 << 16
 	benchPaths(b, Options{}, func(b *testing.B, tool *Tool) {
-		f := &tool.stack[0]
+		f := tool.top
 		tool.writeRange(f.enc, f.call, benchBase, benchBase+span-1, 0) // reads are local
 		b.SetBytes(span)
 		b.ResetTimer()
@@ -63,7 +63,7 @@ func BenchmarkMemReadStream(b *testing.B) {
 func BenchmarkMemReadWide(b *testing.B) {
 	const span = 4096
 	benchPaths(b, Options{}, func(b *testing.B, tool *Tool) {
-		f := &tool.stack[0]
+		f := tool.top
 		tool.writeRange(f.enc, f.call, benchBase, benchBase+span-1, 0)
 		b.SetBytes(span)
 		b.ResetTimer()
@@ -79,7 +79,7 @@ func BenchmarkMemReadWide(b *testing.B) {
 func BenchmarkMemReadWideReuse(b *testing.B) {
 	const span = 4096
 	benchPaths(b, Options{TrackReuse: true}, func(b *testing.B, tool *Tool) {
-		f := &tool.stack[0]
+		f := tool.top
 		tool.writeRange(f.enc, f.call, benchBase, benchBase+span-1, 0)
 		b.SetBytes(span)
 		b.ResetTimer()
@@ -93,7 +93,7 @@ func BenchmarkMemReadWideReuse(b *testing.B) {
 func BenchmarkMemWriteWide(b *testing.B) {
 	const span = 4096
 	benchPaths(b, Options{}, func(b *testing.B, tool *Tool) {
-		f := &tool.stack[0]
+		f := tool.top
 		b.SetBytes(span)
 		for i := 0; i < b.N; i++ {
 			tool.writeRange(f.enc, f.call, benchBase, benchBase+span-1, 0)
@@ -108,7 +108,7 @@ func BenchmarkMemWriteWide(b *testing.B) {
 func BenchmarkMemReadMixed(b *testing.B) {
 	const span = 4096
 	benchPaths(b, Options{}, func(b *testing.B, tool *Tool) {
-		f := &tool.stack[0]
+		f := tool.top
 		for g := uint64(0); g < span; g++ {
 			tool.writeGranule(f.enc, f.call+1+(g&1), benchBase+g, 0)
 		}
@@ -127,7 +127,7 @@ func BenchmarkMemReadMixed(b *testing.B) {
 func BenchmarkMemReadMixedPairs(b *testing.B) {
 	const span = 4096
 	benchPaths(b, Options{}, func(b *testing.B, tool *Tool) {
-		f := &tool.stack[0]
+		f := tool.top
 		for g := uint64(0); g < span; g++ {
 			tool.writeGranule(f.enc, f.call+1+((g>>1)&1), benchBase+g, 0)
 		}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"testing"
 
 	"sigil/internal/callgrind"
@@ -87,65 +85,74 @@ func (s *opsSink) Emit(e trace.Event) error {
 // TestOpsConservedAtCallBoundaries checks that the three op tallies agree —
 // Σ KindOps.Ops in the event stream, Σ Ops() over calltree contexts, and
 // the machine's OpCounts — for a complete run, a run the instruction
-// budget stops mid-function, and a panic-salvaged run, and checks the
-// complete run's per-context counts.
+// budget stops mid-function, and a panic-salvaged run, on both schedules
+// (GOMAXPROCS 1 inline, 2 on the worker), and checks the complete run's
+// per-context counts. A sink that panics on the worker does so after the
+// interpreter has run ahead, so there the machine has retired more
+// operations than the sink saw; the sink must still have seen the same
+// events before it panicked as it does inline.
 func TestOpsConservedAtCallBoundaries(t *testing.T) {
 	folded := callgrind.Options{MaxDepth: 4}
-	var budget *BudgetError
-	var panicked *PanicError
 	for _, tc := range []struct {
 		name    string
 		prog    *vm.Program
 		opts    Options
 		panicAt int
-		err     any // nil, or a pointer to the error type the run must end with
+		check   func(t *testing.T, err error)
 	}{
-		{"complete", opsProgram(), Options{Substrate: folded}, 0, nil},
-		{"budget", spinProgram(), Options{MaxInstrs: vm.StopCheckInterval}, 0, &budget},
+		{"complete", opsProgram(), Options{Substrate: folded}, 0, noErr},
+		{"budget", spinProgram(), Options{MaxInstrs: vm.StopCheckInterval}, 0, wantBudget("instructions")},
 		// The sixth KindOps event closes the first rec level's segment as
 		// the second one is entered.
-		{"panic", opsProgram(), Options{Substrate: folded}, 6, &panicked},
+		{"panic", opsProgram(), Options{Substrate: folded}, 6, wantPanic("sink exploded")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sink := &opsSink{panicAt: tc.panicAt}
-			tc.opts.Events = sink
-			sub, err := callgrind.New(tc.opts.Substrate)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tool := mustNew(sub, tc.opts)
-			res, err := runTool(context.Background(), tool, tc.prog, tc.opts, nil)
-			if tc.err == nil && err != nil || tc.err != nil && !errors.As(err, tc.err) {
-				t.Fatalf("err = %v", err)
-			}
-			intOps, fpOps := tool.mach.OpCounts()
-			var ctxInt, ctxFP uint64
-			for _, n := range res.Profile.Nodes {
-				ctxInt += n.Self.IntOps
-				ctxFP += n.Self.FPOps
-			}
-			if intOps == 0 || fpOps == 0 || ctxInt != intOps || ctxFP != fpOps || sink.ops != intOps+fpOps {
-				t.Errorf("machine int %d fp %d, contexts int %d fp %d, KindOps events %d",
-					intOps, fpOps, ctxInt, ctxFP, sink.ops)
-			}
-			if tc.name != "complete" {
-				return
-			}
-			want := map[string][2]uint64{ // {int, fp}
-				"main":             {5, 2},
-				"main/leaf":        {2, 2},
-				"main/rec":         {3, 1},
-				"main/rec/rec":     {3, 1},
-				"main/rec/rec/rec": {13, 4}, // four folded levels and the base case
-			}
-			if len(res.Profile.Nodes) != len(want) {
-				t.Errorf("%d contexts, want %d", len(res.Profile.Nodes), len(want))
-			}
-			for _, n := range res.Profile.Nodes {
-				if w := want[n.Path()]; n.Self.IntOps != w[0] || n.Self.FPOps != w[1] {
-					t.Errorf("%s: int %d fp %d, want %v", n.Path(), n.Self.IntOps, n.Self.FPOps, w)
+			var sinkOps [2]uint64
+			for i, procs := range []int{1, 2} {
+				sink := &opsSink{panicAt: tc.panicAt}
+				opts := tc.opts
+				opts.Events = sink
+				tool, res, err := runAt(t, procs, tc.prog, nil, opts, nil)
+				tc.check(t, err)
+				intOps, fpOps := tool.mach.OpCounts()
+				var ctxInt, ctxFP uint64
+				for _, n := range res.Profile.Nodes {
+					ctxInt += n.Self.IntOps
+					ctxFP += n.Self.FPOps
+				}
+				sinkOps[i] = sink.ops
+				ranAhead := procs == 2 && tc.panicAt > 0
+				if intOps == 0 || fpOps == 0 || ctxInt != intOps || ctxFP != fpOps || !ranAhead && sink.ops != intOps+fpOps {
+					t.Errorf("GOMAXPROCS %d: machine int %d fp %d, contexts int %d fp %d, KindOps events %d",
+						procs, intOps, fpOps, ctxInt, ctxFP, sink.ops)
+				}
+				if tc.name == "complete" {
+					checkContextOps(t, res)
 				}
 			}
+			if sinkOps[0] != sinkOps[1] {
+				t.Errorf("KindOps events: %d inline, %d on the worker", sinkOps[0], sinkOps[1])
+			}
 		})
+	}
+}
+
+// checkContextOps checks opsProgram's per-context operation counts.
+func checkContextOps(t *testing.T, res *Result) {
+	t.Helper()
+	want := map[string][2]uint64{ // {int, fp}
+		"main":             {5, 2},
+		"main/leaf":        {2, 2},
+		"main/rec":         {3, 1},
+		"main/rec/rec":     {3, 1},
+		"main/rec/rec/rec": {13, 4}, // four folded levels and the base case
+	}
+	if len(res.Profile.Nodes) != len(want) {
+		t.Errorf("%d contexts, want %d", len(res.Profile.Nodes), len(want))
+	}
+	for _, n := range res.Profile.Nodes {
+		if w := want[n.Path()]; n.Self.IntOps != w[0] || n.Self.FPOps != w[1] {
+			t.Errorf("%s: int %d fp %d, want %v", n.Path(), n.Self.IntOps, n.Self.FPOps, w)
+		}
 	}
 }

@@ -32,7 +32,11 @@ type Options struct {
 	MaxShadowChunks int
 
 	// Events, when non-nil, receives the event-file representation: the
-	// execution as a sequence of dependent events.
+	// execution as a sequence of dependent events. Emit may run on the
+	// classification worker's goroutine instead of the caller's. Calls
+	// come from one goroutine at a time, never concurrently, and every call
+	// happens before Run/RunContext returns, so the caller may read a
+	// trace.Buffer or Close a trace.Writer once the run has returned.
 	Events trace.Sink
 
 	// MaxWall bounds the instrumented run's wall-clock time (0 means
@@ -118,11 +122,12 @@ func (o Options) validate() error {
 // executing calling context — mirroring how the paper's Sigil hooks into
 // Callgrind to identify function names and count operations.
 //
-// The embedded classifier holds the shadow table and every classification
-// aggregate. The memory callbacks classify each access at once, or, on runs
-// without an event sink that find a CPU free, turn it into a record for the
-// classification worker (worker.go), which applies the records in program
-// order.
+// Each callback Sigil acts on becomes a record for the embedded classifier:
+// accesses, syscalls, call boundaries and newly seen contexts. The
+// classifier holds the shadow table, every classification aggregate, the
+// call-stack mirror and the event sink, and applies the records in program
+// order: at once, or, when a CPU is free, on the classification worker
+// (worker.go).
 type Tool struct {
 	classifier
 	// The classifier above is the worker's to write while one runs; the
@@ -133,16 +138,6 @@ type Tool struct {
 	mach *vm.Machine
 	opts Options
 
-	stack   []segFrame
-	events  trace.Sink
-	evErr   error
-	emitted uint64 // events accepted by the sink, for telemetry sampling
-	// evStats, when the sink exposes async-writer pipeline counters
-	// (queue depth, stalls, frames, compressed bytes), feeds them to the
-	// telemetry sampler; nil for plain sinks like trace.Buffer.
-	evStats func() trace.WriterStats
-	// defined tracks which contexts have had a KindDefCtx emitted.
-	defined []bool
 	// ctxs is one past the highest context id announced to the classifier.
 	ctxs int
 
@@ -160,23 +155,6 @@ type Tool struct {
 	result   *Result
 }
 
-// segFrame mirrors one open function call for event segmentation:
-// per-producer unique bytes accumulate until the segment closes at the next
-// call boundary, which emits them with the operations retired since mark.
-type segFrame struct {
-	ctx  int32
-	enc  uint32 // encoded ctx, cached for the hot path
-	call uint64
-	mark uint64 // machine operation count when the open segment began
-	comm []commAcc
-}
-
-type commAcc struct {
-	srcEnc  uint32
-	srcCall uint64
-	bytes   uint64
-}
-
 var _ vm.Observer = (*Tool)(nil)
 
 // New returns a Sigil tool observing contexts through sub. Run the Sigil
@@ -186,102 +164,69 @@ func New(sub *callgrind.Tool, opts Options) (*Tool, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	t := &Tool{
-		sub:    sub,
-		opts:   opts,
-		events: opts.Events,
-	}
+	t := &Tool{sub: sub, opts: opts}
 	t.classifier.init(opts)
-	if t.events != nil {
-		t.onComm = t.accumulateComm
-	}
-	if st, ok := opts.Events.(interface{ Stats() trace.WriterStats }); ok {
-		t.evStats = st.Stats
-	}
 	return t, nil
 }
 
 // ProgramStart implements dbi.Tool. The loader's initialized data segments
 // are marked as produced at startup: they are the program's true input.
 //
-// A run without an event sink classifies on a worker goroutine when a CPU
-// is free for it (see claimCPU): nothing reads classification results
-// before a poll or the end of the run. Event runs classify inline, because
-// each segment's communication is emitted at its call boundary.
+// The run classifies, segments and emits on a worker goroutine when a CPU
+// is free for it (see claimCPU): nothing on the interpreter goroutine reads
+// the classifier's state before a poll or the end of the run, and the
+// sink sees its events in program order either way.
 func (t *Tool) ProgramStart(p *vm.Program, m *vm.Machine) {
 	t.sub.ProgramStart(p, m)
 	t.mach = m
+	t.prog = p
 	if !t.holdsCPU {
 		t.holdsCPU = true
 		cpusBusy.Add(1)
 	}
-	if t.events == nil && t.pipe == nil && claimCPU() {
+	if claimCPU() {
 		t.startWorker()
 	}
 	for _, s := range p.Segments {
 		if len(s.Data) == 0 {
 			continue
 		}
-		t.classify(record{op: opStartup, ctx: trace.CtxStartup, enc: encStartup, addr: s.Addr, n: uint64(len(s.Data))}, nil)
+		t.classify(record{op: opStartup, addr: s.Addr, n: uint64(len(s.Data))})
 	}
 }
 
-// classify applies r at once, or hands it to the worker. f is the frame r
-// names (nil for kernel writes and startup data).
-func (t *Tool) classify(r record, f *segFrame) {
+// classify applies r at once, or hands it to the worker.
+func (t *Tool) classify(r record) {
 	if t.pipe == nil {
-		t.apply(&r, f)
+		t.apply(&r)
 		return
 	}
 	t.send(r)
 }
 
 // FnEnter implements dbi.Tool. The substrate pushes the new context first;
-// Sigil mirrors it and starts a fresh event segment.
+// Sigil announces a context it has not seen, then the call.
 func (t *Tool) FnEnter(fn int) {
 	t.sub.FnEnter(fn)
 	node := t.sub.Current()
 	if node == nil {
 		return
 	}
-	call := t.sub.CurrentCall()
-	t.growCtx(node.ID)
-	if t.events != nil {
-		if len(t.stack) > 0 {
-			t.closeSegment(&t.stack[len(t.stack)-1])
+	if node.ID >= t.ctxs {
+		t.ctxs = node.ID + 1
+		parent := -1
+		if node.Parent != nil {
+			parent = node.Parent.ID
 		}
-		t.defineCtx(node)
-		t.emit(trace.Event{Kind: trace.KindEnter, Ctx: int32(node.ID), Call: call, Time: t.sub.Now()})
+		t.classify(record{op: opGrow, ctx: int32(node.ID), addr: uint64(parent), n: uint64(node.Fn)})
 	}
-	t.stack = append(t.stack, segFrame{
-		ctx:  int32(node.ID),
-		enc:  encodeCtx(int32(node.ID)),
-		call: call,
-		mark: t.opsNow(),
-	})
+	t.classify(record{op: opEnter, ctx: int32(node.ID), addr: t.sub.CurrentCall(), n: t.opsNow(), now: t.sub.Now()})
 }
 
 // FnLeave implements dbi.Tool.
 func (t *Tool) FnLeave(fn int) {
 	t.sub.FnLeave(fn)
-	if len(t.stack) == 0 {
-		return
-	}
-	f := &t.stack[len(t.stack)-1]
-	if t.events != nil {
-		t.closeSegment(f)
-		t.emit(trace.Event{Kind: trace.KindLeave, Ctx: f.ctx, Call: f.call, Time: t.sub.Now()})
-	}
-	t.pop()
-}
-
-// pop ends the top frame's call. The caller's next segment starts now, so
-// its operation mark moves past the operations the callee retired.
-func (t *Tool) pop() {
-	t.stack = t.stack[:len(t.stack)-1]
-	if len(t.stack) > 0 {
-		t.stack[len(t.stack)-1].mark = t.opsNow()
-	}
+	t.classify(record{op: opLeave, n: t.opsNow(), now: t.sub.Now()})
 }
 
 // opsNow returns the arithmetic operations the machine has retired.
@@ -299,29 +244,13 @@ func (t *Tool) Branch(site uint64, taken bool) { t.sub.Branch(site, taken) }
 // line-touch in line-granularity mode.
 func (t *Tool) MemRead(addr uint64, size uint8) {
 	t.sub.MemRead(addr, size)
-	if len(t.stack) == 0 {
-		return
-	}
-	f := &t.stack[len(t.stack)-1]
-	if t.pipe != nil {
-		t.send(record{op: opRead, ctx: f.ctx, enc: f.enc, call: f.call, addr: addr, n: uint64(size), now: t.sub.Now()})
-		return
-	}
-	t.access(opRead, f, f.enc, f.call, addr, uint64(size), t.sub.Now())
+	t.classify(record{op: opRead, addr: addr, n: uint64(size), now: t.sub.Now()})
 }
 
 // MemWrite implements dbi.Tool: the writer takes ownership of the granules.
 func (t *Tool) MemWrite(addr uint64, size uint8) {
 	t.sub.MemWrite(addr, size)
-	if len(t.stack) == 0 {
-		return
-	}
-	f := &t.stack[len(t.stack)-1]
-	if t.pipe != nil {
-		t.send(record{op: opWrite, ctx: f.ctx, enc: f.enc, call: f.call, addr: addr, n: uint64(size), now: t.sub.Now()})
-		return
-	}
-	t.access(opWrite, f, f.enc, f.call, addr, uint64(size), t.sub.Now())
+	t.classify(record{op: opWrite, addr: addr, n: uint64(size), now: t.sub.Now()})
 }
 
 // Syscall implements dbi.Tool. The calling context consumes the input
@@ -332,20 +261,13 @@ func (t *Tool) MemWrite(addr uint64, size uint8) {
 func (t *Tool) Syscall(sys vm.Sys, inAddr, inLen, outAddr, outLen uint64) {
 	t.sub.Syscall(sys, inAddr, inLen, outAddr, outLen)
 	now := t.sub.Now()
-	if inLen > 0 && len(t.stack) > 0 {
-		f := &t.stack[len(t.stack)-1]
-		t.classify(record{op: opSysIn, ctx: f.ctx, enc: f.enc, call: f.call, addr: inAddr, n: inLen, now: now}, f)
+	if inLen > 0 {
+		t.classify(record{op: opSysIn, addr: inAddr, n: inLen, now: now})
 	}
 	if outLen > 0 {
-		t.classify(record{op: opWrite, ctx: trace.CtxKernel, enc: encKernel, addr: outAddr, n: outLen, now: now}, nil)
+		t.classify(record{op: opKernel, addr: outAddr, n: outLen, now: now})
 	}
-	if t.events != nil && len(t.stack) > 0 {
-		f := &t.stack[len(t.stack)-1]
-		t.emit(trace.Event{
-			Kind: trace.KindSys, Ctx: f.ctx, Call: f.call,
-			Bytes: inLen, Ops: outLen, Time: now, Name: sys.Name(),
-		})
-	}
+	t.classify(record{op: opSys, ctx: int32(sys), addr: inLen, n: outLen, now: now})
 }
 
 // ProgramEnd implements dbi.Tool: the substrate closes its calltree, then
@@ -355,7 +277,7 @@ func (t *Tool) ProgramEnd() {
 	t.finish()
 }
 
-// finish joins the worker, closes the remaining segments, flushes the open
+// finish joins the worker, closes the calls still open, flushes the open
 // re-use episodes of all live shadow chunks, and freezes the result.
 func (t *Tool) finish() {
 	t.join()
@@ -363,13 +285,11 @@ func (t *Tool) finish() {
 		t.holdsCPU = false
 		cpusBusy.Add(-1)
 	}
-	for len(t.stack) > 0 {
-		f := &t.stack[len(t.stack)-1]
-		if t.events != nil {
-			t.closeSegment(f)
-			t.emit(trace.Event{Kind: trace.KindLeave, Ctx: f.ctx, Call: f.call, Time: t.sub.Now()})
+	if t.top != nil {
+		ops, now := t.opsNow(), t.sub.Now()
+		for t.top != nil {
+			t.leave(ops, now)
 		}
-		t.pop()
 	}
 	t.shadow.forEach(t.flushChunk)
 	t.finished = true
@@ -383,15 +303,16 @@ func (t *Tool) abort() {
 	if t.finished {
 		return
 	}
-	// The event sink may be the very thing that panicked: stop emitting
-	// while finalizing, and attempt each finalization step independently.
-	// The worker is joined first: until then the classifier is its.
-	t.events = nil
+	// The worker is joined first: until then the classifier is its, and
+	// the records it still holds emit what inline classification had
+	// emitted before the failure. The event sink may be the very thing
+	// that panicked: emission stops before finalizing, and each
+	// finalization step is attempted independently.
 	func() {
 		defer func() { _ = recover() }()
 		t.join()
 	}()
-	t.onComm = nil
+	t.sink = nil
 	func() {
 		defer func() { _ = recover() }()
 		t.sub.ProgramEnd()
@@ -403,81 +324,7 @@ func (t *Tool) abort() {
 	t.finished = true
 }
 
-func (t *Tool) growCtx(id int) {
-	if id >= t.ctxs {
-		t.ctxs = id + 1
-		t.classify(record{op: opGrow, ctx: int32(id)}, nil)
-	}
-	if t.events != nil {
-		for len(t.defined) <= id {
-			t.defined = append(t.defined, false)
-		}
-	}
-}
-
-// --- event emission ---
-
-func (t *Tool) accumulateComm(f *segFrame, srcEnc uint32, srcCall, bytes uint64) {
-	for i := range f.comm {
-		if f.comm[i].srcEnc == srcEnc && f.comm[i].srcCall == srcCall {
-			f.comm[i].bytes += bytes
-			return
-		}
-	}
-	f.comm = append(f.comm, commAcc{srcEnc: srcEnc, srcCall: srcCall, bytes: bytes})
-}
-
-// closeSegment emits the open segment's accumulated communication and the
-// operations retired since the segment began, then resets the frame for its
-// next segment.
-func (t *Tool) closeSegment(f *segFrame) {
-	ops := t.opsNow()
-	if ops == f.mark && len(f.comm) == 0 {
-		return
-	}
-	now := t.sub.Now()
-	for _, c := range f.comm {
-		t.emit(trace.Event{
-			Kind:    trace.KindComm,
-			Ctx:     f.ctx,
-			Call:    f.call,
-			SrcCtx:  decodeCtx(c.srcEnc),
-			SrcCall: c.srcCall,
-			Bytes:   c.bytes,
-			Time:    now,
-		})
-	}
-	t.emit(trace.Event{Kind: trace.KindOps, Ctx: f.ctx, Call: f.call, Ops: ops - f.mark, Time: now})
-	f.mark = ops
-	f.comm = f.comm[:0]
-}
-
-func (t *Tool) defineCtx(node *callgrind.Node) {
-	if t.defined[node.ID] {
-		return
-	}
-	parent := int32(-1)
-	if node.Parent != nil {
-		if !t.defined[node.Parent.ID] {
-			t.defineCtx(node.Parent)
-		}
-		parent = int32(node.Parent.ID)
-	}
-	t.defined[node.ID] = true
-	t.emit(trace.Event{Kind: trace.KindDefCtx, Ctx: int32(node.ID), SrcCtx: parent, Name: node.Name})
-}
-
-func (t *Tool) emit(e trace.Event) {
-	if t.evErr != nil {
-		return
-	}
-	if err := t.events.Emit(e); err != nil {
-		t.evErr = err
-		return
-	}
-	t.emitted++
-}
-
 // EventError returns the first event-sink error, if any (profiling continues
-// past sink failures; aggregates stay valid).
+// past sink failures; aggregates stay valid). It is read once the run has
+// ended and the worker is joined.
 func (t *Tool) EventError() error { return t.evErr }

@@ -23,11 +23,11 @@ func (t *Tool) sampleInto(m *telemetry.Metrics) {
 // and, on a traced run, onto the trace's sample timeline. While a worker
 // classifies, the interpreter publishes only its own counters and leaves a
 // sample record in the stream; the worker publishes the classifier's
-// counters and records the sample when it reaches it (worker.sample). The
-// poll then does not wait for the worker, and the sample still reads what
-// inline classification would have at this point of the program. Each
-// counter keeps one writer: the classifier's belong to the worker until
-// the run ends.
+// counters, the event counters among them, and records the sample when it
+// reaches it. The poll then does not wait for the worker, and the sample
+// still reads what inline classification would have at this point of the
+// program. Each counter keeps one writer: the classifier's belong to the
+// worker until the run ends.
 //
 // Cost: a pass over the per-context aggregates plus ~40 atomic stores,
 // every 16K instructions — far below the per-instruction instrumentation
@@ -35,33 +35,39 @@ func (t *Tool) sampleInto(m *telemetry.Metrics) {
 func (t *Tool) poll() {
 	m := t.tel
 	t.sampleRun(m)
-	s := tracing.Sample{
-		TimeNanos: time.Now().UnixNano(),
-		Instrs:    m.Load(telemetry.Instrs),
-		HeapBytes: m.Load(telemetry.HeapBytes),
-		Events:    m.Load(telemetry.EventsEmitted),
+	r := record{
+		op:   opSample,
+		addr: m.Load(telemetry.Instrs),
+		n:    m.Load(telemetry.HeapBytes),
+		now:  uint64(time.Now().UnixNano()),
 	}
 	if t.pipe != nil {
-		t.send(record{op: opSample, addr: s.Instrs, n: s.HeapBytes, now: uint64(s.TimeNanos), call: s.Events})
+		t.send(r)
 		return
 	}
-	t.publish(m)
-	m.Add(telemetry.Samples, 1)
-	if b := t.opts.Trace; b != nil {
-		s.ShadowBytes = m.Load(telemetry.ShadowBytesResident)
-		pollSample(b, s)
-	}
+	t.sample(m, t.opts.Trace, &r)
 }
 
-// pollSample records a poll on the trace track b and in the flight
-// recorder.
-func pollSample(b *tracing.Buf, s tracing.Sample) {
-	b.Sample(s)
-	tracing.Flight().Record(tracing.KindPoll, "poll", s.Instrs, s.Events)
+// sample completes the poll-point sample r stands for: it publishes the
+// classifier's counters as they are at r's place in the program, and on a
+// traced run records the poll on track b and in the flight recorder.
+func (c *classifier) sample(m *telemetry.Metrics, b *tracing.Buf, r *record) {
+	c.publish(m)
+	m.Add(telemetry.Samples, 1)
+	if b != nil {
+		b.Sample(tracing.Sample{
+			TimeNanos:   int64(r.now),
+			Instrs:      r.addr,
+			HeapBytes:   r.n,
+			ShadowBytes: m.Load(telemetry.ShadowBytesResident),
+			Events:      c.emitted,
+		})
+		tracing.Flight().Record(tracing.KindPoll, "poll", r.addr, c.emitted)
+	}
 }
 
 // sampleRun publishes the counters the interpreter goroutine owns: the
-// substrate's, the trace's and the event sink's.
+// substrate's and the trace's.
 func (t *Tool) sampleRun(m *telemetry.Metrics) {
 	live := t.sub.Live()
 	m.Store(telemetry.Instrs, live.Instrs)
@@ -83,26 +89,13 @@ func (t *Tool) sampleRun(m *telemetry.Metrics) {
 		m.Store(telemetry.FlightRecorded, fl.Recorded())
 		m.Store(telemetry.FlightOverwritten, fl.Overwritten())
 	}
-
-	m.Store(telemetry.EventsEmitted, t.emitted)
-	if t.evStats != nil {
-		ws := t.evStats()
-		m.Store(telemetry.EventQueueDepth, uint64(ws.QueueDepth))
-		m.Store(telemetry.EventEmitStalls, ws.Stalls)
-		m.Store(telemetry.EventFrames, ws.Frames)
-		m.Store(telemetry.EventBytesCompressed, ws.CompressedBytes)
-		m.Store(telemetry.EventsDropped, ws.Dropped)
-		m.Store(telemetry.EventRetries, ws.Retries)
-		if ws.Degraded {
-			m.Store(telemetry.EventSinkDegraded, 1)
-		} else {
-			m.Store(telemetry.EventSinkDegraded, 0)
-		}
-	}
 }
 
 // publish stores the classifier's counters: communication totals, the
-// shadow table's footprint and the batching counters.
+// shadow table's footprint, the batching counters and the event counters.
+// The event sink's pipeline counters follow Emit: they are read on the
+// goroutine that calls it, since a trace.Writer counts accepted events
+// unsynchronised.
 func (c *classifier) publish(m *telemetry.Metrics) {
 	var cs CommStats
 	for i := range c.comm {
@@ -131,6 +124,22 @@ func (c *classifier) publish(m *telemetry.Metrics) {
 	m.Store(telemetry.ClassifySpans, c.spans)
 	m.Store(telemetry.ClassifyRuns, c.runs)
 	m.Store(telemetry.ClassifyGranules, c.granules)
+
+	m.Store(telemetry.EventsEmitted, c.emitted)
+	if c.evStats != nil {
+		ws := c.evStats()
+		m.Store(telemetry.EventQueueDepth, uint64(ws.QueueDepth))
+		m.Store(telemetry.EventEmitStalls, ws.Stalls)
+		m.Store(telemetry.EventFrames, ws.Frames)
+		m.Store(telemetry.EventBytesCompressed, ws.CompressedBytes)
+		m.Store(telemetry.EventsDropped, ws.Dropped)
+		m.Store(telemetry.EventRetries, ws.Retries)
+		if ws.Degraded {
+			m.Store(telemetry.EventSinkDegraded, 1)
+		} else {
+			m.Store(telemetry.EventSinkDegraded, 0)
+		}
+	}
 }
 
 // finalSnapshot takes the end-of-run sample and freezes it for the Result.

@@ -11,15 +11,18 @@ import (
 
 // Classification on a worker goroutine.
 //
-// A run without an event sink reads nothing the classifier computes until a
-// poll samples it or the run ends, so the interpreter need not wait for it:
-// it hands its records to one worker goroutine, in program order, in a few
-// recycled fixed-size batches, and goes on interpreting. The worker is the
-// classifier's only reader and writer while it runs. A telemetry poll puts
-// a sample record in the stream and the worker takes the classifier's half
+// Nothing on the interpreter goroutine reads what the classifier computes
+// until a poll samples it or the run ends, so the interpreter need not
+// wait for it: it hands its records to one worker goroutine, in program
+// order, in a few recycled fixed-size batches, and goes on interpreting.
+// The worker is the classifier's only reader and writer while it runs: it
+// classifies the accesses, mirrors the call stack, closes event segments
+// at call boundaries and calls the event sink. A telemetry poll puts a
+// sample record in the stream and the worker takes the classifier's half
 // of the sample when it gets there; the shadow-chunk budget calls sync and
 // the end of the run calls join, which wait for the worker. So samples,
-// budget stops and results are those of inline classification.
+// budget stops, event streams and results are those of inline
+// classification.
 
 const (
 	batchRecords = 2048 // records per batch
@@ -66,12 +69,12 @@ type worker struct {
 	trace *tracing.Buf       // the worker's own track, or nil
 	_     cacheLinePad
 
-	// Worker side: the frame the current record names, counters for the
-	// worker's span, and a panic recovered on the worker.
-	frame   segFrame
+	// Worker side: counters for the worker's span, and a panic recovered
+	// on the worker.
 	records uint64
 	batches uint64
 	idle    uint64 // times the worker found no batch waiting
+	events  uint64 // events the worker emitted
 	failure any
 	stack   []byte
 	_       cacheLinePad
@@ -106,8 +109,9 @@ func (t *Tool) startWorker() {
 }
 
 // work applies batches in the order they arrive until join closes full. A
-// panic ends it early: done then tells the interpreter that no more batches
-// will come back, and join re-raises the panic.
+// panic ends it early, the event sink's included: done then tells the
+// interpreter that no more batches will come back, and join re-raises the
+// panic.
 func (w *worker) work(c *classifier) {
 	span := w.trace.Start("classify.worker")
 	defer close(w.done)
@@ -115,7 +119,8 @@ func (w *worker) work(c *classifier) {
 		if r := recover(); r != nil {
 			w.failure, w.stack = r, debug.Stack()
 		}
-		span.End(tracing.A("records", w.records), tracing.A("batches", w.batches), tracing.A("idle", w.idle))
+		span.End(tracing.A("records", w.records), tracing.A("batches", w.batches), tracing.A("idle", w.idle),
+			tracing.A("events", w.events))
 	}()
 	for {
 		var b []record
@@ -129,45 +134,27 @@ func (w *worker) work(c *classifier) {
 		if !ok {
 			return
 		}
+		emitted := c.emitted
 		w.run(c, b)
 		w.records += uint64(len(b))
 		w.batches++
+		w.events += c.emitted - emitted
 		w.free <- b // never blocks: free has room for every batch
 	}
 }
 
-// run applies a batch in order, naming each record's frame in w.frame. sync
-// runs it on the interpreter goroutine too, while the worker is idle.
+// run applies a batch in order. sync runs it on the interpreter goroutine
+// too, while the worker is idle.
 //
 //sigil:hot
 func (w *worker) run(c *classifier, b []record) {
-	f := &w.frame
 	for i := range b {
 		r := &b[i]
 		if r.op == opSample {
-			w.sample(c, r)
+			c.sample(w.tel, w.trace, r)
 			continue
 		}
-		f.ctx, f.enc, f.call = r.ctx, r.enc, r.call
-		c.apply(r, f)
-	}
-}
-
-// sample completes the poll-point sample r stands for: it publishes the
-// classifier's counters as they are at r's place in the program, where an
-// inline poll would have read them, and on a traced run records the poll on
-// the worker's track and in the flight recorder.
-func (w *worker) sample(c *classifier, r *record) {
-	c.publish(w.tel)
-	w.tel.Add(telemetry.Samples, 1)
-	if w.trace != nil {
-		pollSample(w.trace, tracing.Sample{
-			TimeNanos:   int64(r.now),
-			Instrs:      r.addr,
-			HeapBytes:   r.n,
-			ShadowBytes: w.tel.Load(telemetry.ShadowBytesResident),
-			Events:      r.call,
-		})
+		c.apply(r)
 	}
 }
 

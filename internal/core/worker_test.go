@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sigil/internal/callgrind"
 	"sigil/internal/dbi"
@@ -39,8 +40,9 @@ func runAt(t *testing.T, procs int, prog *vm.Program, input []byte, opts Options
 	return tool, res, err
 }
 
-// classifyCounters are the final telemetry counters classification and the
-// shadow table produce; both paths must agree on every one.
+// classifyCounters are the final telemetry counters classification, the
+// shadow table and event emission produce; both paths must agree on every
+// one.
 func classifyCounters(s *telemetry.Snapshot) []uint64 {
 	return []uint64{
 		s[telemetry.InputUniqueBytes], s[telemetry.InputNonUniqueBytes],
@@ -52,6 +54,7 @@ func classifyCounters(s *telemetry.Snapshot) []uint64 {
 		s[telemetry.ShadowCacheHits], s[telemetry.ShadowCacheMisses],
 		s[telemetry.ShadowChunksRecycled], s[telemetry.ClassifySpans],
 		s[telemetry.ClassifyRuns], s[telemetry.ClassifyGranules], s[telemetry.Samples],
+		s[telemetry.EventsEmitted],
 	}
 }
 
@@ -69,23 +72,23 @@ func pollSamples(rec *tracing.Recorder) []tracing.Sample {
 	return out
 }
 
-// workerBatches returns the batches the classification worker of a traced
-// run applied, from its classify.worker span, and whether the run had a
-// worker at all.
-func workerBatches(rec *tracing.Recorder) (uint64, bool) {
+// workerSpan returns the counts the classification worker of a traced run
+// put on its classify.worker span (records, batches, idle and events), and
+// whether the run had a worker at all.
+func workerSpan(rec *tracing.Recorder) (map[string]uint64, bool) {
 	for _, sp := range rec.Spans() {
 		if sp.Name != "classify.worker" {
 			continue
 		}
+		attrs := map[string]uint64{}
 		for _, a := range sp.Attrs {
-			if a.Key == "batches" {
-				n, _ := a.Value.(uint64)
-				return n, true
+			if n, ok := a.Value.(uint64); ok {
+				attrs[a.Key] = n
 			}
 		}
-		return 0, true
+		return attrs, true
 	}
-	return 0, false
+	return nil, false
 }
 
 func profileBytes(t *testing.T, res *Result) []byte {
@@ -97,24 +100,37 @@ func profileBytes(t *testing.T, res *Result) []byte {
 	return b.Bytes()
 }
 
+// Event sinks of the worker differential.
+const (
+	noEvents     = iota
+	bufferEvents // a trace.Buffer
+	fileEvents   // a v3 trace.Writer into memory
+)
+
 // TestWorkerMatchesInline profiles every registry workload at GOMAXPROCS 1
 // (inline classification) and 2 (the worker) and demands the same profile,
 // byte for byte, the same shadow accounting, the same final counters and
 // the same poll samples, in every mode, under FIFO eviction, for a run
-// stopped mid-way and with live telemetry attached. Every run is traced, so
-// each poll leaves a sample record in the worker's stream.
+// stopped mid-way, with live telemetry attached and with an event sink:
+// then the event stream must match element by element, and a v3 event file
+// byte for byte. Every run is traced, so each poll leaves a sample record in
+// the worker's stream.
 func TestWorkerMatchesInline(t *testing.T) {
 	configs := []struct {
 		name      string
 		opts      Options
 		telemetry bool
+		events    int
 	}{
-		{"byte", Options{}, false},
-		{"reuse", Options{TrackReuse: true}, false},
-		{"line", Options{LineGranularity: true}, false},
-		{"evicting", Options{MaxShadowChunks: 8}, false},
-		{"stopped", Options{MaxInstrs: 200_000}, false},
-		{"telemetry", Options{}, true},
+		{"byte", Options{}, false, noEvents},
+		{"reuse", Options{TrackReuse: true}, false, noEvents},
+		{"line", Options{LineGranularity: true}, false, noEvents},
+		{"evicting", Options{MaxShadowChunks: 8}, false, noEvents},
+		{"stopped", Options{MaxInstrs: 200_000}, false, noEvents},
+		{"telemetry", Options{}, true, noEvents},
+		{"events", Options{}, false, bufferEvents},
+		{"reuse-events", Options{TrackReuse: true}, false, bufferEvents},
+		{"v3-telemetry", Options{}, true, fileEvents},
 	}
 	for _, name := range workloads.Names() {
 		prog, input, err := workloads.Build(name, workloads.SimSmall)
@@ -127,6 +143,8 @@ func TestWorkerMatchesInline(t *testing.T) {
 					results [2]*Result
 					errs    [2]error
 					samples [2][]tracing.Sample
+					events  [2][]trace.Event
+					files   [2][]byte
 				)
 				for i, procs := range []int{1, 2} {
 					opts := c.opts
@@ -135,13 +153,29 @@ func TestWorkerMatchesInline(t *testing.T) {
 					if c.telemetry {
 						opts.Telemetry = &telemetry.Metrics{}
 					}
+					buf := &trace.Buffer{}
+					var file bytes.Buffer
+					var w *trace.Writer
+					switch c.events {
+					case bufferEvents:
+						opts.Events = buf
+					case fileEvents:
+						w = trace.NewWriter(&file)
+						opts.Events = w
+					}
 					_, res, err := runAt(t, procs, prog, input, opts, nil)
 					var berr *BudgetError
 					if err != nil && !(opts.MaxInstrs > 0 && errors.As(err, &berr)) {
 						t.Fatalf("GOMAXPROCS %d: %v", procs, err)
 					}
-					batches, worker := workerBatches(rec)
-					if procs == 2 && batches == 0 {
+					if w != nil {
+						if err := w.Close(); err != nil {
+							t.Fatal(err)
+						}
+						files[i] = file.Bytes()
+					}
+					span, worker := workerSpan(rec)
+					if procs == 2 && span["batches"] == 0 {
 						t.Errorf("GOMAXPROCS 2: the worker applied no batch")
 					}
 					if procs == 1 && worker {
@@ -149,6 +183,7 @@ func TestWorkerMatchesInline(t *testing.T) {
 					}
 					results[i], errs[i] = res, err
 					samples[i] = pollSamples(rec)
+					events[i] = buf.Events
 				}
 				inline, worker := results[0], results[1]
 				if !bytes.Equal(profileBytes(t, inline), profileBytes(t, worker)) {
@@ -169,6 +204,21 @@ func TestWorkerMatchesInline(t *testing.T) {
 				}
 				if !reflect.DeepEqual(samples[0], samples[1]) {
 					t.Errorf("poll samples differ:\ninline %+v\nworker %+v", samples[0], samples[1])
+				}
+				if c.events == bufferEvents && len(events[0]) == 0 {
+					t.Error("no events emitted")
+				}
+				if len(events[0]) != len(events[1]) {
+					t.Errorf("events: inline %d, worker %d", len(events[0]), len(events[1]))
+				}
+				for j := range min(len(events[0]), len(events[1])) {
+					if events[0][j] != events[1][j] {
+						t.Errorf("event %d: inline %+v, worker %+v", j, events[0][j], events[1][j])
+						break
+					}
+				}
+				if !bytes.Equal(files[0], files[1]) {
+					t.Errorf("v3 event files differ: inline %d bytes, worker %d", len(files[0]), len(files[1]))
 				}
 			})
 		}
@@ -239,12 +289,6 @@ func TestWorkerJoinedOnEveryExit(t *testing.T) {
 	dedup, dedupIn, err := workloads.Build("dedup", workloads.SimSmall)
 	if err != nil {
 		t.Fatal(err)
-	}
-	noErr := func(t *testing.T, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 	cancelled := func(t *testing.T, err error) {
 		t.Helper()
@@ -352,7 +396,7 @@ func TestWorkerOnlyOnFreeCPU(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, worker := workerBatches(rec)
+		_, worker := workerSpan(rec)
 		return profileBytes(t, res), worker
 	}
 	busyBefore := cpusBusy.Load()
@@ -371,6 +415,13 @@ func TestWorkerOnlyOnFreeCPU(t *testing.T) {
 	}
 	if busy := cpusBusy.Load(); busy != busyBefore {
 		t.Errorf("busy CPUs: %d before, %d after", busyBefore, busy)
+	}
+}
+
+func noErr(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -396,7 +447,8 @@ func wantPanic(value string) func(t *testing.T, err error) {
 
 // TestClassifyWaits: the counter is 0 on inline runs, counts the times the
 // interpreter blocked on a worker slowed down on purpose, and reaches the
-// run report next to the worker's own span.
+// run report next to the worker's own span. An event run has a worker too,
+// which reports the events it emitted.
 func TestClassifyWaits(t *testing.T) {
 	prog, input, err := workloads.Build("vips", workloads.SimSmall)
 	if err != nil {
@@ -407,13 +459,24 @@ func TestClassifyWaits(t *testing.T) {
 		procs  int
 		events bool
 	}{{"inline", 1, false}, {"events", 2, true}} {
-		opts := Options{Telemetry: &telemetry.Metrics{}}
+		rec := tracing.NewRecorder()
+		opts := Options{Telemetry: &telemetry.Metrics{}, Trace: rec.Local("run")}
 		if c.events {
 			opts.Events = &trace.Buffer{}
 		}
 		_, res, err := runAt(t, c.procs, prog, input, opts, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if c.events {
+			span, _ := workerSpan(rec)
+			if span["batches"] == 0 {
+				t.Errorf("%s: no worker applied a batch (classify.worker span %v)", c.name, span)
+			}
+			if emitted := res.Telemetry[telemetry.EventsEmitted]; emitted == 0 || span["events"] != emitted {
+				t.Errorf("%s: the worker emitted %d events, the run %d", c.name, span["events"], emitted)
+			}
+			continue
 		}
 		if w := res.Telemetry[telemetry.ClassifyWaits]; w != 0 {
 			t.Errorf("%s: classify_waits = %d, want 0", c.name, w)
@@ -488,11 +551,21 @@ func TestClassifyWaits(t *testing.T) {
 				attrs[a.Key] = v
 			}
 		}
-		if _, ok := attrs["idle"]; !ok || attrs["records"] == 0 || attrs["batches"] == 0 {
-			t.Errorf("worker span attrs %v, want records, batches and idle", attrs)
+		_, idle := attrs["idle"]
+		_, events := attrs["events"]
+		if !idle || !events || attrs["records"] == 0 || attrs["batches"] == 0 {
+			t.Errorf("worker span attrs %v, want records, batches, idle and events", attrs)
 		}
 	}
 	if !found {
 		t.Error("run report has no classify.worker span")
+	}
+}
+
+// TestRecordSize pins the record layout at 32 bytes: no record names its
+// frame, since the classifier's call-stack mirror does.
+func TestRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(record{}); n != 32 {
+		t.Errorf("record is %d bytes, want 32", n)
 	}
 }

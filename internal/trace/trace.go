@@ -77,7 +77,14 @@ type Event struct {
 }
 
 // Sink consumes events as they are produced. Implementations must tolerate
-// high event rates; errors abort profiling.
+// high event rates. After the first error a profiling run emits nothing
+// more and reports the error when it ends.
+//
+// A run may call Emit on a goroutine other than the one that started it
+// (core classifies and emits on a worker goroutine when a CPU is free), but
+// from one goroutine at a time, never concurrently, and every call happens
+// before the run returns. A sink needs no locking for it, and its owner may
+// read it or Close it once the run has returned.
 type Sink interface {
 	Emit(Event) error
 }

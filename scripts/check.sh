@@ -37,8 +37,8 @@ go test -race ./...
 echo "== perfbench smoke (its own module: profile and event-file digests of every workload)"
 (cd perfbench && go test ./...)
 
-echo "== classification worker shakeout (-race: worker = inline, joined on every exit)"
-go test -race -count=10 -run 'TestWorkerMatchesInline|TestWorkerJoinedOnEveryExit' ./internal/core
+echo "== classification worker shakeout (-race: worker = inline, joined on every exit, sink panics on both schedules)"
+go test -race -count=10 -run 'TestWorkerMatchesInline|TestWorkerJoinedOnEveryExit|TestOpsConservedAtCallBoundaries' ./internal/core
 
 echo "== reference differentials on both schedules (GOMAXPROCS 1 inline, 2 worker)"
 go test -cpu 1,2 -run 'TestDifferentialAgainstReference|TestBatchedMatchesScalarOnWorkloads|TestCommunicationIndependentOfSubstrate' ./internal/core
@@ -49,8 +49,8 @@ go test -race -count=1 -run 'TestProfileSingleflight|TestParallelSuite|TestRunPo
 echo "== parallel decode shakeout (-race: frame buffers recycled between merge and workers)"
 go test -race -count=10 -run 'TestV3MultiFrameRoundTrip|TestParallelCorruptFrame' ./internal/trace
 
-echo "== chaos sweep (short; scripts/chaos.sh runs the full matrix)"
-go test -short -count=1 -run TestChaos ./internal/chaos
+echo "== chaos sweep (short, inline and on the worker; scripts/chaos.sh runs the full matrix)"
+go test -short -count=1 -cpu 1,2 -run TestChaos ./internal/chaos
 
 echo "== fuzz smoke ($FUZZTIME each, every target)"
 FUZZTIME="$FUZZTIME" sh scripts/fuzz.sh
