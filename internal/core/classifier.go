@@ -741,15 +741,12 @@ func (c *classifier) closeSegment(f *segFrame, ops, now uint64) {
 	f.comm = f.comm[:0]
 }
 
-// defineCtx emits KindDefCtx for ctx, after its parent's, unless it was
-// emitted already.
+// defineCtx emits KindDefCtx for ctx at its first call. Its parent was
+// entered before it, so it is defined already.
 func (c *classifier) defineCtx(ctx int32) {
 	d := &c.defs[ctx]
 	if d.defined {
 		return
-	}
-	if d.parent >= 0 {
-		c.defineCtx(d.parent)
 	}
 	d.defined = true
 	c.emit(trace.Event{Kind: trace.KindDefCtx, Ctx: ctx, SrcCtx: d.parent, Name: c.prog.FuncName(int(d.fn))})

@@ -285,11 +285,8 @@ func (t *Tool) finish() {
 		t.holdsCPU = false
 		cpusBusy.Add(-1)
 	}
-	if t.top != nil {
-		ops, now := t.opsNow(), t.sub.Now()
-		for t.top != nil {
-			t.leave(ops, now)
-		}
+	for t.top != nil {
+		t.leave(t.opsNow(), t.sub.Now())
 	}
 	t.shadow.forEach(t.flushChunk)
 	t.finished = true
