@@ -37,8 +37,12 @@ go test -race ./...
 echo "== perfbench smoke (its own module: profile and event-file digests of every workload)"
 (cd perfbench && go test ./...)
 
-echo "== classification worker shakeout (-race: worker = inline, joined on every exit, sink panics on both schedules)"
-go test -race -count=10 -run 'TestWorkerMatchesInline|TestWorkerJoinedOnEveryExit|TestOpsConservedAtCallBoundaries' ./internal/core
+# Ten runs in two test binaries: one count takes about 90 s under -race, so
+# ten in one binary would outlast go test's default 10-minute timeout.
+echo "== classification worker shakeout (-race, 2 x 5 runs: worker = inline, joined on every exit, sink panics on both schedules)"
+for half in 1 2; do
+    go test -race -count=5 -run 'TestWorkerMatchesInline|TestWorkerJoinedOnEveryExit|TestOpsConservedAtCallBoundaries' ./internal/core
+done
 
 echo "== reference differentials on both schedules (GOMAXPROCS 1 inline, 2 worker)"
 go test -cpu 1,2 -run 'TestDifferentialAgainstReference|TestBatchedMatchesScalarOnWorkloads|TestCommunicationIndependentOfSubstrate' ./internal/core
