@@ -18,10 +18,6 @@ type classifier struct {
 	lineMode   bool
 	trackReuse bool
 
-	// scalar selects the retained reference classification path (see
-	// Options.refScalar). The default is the batched chunk-run path.
-	scalar bool
-
 	comm  []CommStats  // indexed by context ID
 	reuse []ReuseStats // indexed by context ID; nil unless trackReuse
 
@@ -31,17 +27,16 @@ type classifier struct {
 
 	// Pseudo-producer aggregate: bytes the program consumed from startup
 	// data and from the kernel, and bytes the kernel consumed.
-	startupOut  uint64
-	kernelOut   uint64
-	kernelIn    uint64
-	kernelReuse ReuseStats // episodes whose reader was the kernel
+	startupOut uint64
+	kernelOut  uint64
+	kernelIn   uint64
 
 	lines *LineReport
 
 	// Batch-classifier telemetry: spans are per-chunk segments of an
 	// access, runs are the classification invocations they decomposed into
-	// (one per state-uniform sub-segment, or one per granule past the
-	// short-run cutover), granules is the total granule count covered.
+	// (one per state-uniform sub-segment), granules is the total granule
+	// count covered.
 	// runs/granules is the amortization factor the batching achieves.
 	spans    uint64
 	runs     uint64
@@ -98,7 +93,6 @@ type ctxDef struct {
 func (c *classifier) init(opts Options) {
 	c.lineMode = opts.LineGranularity
 	c.trackReuse = opts.TrackReuse
-	c.scalar = opts.refScalar
 	c.edges = make(map[uint64]*Edge)
 	c.edgeKey = ^uint64(0)
 	if opts.LineGranularity {
@@ -202,40 +196,24 @@ func (c *classifier) access(op uint8, f *segFrame, addr, n, now uint64) uint64 {
 	return g1 - g0 + 1
 }
 
-// Run-length cutover (see readSpan): after cutoverShortRuns consecutive runs
-// shorter than cutoverRunLen granules, the rest of the span classifies
-// granule-at-a-time — on alternating-state data the equality scan never
-// amortizes, so it is dropped instead of paid per granule.
-const (
-	cutoverRunLen    = 4
-	cutoverShortRuns = 8
-)
-
 // --- batched classification hot path ---
 //
-// The paper pays 20-99x over native for byte-level shadowing; the batched
-// path claws a large constant factor back by amortizing the two per-granule
-// costs of the scalar reference: the first-level chunk lookup (now one per
-// per-chunk span instead of one per granule) and the fully branchy
-// classification (now one per run of granules in identical shadow state,
-// counted n times). Workload accesses are overwhelmingly runs: a function
-// streaming over a buffer leaves every byte with the same (writer,
-// writerCall, reader, readerCall) tuple, so an 8-byte load classifies once,
-// and a syscall marshalling 4KiB classifies a handful of times.
+// The paper pays 20-99x over native for byte-level shadowing; batching
+// claws a large constant factor back by amortizing the two per-granule
+// costs: the first-level chunk lookup (one per per-chunk span instead of one
+// per granule) and the fully branchy classification (one per run of
+// granules in identical shadow state, counted n times). Workload accesses
+// are overwhelmingly runs: a function streaming over a buffer leaves every
+// byte with the same (writer, writerCall, reader, readerCall) tuple, so an
+// 8-byte load classifies once, and a syscall marshalling 4KiB classifies a
+// handful of times.
 
 // readRange classifies the granule range [g0,g1] read by frame f at time
 // now. It splits the range into per-chunk spans and classifies each with
-// the run fast path; the retained scalar reference walks granule by
-// granule instead so the two can be diffed.
+// the run fast path.
 //
 //sigil:hot
 func (c *classifier) readRange(f *segFrame, g0, g1, now uint64) {
-	if c.scalar {
-		for g := g0; inRange(g, g0, g1); g++ {
-			c.readGranule(f, g, now, 1)
-		}
-		return
-	}
 	for g := g0; inRange(g, g0, g1); {
 		ch, idx := c.shadow.get(g)
 		end := g | chunkMask
@@ -251,10 +229,9 @@ func (c *classifier) readRange(f *segFrame, g0, g1, now uint64) {
 // idx: consecutive granules in identical shadow state form a run that is
 // classified once and counted len(run) times.
 //
-// State changes within the span start the next run, so the worst case
-// degrades to the scalar cost plus one comparison per granule; the cutover
-// stops paying even that: once cutoverShortRuns consecutive runs come in
-// under cutoverRunLen granules the span finishes granule-at-a-time.
+// State changes within the span start the next run, so the worst case, every
+// granule in a different state, costs one classification plus one
+// comparison per granule.
 //
 //sigil:hot
 func (c *classifier) readSpan(f *segFrame, ch *shadowChunk, idx, n uint32, now uint64) {
@@ -262,7 +239,6 @@ func (c *classifier) readSpan(f *segFrame, ch *shadowChunk, idx, n uint32, now u
 	c.granules += uint64(n)
 	objs := ch.objs[idx : idx+n]
 	call32 := uint32(f.call)
-	short := 0
 	for i := uint32(0); i < n; {
 		st := objs[i]
 		j := i + 1
@@ -278,73 +254,39 @@ func (c *classifier) readSpan(f *segFrame, ch *shadowChunk, idx, n uint32, now u
 			objs[k].reader = f.enc
 			objs[k].readerCall = call32
 		}
-		if j-i < cutoverRunLen {
-			short++
-			if short >= cutoverShortRuns && j < n {
-				c.readSpanTail(f, ch, idx, j, n, now, call32)
-				return
-			}
-		} else {
-			short = 0
-		}
 		i = j
 	}
 }
 
-// readSpanTail finishes a degenerate span granule-at-a-time. Classifying a
-// length-k run as k single-granule runs produces the same aggregates (every
-// counter adds bytes, and k×1 == 1×k), the same comm accumulation (bytes sum
-// per (src,call) key, first encounters in the same order), and the same
-// re-use updates (reuseRun's branches depend only on per-granule state), so
-// the two paths stay byte-identical — the differential suite diffs them
-// directly.
-//
-//sigil:hot
-func (c *classifier) readSpanTail(f *segFrame, ch *shadowChunk, idx, i, n uint32, now uint64, call32 uint32) {
-	objs := ch.objs[idx : idx+n]
-	for k := i; k < n; k++ {
-		st := objs[k]
-		c.runs++
-		c.classifyRun(f, st, 1)
-		if ch.reuse != nil {
-			c.reuseRun(f, ch.reuse[idx+k:idx+k+1], st, call32, now)
-		}
-		objs[k].reader = f.enc
-		objs[k].readerCall = call32
-	}
-}
-
-// classifyRun applies the scalar readGranule classification once for a run
-// of `bytes` granules sharing the shadow state obj. It must mirror
-// readGranule exactly; the differential and fuzz tests enforce that.
+// classifyRun classifies a run of `bytes` granules read by frame f that
+// share the shadow state obj, as DESIGN §4 specifies; the differential and
+// fuzz tests check it against an independent reference.
 //
 //sigil:hot
 func (c *classifier) classifyRun(f *segFrame, obj shadowObj, bytes uint64) {
+	// Unique vs non-unique follows the paper's mechanism exactly: "Sigil
+	// checks if the reading FUNCTION is the last reader and if so counts
+	// the read as non-unique" — the call number is not consulted for
+	// uniqueness (it delimits re-use episodes in reuseRun). This is what
+	// makes a function's repeated sweeps over the same data count once.
 	sameReader := obj.reader == f.enc
 	src := obj.writer
 	if src == encInvalid {
 		src = encStartup
 	}
+	s := &c.comm[f.ctx]
 	if src == f.enc {
-		if f.ctx >= 0 {
-			s := &c.comm[f.ctx]
-			if sameReader {
-				s.LocalNonUnique += bytes
-			} else {
-				s.LocalUnique += bytes
-			}
+		if sameReader {
+			s.LocalNonUnique += bytes
+		} else {
+			s.LocalUnique += bytes
 		}
 		return
 	}
-	if f.ctx >= 0 {
-		s := &c.comm[f.ctx]
-		if sameReader {
-			s.InputNonUnique += bytes
-		} else {
-			s.InputUnique += bytes
-		}
-	} else if f.enc == encKernel {
-		c.kernelIn += bytes
+	if sameReader {
+		s.InputNonUnique += bytes
+	} else {
+		s.InputUnique += bytes
 	}
 	switch src {
 	case encStartup:
@@ -356,11 +298,11 @@ func (c *classifier) classifyRun(f *segFrame, obj shadowObj, bytes uint64) {
 			c.kernelOut += bytes
 		}
 	default:
-		s := &c.comm[src-encBias]
+		p := &c.comm[src-encBias]
 		if sameReader {
-			s.OutputNonUnique += bytes
+			p.OutputNonUnique += bytes
 		} else {
-			s.OutputUnique += bytes
+			p.OutputUnique += bytes
 		}
 	}
 	e := c.edge(src, f.enc)
@@ -369,15 +311,15 @@ func (c *classifier) classifyRun(f *segFrame, obj shadowObj, bytes uint64) {
 	} else {
 		e.Unique += bytes
 	}
-	if !sameReader && c.sink != nil && f.ctx >= 0 {
+	if !sameReader && c.sink != nil {
 		c.accumulateComm(f, src, uint64(obj.writerCall), bytes)
 	}
 }
 
-// reuseRun updates the re-use extension for one run. The branch structure
-// of the scalar path is uniform across a run (the run key includes reader
-// and readerCall), so it hoists here; the per-granule counters and
-// timestamps still update individually.
+// reuseRun updates the re-use extension for one run. The branch taken is
+// the same for every granule of a run (the run key includes reader and
+// readerCall), so it hoists here; the per-granule counters and timestamps
+// still update individually.
 //
 //sigil:hot
 func (c *classifier) reuseRun(f *segFrame, ros []reuseObj, st shadowObj, call32 uint32, now uint64) {
@@ -419,12 +361,6 @@ func (c *classifier) reuseRun(f *segFrame, ros []reuseObj, st shadowObj, call32 
 //
 //sigil:hot
 func (c *classifier) writeRange(enc uint32, call uint64, g0, g1, now uint64) {
-	if c.scalar {
-		for g := g0; inRange(g, g0, g1); g++ {
-			c.writeGranule(enc, call, g, now)
-		}
-		return
-	}
 	call32 := uint32(call)
 	lineReuse := c.lineMode
 	for g := g0; inRange(g, g0, g1); {
@@ -479,119 +415,6 @@ func (c *classifier) markStartup(g0, g1 uint64) {
 // g <= g1 would never stop.
 func inRange(g, g0, g1 uint64) bool { return g-g0 <= g1-g0 }
 
-// --- retained scalar reference path ---
-
-// readGranule classifies one granule read by frame f at time now, counting
-// `bytes` toward the communication aggregates.
-func (c *classifier) readGranule(f *segFrame, g, now, bytes uint64) {
-	ch, idx := c.shadow.get(g)
-	obj := &ch.objs[idx]
-	// Unique vs non-unique follows the paper's mechanism exactly: "Sigil
-	// checks if the reading FUNCTION is the last reader and if so counts
-	// the read as non-unique" — the call number is not consulted for
-	// uniqueness (it delimits re-use episodes below). This is what makes
-	// a function's repeated sweeps over the same data count once.
-	sameReader := obj.reader == f.enc
-	sameCall := sameReader && obj.readerCall == uint32(f.call)
-
-	src := obj.writer
-	if src == encInvalid {
-		src = encStartup
-	}
-	if src == f.enc {
-		// Local: produced and read by the same function context.
-		if f.ctx >= 0 {
-			s := &c.comm[f.ctx]
-			if sameReader {
-				s.LocalNonUnique += bytes
-			} else {
-				s.LocalUnique += bytes
-			}
-		}
-	} else {
-		// Input to the reader, output of the producer.
-		if f.ctx >= 0 {
-			s := &c.comm[f.ctx]
-			if sameReader {
-				s.InputNonUnique += bytes
-			} else {
-				s.InputUnique += bytes
-			}
-		} else if f.enc == encKernel {
-			c.kernelIn += bytes
-		}
-		switch src {
-		case encStartup:
-			if !sameReader {
-				c.startupOut += bytes
-			}
-		case encKernel:
-			if !sameReader {
-				c.kernelOut += bytes
-			}
-		default:
-			s := &c.comm[src-encBias]
-			if sameReader {
-				s.OutputNonUnique += bytes
-			} else {
-				s.OutputUnique += bytes
-			}
-		}
-		e := c.edge(src, f.enc)
-		if sameReader {
-			e.NonUnique += bytes
-		} else {
-			e.Unique += bytes
-		}
-		if !sameReader && c.sink != nil && f.ctx >= 0 {
-			c.accumulateComm(f, src, uint64(obj.writerCall), bytes)
-		}
-	}
-
-	if ch.reuse != nil {
-		ro := &ch.reuse[idx]
-		if c.lineMode {
-			// Line mode: global per-line access counting, no resets.
-			if ro.count == 0 && ro.first == 0 {
-				ro.first = now
-			}
-			ro.count++
-			ro.last = now
-		} else if sameCall {
-			// Same function call re-reading the byte: the episode
-			// continues (re-use lifetimes are per function call).
-			ro.count++
-			ro.last = now
-		} else {
-			if obj.reader != encInvalid {
-				c.flushEpisode(obj.reader, ro)
-			}
-			ro.count = 0
-			ro.first = now
-			ro.last = now
-		}
-	}
-
-	obj.reader = f.enc
-	obj.readerCall = uint32(f.call)
-}
-
-// writeGranule records the producer of one granule.
-func (c *classifier) writeGranule(enc uint32, call uint64, g, now uint64) {
-	ch, idx := c.shadow.get(g)
-	obj := &ch.objs[idx]
-	obj.writer = enc
-	obj.writerCall = uint32(call)
-	if c.lineMode && ch.reuse != nil {
-		ro := &ch.reuse[idx]
-		if ro.count == 0 && ro.first == 0 {
-			ro.first = now
-		}
-		ro.count++
-		ro.last = now
-	}
-}
-
 // edge returns (allocating if needed) the aggregate edge src→dst, with a
 // one-entry cache for byte runs along the same edge.
 func (c *classifier) edge(srcEnc, dstEnc uint32) *Edge {
@@ -629,14 +452,10 @@ func (c *classifier) growCtx(id, parent, fn int32) {
 	}
 }
 
-// flushEpisode closes one re-use episode attributed to the encoded reader.
+// flushEpisode closes one re-use episode attributed to the encoded reader,
+// which is always a context: only a frame reads.
 func (c *classifier) flushEpisode(readerEnc uint32, ro *reuseObj) {
-	switch {
-	case readerEnc >= encBias:
-		c.reuse[readerEnc-encBias].recordEpisode(ro.count, ro.last-ro.first)
-	case readerEnc == encKernel:
-		c.kernelReuse.recordEpisode(ro.count, ro.last-ro.first)
-	}
+	c.reuse[readerEnc-encBias].recordEpisode(ro.count, ro.last-ro.first)
 }
 
 // flushChunk is the eviction / end-of-run hook: open episodes flush to their

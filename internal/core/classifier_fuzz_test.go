@@ -3,18 +3,17 @@ package core
 import (
 	"testing"
 
-	"sigil/internal/trace"
 	"sigil/internal/vm"
 )
 
 // The fuzz harness compiles random byte strings into straight-line programs
-// over an arena spanning several shadow chunks, then runs each program twice
-// — batched chunk-run classifier vs retained scalar reference — and demands
-// identical output. The generated access mix covers everything the batched
-// path special-cases: overlapping writes, runs broken by alternating
-// writers/readers/calls, ranges crossing chunk boundaries, wide syscall
-// in/out ranges, startup data, and all three profiling modes (plus an
-// eviction-heavy variant).
+// over an arena spanning several shadow chunks, then profiles each program
+// under the classifier wrapped by the map-based reference (refTool) and
+// demands identical output, events included. The generated access mix
+// covers everything batching special-cases: overlapping writes, runs broken
+// by alternating writers/readers/calls, ranges crossing chunk boundaries,
+// wide syscall in/out ranges, startup data, and all three profiling modes
+// (plus eviction-heavy variants of re-use and line mode).
 
 // fuzzArenaGranules spans a bit more than three chunks so generated ranges
 // can start and end in different chunks while the chunk working set stays
@@ -22,18 +21,18 @@ import (
 const fuzzArenaGranules = 3*chunkGranules + 4096
 
 // fuzzMode decodes the mode selector byte.
-func fuzzMode(sel byte) diffMode {
+func fuzzMode(sel byte) Options {
 	switch sel % 5 {
 	case 1:
-		return diffMode{"reuse", Options{TrackReuse: true}, false}
+		return Options{TrackReuse: true}
 	case 2:
-		return diffMode{"line", Options{LineGranularity: true}, false}
+		return Options{LineGranularity: true}
 	case 3:
-		return diffMode{"reuse-evicting", Options{TrackReuse: true, MaxShadowChunks: 2}, false}
+		return Options{TrackReuse: true, MaxShadowChunks: 2}
 	case 4:
-		return diffMode{"baseline-events", Options{}, true}
+		return Options{LineGranularity: true, MaxShadowChunks: 2}
 	default:
-		return diffMode{"baseline", Options{}, false}
+		return Options{}
 	}
 }
 
@@ -136,41 +135,23 @@ func runFuzzCase(t *testing.T, data []byte) {
 	if len(data) < 5 {
 		return
 	}
-	mode := fuzzMode(data[0])
+	opts := fuzzMode(data[0])
 	granule := uint64(1)
-	if mode.opts.LineGranularity {
+	if opts.LineGranularity {
 		granule = 64
 	}
 	prog, err := fuzzProgram(data[1:], granule)
 	if err != nil {
 		t.Fatalf("generated program failed to build: %v", err)
 	}
-
-	run := func(scalar bool) (*Result, *trace.Buffer) {
-		opts := mode.opts
-		opts.refScalar = scalar
-		ev := &trace.Buffer{}
-		if mode.events {
-			opts.Events = ev
-		}
-		res, err := Run(prog, opts, fuzzInput())
-		if err != nil {
-			t.Fatalf("scalar=%v: %v", scalar, err)
-		}
-		return res, ev
-	}
-	batched, bEv := run(false)
-	scalar, sEv := run(true)
-	assertResultsIdentical(t, batched, scalar)
-	if mode.events {
-		assertEventsIdentical(t, bEv.Events, sEv.Events)
-	}
+	diffAgainstRef(t, prog, fuzzInput(), opts)
 }
 
-// FuzzBatchedClassifier differentially fuzzes the batched classifier
-// against the scalar reference. The seed corpus alone covers every mode and
-// op kind, so `go test` exercises the differential even without -fuzz.
-func FuzzBatchedClassifier(f *testing.F) {
+// FuzzClassifierAgainstReference differentially fuzzes the classifier
+// against the map-based reference, with an event sink in every mode. The
+// seed corpus alone covers every mode and op kind, so `go test` exercises
+// the differential even without -fuzz.
+func FuzzClassifierAgainstReference(f *testing.F) {
 	for m := 0; m < 5; m++ {
 		seed := []byte{byte(m)}
 		for i := 0; i < 48; i++ {

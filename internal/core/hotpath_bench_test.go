@@ -5,39 +5,24 @@ import (
 	"testing"
 )
 
-// Microbenchmarks for the classification hot path, each run through the
-// batched chunk-run classifier and the retained scalar reference so
-// BENCH_N.json pins the amortization factor. The wide/streaming benches are
-// where batching must win big (one lookup + one classification per span vs
-// per granule); Mixed is the adversarial case where every granule's shadow
-// state differs and the run detector degrades to scalar plus a comparison.
+// Microbenchmarks for the classification hot path. The wide/streaming
+// benches are where batching must win big (one lookup + one classification
+// per span instead of per granule); Mixed is the adversarial case where
+// every granule's shadow state differs, so each costs one classification
+// plus one comparison.
 
 const benchBase = uint64(1) << 32 // arbitrary arena base, chunk-aligned
 
 // newBenchTool assembles a Tool with one open frame, bypassing the machine:
 // the benchmarks call the observer entry points directly so they measure
 // classification, not instruction dispatch.
-func newBenchTool(opts Options, scalar bool) *Tool {
+func newBenchTool(b *testing.B, opts Options) *Tool {
+	b.ReportAllocs()
 	tool := mustNew(newSubstrate(), opts)
-	tool.scalar = scalar
 	tool.growCtx(0, -1, 0)
 	tool.growCtx(1, 0, 0)
 	tool.enter(0, 1, 0, 0)
 	return tool
-}
-
-// benchPaths runs fn once per classification path.
-func benchPaths(b *testing.B, opts Options, fn func(b *testing.B, tool *Tool)) {
-	for _, v := range []struct {
-		name   string
-		scalar bool
-	}{{"scalar", true}, {"batched", false}} {
-		b.Run(v.name, func(b *testing.B) {
-			tool := newBenchTool(opts, v.scalar)
-			b.ReportAllocs()
-			fn(b, tool)
-		})
-	}
 }
 
 // BenchmarkMemReadStream sweeps a 64KiB buffer in 8-byte loads through the
@@ -45,32 +30,30 @@ func benchPaths(b *testing.B, opts Options, fn func(b *testing.B, tool *Tool)) {
 // inner loop.
 func BenchmarkMemReadStream(b *testing.B) {
 	const span = 1 << 16
-	benchPaths(b, Options{}, func(b *testing.B, tool *Tool) {
-		f := tool.top
-		tool.writeRange(f.enc, f.call, benchBase, benchBase+span-1, 0) // reads are local
-		b.SetBytes(span)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for a := uint64(0); a < span; a += 8 {
-				tool.MemRead(benchBase+a, 8)
-			}
+	tool := newBenchTool(b, Options{})
+	f := tool.top
+	tool.writeRange(f.enc, f.call, benchBase, benchBase+span-1, 0) // reads are local
+	b.SetBytes(span)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for a := uint64(0); a < span; a += 8 {
+			tool.MemRead(benchBase+a, 8)
 		}
-	})
+	}
 }
 
 // BenchmarkMemReadWide classifies 4KiB spans in one call — the syscall
 // marshalling shape, and the case chunk-run batching targets directly.
 func BenchmarkMemReadWide(b *testing.B) {
 	const span = 4096
-	benchPaths(b, Options{}, func(b *testing.B, tool *Tool) {
-		f := tool.top
-		tool.writeRange(f.enc, f.call, benchBase, benchBase+span-1, 0)
-		b.SetBytes(span)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tool.readRange(f, benchBase, benchBase+span-1, 0)
-		}
-	})
+	tool := newBenchTool(b, Options{})
+	f := tool.top
+	tool.writeRange(f.enc, f.call, benchBase, benchBase+span-1, 0)
+	b.SetBytes(span)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tool.readRange(f, benchBase, benchBase+span-1, 0)
+	}
 }
 
 // BenchmarkMemReadWideReuse is the wide read with the re-use extension on:
@@ -78,65 +61,42 @@ func BenchmarkMemReadWide(b *testing.B) {
 // per-granule re-use counters.
 func BenchmarkMemReadWideReuse(b *testing.B) {
 	const span = 4096
-	benchPaths(b, Options{TrackReuse: true}, func(b *testing.B, tool *Tool) {
-		f := tool.top
-		tool.writeRange(f.enc, f.call, benchBase, benchBase+span-1, 0)
-		b.SetBytes(span)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tool.readRange(f, benchBase, benchBase+span-1, 0)
-		}
-	})
+	tool := newBenchTool(b, Options{TrackReuse: true})
+	f := tool.top
+	tool.writeRange(f.enc, f.call, benchBase, benchBase+span-1, 0)
+	b.SetBytes(span)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tool.readRange(f, benchBase, benchBase+span-1, 0)
+	}
 }
 
 // BenchmarkMemWriteWide marks 4KiB of producer state in one call.
 func BenchmarkMemWriteWide(b *testing.B) {
 	const span = 4096
-	benchPaths(b, Options{}, func(b *testing.B, tool *Tool) {
-		f := tool.top
-		b.SetBytes(span)
-		for i := 0; i < b.N; i++ {
-			tool.writeRange(f.enc, f.call, benchBase, benchBase+span-1, 0)
-		}
-	})
+	tool := newBenchTool(b, Options{})
+	f := tool.top
+	b.SetBytes(span)
+	for i := 0; i < b.N; i++ {
+		tool.writeRange(f.enc, f.call, benchBase, benchBase+span-1, 0)
+	}
 }
 
 // BenchmarkMemReadMixed is the worst case for run detection: alternating
-// writer call numbers break every run at length one, so the batched path
-// pays the scalar cost plus one struct comparison per granule. The target
-// here is "no regression", not a win.
+// writer call numbers break every run at length one, so each granule pays
+// one classification plus one struct comparison.
 func BenchmarkMemReadMixed(b *testing.B) {
 	const span = 4096
-	benchPaths(b, Options{}, func(b *testing.B, tool *Tool) {
-		f := tool.top
-		for g := uint64(0); g < span; g++ {
-			tool.writeGranule(f.enc, f.call+1+(g&1), benchBase+g, 0)
-		}
-		b.SetBytes(span)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tool.readRange(f, benchBase, benchBase+span-1, 0)
-		}
-	})
-}
-
-// BenchmarkMemReadMixedPairs breaks runs at length two (alternating pairs
-// of writer calls) — still under the cutover threshold, so the batched path
-// must detect the short-run regime and fall back granule-at-a-time instead
-// of paying run scans that never amortize.
-func BenchmarkMemReadMixedPairs(b *testing.B) {
-	const span = 4096
-	benchPaths(b, Options{}, func(b *testing.B, tool *Tool) {
-		f := tool.top
-		for g := uint64(0); g < span; g++ {
-			tool.writeGranule(f.enc, f.call+1+((g>>1)&1), benchBase+g, 0)
-		}
-		b.SetBytes(span)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tool.readRange(f, benchBase, benchBase+span-1, 0)
-		}
-	})
+	tool := newBenchTool(b, Options{})
+	f := tool.top
+	for g := benchBase; g < benchBase+span; g++ {
+		tool.writeRange(f.enc, f.call+1+(g&1), g, g, 0)
+	}
+	b.SetBytes(span)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tool.readRange(f, benchBase, benchBase+span-1, 0)
+	}
 }
 
 // BenchmarkShadowCacheAlternating hammers the first-level lookup with reads

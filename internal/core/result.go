@@ -33,9 +33,6 @@ type Result struct {
 	// Reuse holds per-context re-use statistics (nil unless re-use mode).
 	Reuse []ReuseStats
 
-	// KernelReuse aggregates episodes whose reader was a syscall.
-	KernelReuse ReuseStats
-
 	// Lines is the line-granularity report (nil unless line mode).
 	Lines *LineReport
 
@@ -82,7 +79,6 @@ func (t *Tool) freeze() *Result {
 		Profile:        t.sub.Profile(),
 		Comm:           t.comm,
 		Edges:          edges,
-		KernelReuse:    t.kernelReuse,
 		Lines:          t.lines,
 		Shadow:         t.shadow.stats(granule),
 		StartupBytes:   t.startupOut,

@@ -6,8 +6,9 @@ import "sort"
 // classification axes: input/output/local and unique/non-unique. Input means
 // the context read a byte another function produced; output means another
 // function read a byte this context produced; local means the context read a
-// byte it produced itself. Unique counts first-time reads of a byte by a
-// consumer; non-unique counts repeat reads by the same consuming call.
+// byte it produced itself. A read is non-unique when the byte's last reader
+// is the reading context, in any of its calls, and unique otherwise: the
+// call number delimits re-use episodes, not uniqueness.
 type CommStats struct {
 	InputUnique     uint64
 	InputNonUnique  uint64
@@ -44,12 +45,13 @@ func (s CommStats) UniqueOut() uint64 { return s.OutputUnique }
 
 // Edge is one producer→consumer data-flow edge aggregated over a run. Src
 // may be a real context ID or trace.CtxStartup / trace.CtxKernel; Dst is a
-// real context ID or trace.CtxKernel (bytes consumed by syscalls).
+// real context ID or trace.CtxKernel (bytes consumed by syscalls, all
+// unique).
 type Edge struct {
 	Src       int32
 	Dst       int32
-	Unique    uint64 // bytes on first-time reads
-	NonUnique uint64 // bytes on repeat reads by the same call
+	Unique    uint64 // bytes read by a context that was not their last reader
+	NonUnique uint64 // bytes re-read by the context that read them last
 }
 
 // LifetimeBin is the width of re-use lifetime histogram bins in retired

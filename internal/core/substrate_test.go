@@ -75,7 +75,6 @@ func TestCommunicationIndependentOfSubstrate(t *testing.T) {
 				{"Comm", base.Comm, moved.Comm},
 				{"Edges", base.Edges, moved.Edges},
 				{"Reuse", base.Reuse, moved.Reuse},
-				{"KernelReuse", base.KernelReuse, moved.KernelReuse},
 				{"Lines", base.Lines, moved.Lines},
 				{"StartupBytes", base.StartupBytes, moved.StartupBytes},
 				{"KernelOutBytes", base.KernelOutBytes, moved.KernelOutBytes},

@@ -225,6 +225,49 @@ func TestWorkerMatchesInline(t *testing.T) {
 	}
 }
 
+// assertResultsIdentical names what differs between the complete
+// classification output of a worker run and an inline run: per-context
+// aggregates, edges, re-use histograms, the line report and the external
+// producer/consumer totals.
+func assertResultsIdentical(t *testing.T, worker, inline *Result) {
+	t.Helper()
+	if !reflect.DeepEqual(worker.Comm, inline.Comm) {
+		for id := range worker.Comm {
+			if id < len(inline.Comm) && worker.Comm[id] != inline.Comm[id] {
+				t.Errorf("ctx %d (%s): worker %+v, inline %+v",
+					id, worker.CtxName(int32(id)), worker.Comm[id], inline.Comm[id])
+			}
+		}
+		if len(worker.Comm) != len(inline.Comm) {
+			t.Errorf("comm length: worker %d, inline %d", len(worker.Comm), len(inline.Comm))
+		}
+	}
+	if !reflect.DeepEqual(worker.Edges, inline.Edges) {
+		t.Errorf("edges differ:\nworker %+v\ninline %+v", worker.Edges, inline.Edges)
+	}
+	if !reflect.DeepEqual(worker.Reuse, inline.Reuse) {
+		for id := range worker.Reuse {
+			if id < len(inline.Reuse) && !reflect.DeepEqual(worker.Reuse[id], inline.Reuse[id]) {
+				t.Errorf("reuse ctx %d (%s): worker %+v, inline %+v",
+					id, worker.CtxName(int32(id)), worker.Reuse[id], inline.Reuse[id])
+			}
+		}
+		if len(worker.Reuse) != len(inline.Reuse) {
+			t.Errorf("reuse length: worker %d, inline %d", len(worker.Reuse), len(inline.Reuse))
+		}
+	}
+	if !reflect.DeepEqual(worker.Lines, inline.Lines) {
+		t.Errorf("line report: worker %+v, inline %+v", worker.Lines, inline.Lines)
+	}
+	if worker.StartupBytes != inline.StartupBytes ||
+		worker.KernelOutBytes != inline.KernelOutBytes ||
+		worker.KernelInBytes != inline.KernelInBytes {
+		t.Errorf("externals: worker %d/%d/%d, inline %d/%d/%d",
+			worker.StartupBytes, worker.KernelOutBytes, worker.KernelInBytes,
+			inline.StartupBytes, inline.KernelOutBytes, inline.KernelInBytes)
+	}
+}
+
 // conserved reports whether every byte the substrate saw read was
 // classified: Σ TotalRead = Σ ReadBytes+SysIn.
 func conserved(res *Result) (classified, counted uint64) {
@@ -311,7 +354,7 @@ func TestWorkerJoinedOnEveryExit(t *testing.T) {
 		{name: "complete", prog: vips, input: vipsIn, check: noErr},
 		{name: "instructions", prog: vips, input: vipsIn, opts: Options{MaxInstrs: 300_000}, check: wantBudget("instructions")},
 		{name: "shadow-chunks", prog: dedup, input: dedupIn, opts: Options{MaxShadowChunksHard: 6}, check: wantBudget("shadow-chunks")},
-		{name: "cancelled", prog: producerConsumerProg(1<<12, 1<<30), timeout: 30 * time.Millisecond, check: cancelled},
+		{name: "cancelled", prog: producerConsumerProg(1<<10, 1<<30), timeout: 30 * time.Millisecond, check: cancelled},
 		{name: "interpreter-panic", prog: vips, input: vipsIn, run: runAborting,
 			check: wantPanic("interpreter exploded"), panic: true},
 		{name: "sampler-panic", prog: vips, input: vipsIn, opts: Options{Telemetry: &telemetry.Metrics{}},

@@ -11,8 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 
 	"sigil/internal/trace"
 )
@@ -262,28 +260,4 @@ func AnalyzeReader(r io.Reader) (*Analysis, error) {
 		}
 		return fmt.Sprintf("<ctx#%d>", ctx)
 	}), nil
-}
-
-// AnalyzeFile loads path with the parallel frame decoder (workers <= 0
-// selects one worker per CPU) and analyzes it. The chain construction
-// itself is inherently sequential, but on framed (v3) files the decode —
-// checksum verification, decompression, varint decoding — fans out across
-// the pool, which dominates load time for large traces. The seekable file
-// also lets the reader preallocate from the footer's event count.
-func AnalyzeFile(path string, workers int) (*Analysis, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	tr, err := trace.ReadAllWorkers(f, workers)
-	if cerr := f.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return Analyze(tr)
 }

@@ -3,8 +3,6 @@ package critpath
 import (
 	"bytes"
 	"math"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -411,64 +409,5 @@ func TestHostileCallNumbersBoundMemory(t *testing.T) {
 func TestAnalyzeReaderRejectsGarbage(t *testing.T) {
 	if _, err := AnalyzeReader(bytes.NewReader([]byte("junkjunkjunk"))); err == nil {
 		t.Error("garbage accepted")
-	}
-}
-
-// TestAnalyzeFileMatchesReader decodes the same event file through
-// AnalyzeFile at several pool widths and checks every one agrees with the
-// streaming analysis.
-func TestAnalyzeFileMatchesReader(t *testing.T) {
-	b := vm.NewBuilder()
-	buf := b.Reserve("buf", 64)
-	main := b.Func("main")
-	main.MoviU(vm.R1, buf)
-	main.Call("stage1")
-	main.Call("stage2")
-	main.Halt()
-	s1 := b.Func("stage1")
-	heavyLoop(s1, 2000)
-	s1.Store(vm.R1, 0, vm.R20, 8)
-	s1.Ret()
-	s2 := b.Func("stage2")
-	s2.Load(vm.R3, vm.R1, 0, 8)
-	heavyLoop(s2, 3000)
-	s2.Ret()
-
-	path := filepath.Join(t.TempDir(), "out.evt")
-	sink, err := trace.CreateFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.Run(mustBuild(b), core.Options{Events: sink}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := AnalyzeReader(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 4} {
-		got, err := AnalyzeFile(path, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got.CriticalOps != want.CriticalOps || got.SerialOps != want.SerialOps ||
-			got.Segments != want.Segments {
-			t.Errorf("workers=%d: %+v != %+v", workers, got, want)
-		}
-		if strings.Join(got.Chain, ",") != strings.Join(want.Chain, ",") {
-			t.Errorf("workers=%d: chains differ: %v vs %v", workers, got.Chain, want.Chain)
-		}
-	}
-	if _, err := AnalyzeFile(filepath.Join(t.TempDir(), "missing.evt"), 2); err == nil {
-		t.Error("missing file accepted")
 	}
 }

@@ -115,7 +115,6 @@ func TestReuseEpisodeConservation(t *testing.T) {
 		for i := range r.Reuse {
 			total.Add(r.Reuse[i])
 		}
-		total.Add(r.KernelReuse)
 		if total.Episodes != total.ZeroReuse+total.Low+total.High {
 			t.Errorf("%s: %d episodes != %d+%d+%d buckets",
 				name, total.Episodes, total.ZeroReuse, total.Low, total.High)

@@ -45,7 +45,7 @@ for half in 1 2; do
 done
 
 echo "== reference differentials on both schedules (GOMAXPROCS 1 inline, 2 worker)"
-go test -cpu 1,2 -run 'TestDifferentialAgainstReference|TestBatchedMatchesScalarOnWorkloads|TestCommunicationIndependentOfSubstrate' ./internal/core
+go test -cpu 1,2 -run 'TestDifferentialAgainstReference|TestWrappingAccessClassified|TestCommunicationIndependentOfSubstrate' ./internal/core
 
 echo "== experiments worker-pool shakeout (-race, uncached)"
 go test -race -count=1 -run 'TestProfileSingleflight|TestParallelSuite|TestRunPool' ./internal/experiments
