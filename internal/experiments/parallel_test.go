@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sigil/internal/core"
 	"sigil/internal/workloads"
@@ -105,21 +107,27 @@ func TestParallelSuiteMixedLoad(t *testing.T) {
 
 // TestRunPoolStopsOnError checks the pool reports the first failure and
 // stops feeding jobs rather than draining the whole list.
+//
+// The jobs after the failing one take a millisecond each, as real profiling
+// jobs take far longer than a handoff on the feed. Were they instant, the
+// feeder and the other worker could hand off and run every remaining job
+// while the worker holding the failing job waits to be scheduled, before
+// there is any error for the pool to stop on.
 func TestRunPoolStopsOnError(t *testing.T) {
 	s := NewSuite()
 	s.Workers = 2
 	boom := errors.New("boom")
-	var mu sync.Mutex
-	ran := 0
+	var ran atomic.Int32
 	jobs := make([]func() error, 64)
 	for i := range jobs {
 		i := i
 		jobs[i] = func() error {
-			mu.Lock()
-			ran++
-			mu.Unlock()
-			if i == 3 {
+			ran.Add(1)
+			switch {
+			case i == 3:
 				return boom
+			case i > 3:
+				time.Sleep(time.Millisecond)
 			}
 			return nil
 		}
@@ -127,32 +135,32 @@ func TestRunPoolStopsOnError(t *testing.T) {
 	if err := s.runPool(jobs); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if ran == len(jobs) {
+	if ran.Load() == int32(len(jobs)) {
 		t.Error("pool drained every job despite an early error")
 	}
 }
 
 // TestRunPoolHonorsCancellation checks a cancelled suite context stops the
-// feed.
+// feed. The jobs after the first wait for it to cancel: were they instant,
+// the feeder and the other worker could run them all before the worker
+// holding the first job is scheduled. The cancel happens inside that job, so
+// the feed sees it before any later job can finish.
 func TestRunPoolHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s := NewSuite()
 	s.Workers = 2
 	s.Ctx = ctx
-	var mu sync.Mutex
-	ran := 0
+	var ran atomic.Int32
 	jobs := make([]func() error, 64)
 	for i := range jobs {
 		i := i
 		jobs[i] = func() error {
-			mu.Lock()
-			ran++
-			mu.Unlock()
+			ran.Add(1)
 			if i == 0 {
 				cancel()
+			} else {
+				<-ctx.Done()
 			}
 			return nil
 		}
@@ -160,9 +168,7 @@ func TestRunPoolHonorsCancellation(t *testing.T) {
 	if err := s.runPool(jobs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if ran == len(jobs) {
+	if ran.Load() == int32(len(jobs)) {
 		t.Error("pool drained every job despite cancellation")
 	}
 }
