@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -34,7 +33,6 @@ func main() {
 		commCost = flag.Float64("opsperbyte", 0, "charge data edges at this many ops per byte")
 		slots    = flag.String("slots", "", "comma-separated slot counts to schedule onto (e.g. 2,4,8)")
 		salvage  = flag.Bool("salvage", false, "recover the valid prefix of a truncated/corrupt event file")
-		workers  = flag.Int("decode-workers", 0, "frame-decode goroutines for v3 event files (0 = one per CPU)")
 	)
 	tel = cli.RegisterTelemetry(flag.CommandLine, "sigil-critpath")
 	flag.Parse()
@@ -48,7 +46,7 @@ func main() {
 	defer stopTel()
 
 	load := tel.StartSpan("load")
-	tr, err := loadTrace(ctx, *evtFile, *workload, *class, *salvage, *workers, tel)
+	tr, err := loadTrace(ctx, *evtFile, *workload, *class, *salvage, tel)
 	load.End()
 	if err != nil {
 		fatal(err)
@@ -94,7 +92,7 @@ func main() {
 	tel.Finish(art)
 }
 
-func loadTrace(ctx context.Context, evtFile, workload, class string, salvage bool, workers int, tel *cli.Telemetry) (*trace.Trace, error) {
+func loadTrace(ctx context.Context, evtFile, workload, class string, salvage bool, tel *cli.Telemetry) (*trace.Trace, error) {
 	switch {
 	case evtFile != "" && workload != "":
 		return nil, fmt.Errorf("use either -events or -workload")
@@ -103,7 +101,7 @@ func loadTrace(ctx context.Context, evtFile, workload, class string, salvage boo
 		if err != nil {
 			return nil, err
 		}
-		tr, err := readEventFile(f, salvage, workers)
+		tr, err := readEventFile(f, salvage)
 		if cerr := f.Close(); err == nil && cerr != nil {
 			err = cerr
 		}
@@ -134,8 +132,8 @@ func loadTrace(ctx context.Context, evtFile, workload, class string, salvage boo
 }
 
 // readEventFile decodes an event file, either salvaging a damaged one or
-// fanning the frame decode out across workers.
-func readEventFile(f *os.File, salvage bool, workers int) (*trace.Trace, error) {
+// fanning the frame decode out across GOMAXPROCS workers.
+func readEventFile(f *os.File, salvage bool) (*trace.Trace, error) {
 	if salvage {
 		tr, rep, err := trace.Salvage(f)
 		if err != nil {
@@ -159,10 +157,7 @@ func readEventFile(f *os.File, salvage bool, workers int) (*trace.Trace, error) 
 		}
 		return tr, nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	tr, err := trace.ReadAllWorkers(f, workers)
+	tr, err := trace.ReadAll(f)
 	if errors.Is(err, trace.ErrTruncated) || errors.Is(err, trace.ErrCorrupt) {
 		return nil, fmt.Errorf("%w (rerun with -salvage to recover the valid prefix)", err)
 	}

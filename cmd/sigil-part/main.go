@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"sigil/internal/cdfg"
 	"sigil/internal/cli"
@@ -118,18 +117,7 @@ func loadResult(ctx context.Context, profFile, workload, class string, tel *cli.
 	case profFile != "" && workload != "":
 		return nil, fmt.Errorf("use either -profile or -workload")
 	case profFile != "":
-		f, err := os.Open(profFile)
-		if err != nil {
-			return nil, err
-		}
-		r, err := core.ReadProfile(f)
-		if cerr := f.Close(); err == nil && cerr != nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, err
-		}
-		return r, nil
+		return core.ReadProfileFile(profFile)
 	case workload != "":
 		c, err := workloads.ParseClass(class)
 		if err != nil {

@@ -14,7 +14,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 
 	"sigil/internal/cli"
@@ -109,18 +108,7 @@ func loadResult(ctx context.Context, profFile, workload, class string, lineMode 
 	case profFile != "" && workload != "":
 		return nil, fmt.Errorf("use either -profile or -workload")
 	case profFile != "":
-		f, err := os.Open(profFile)
-		if err != nil {
-			return nil, err
-		}
-		r, err := core.ReadProfile(f)
-		if cerr := f.Close(); err == nil && cerr != nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, err
-		}
-		return r, nil
+		return core.ReadProfileFile(profFile)
 	case workload != "":
 		c, err := workloads.ParseClass(class)
 		if err != nil {

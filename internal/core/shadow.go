@@ -61,21 +61,16 @@ const (
 	encBias    uint32 = 3 // real context c encodes as c+encBias
 )
 
-// encodeCtx converts a context ID (or trace.CtxKernel/CtxStartup) into the
-// shadow encoding.
+// encodeCtx converts a calltree context ID (always ≥ 0) into the shadow
+// encoding.
 func encodeCtx(ctx int32) uint32 {
-	switch {
-	case ctx >= 0:
-		return uint32(ctx) + encBias
-	case ctx == -1:
-		return encStartup
-	default:
-		return encKernel
-	}
+	return uint32(ctx) + encBias
 }
 
-// decodeCtx is the inverse of encodeCtx; invalid decodes to CtxStartup
-// (never-written memory is program input).
+// decodeCtx turns a shadow encoding back into a context ID. Besides
+// encodeCtx's real contexts it decodes the kernel's and startup's
+// encodings, which syscalls and startup marking write; invalid decodes to
+// CtxStartup (never-written memory is program input).
 func decodeCtx(enc uint32) int32 {
 	switch enc {
 	case encInvalid, encStartup:
@@ -197,20 +192,6 @@ func (t *shadowTable) get(g uint64) (*shadowChunk, uint32) {
 		slot = &t.cache[key&shadowCacheMask]
 	}
 	slot.key, slot.ch = key, ch
-	return ch, uint32(g & chunkMask)
-}
-
-// peek returns the chunk for granule g without materializing it.
-func (t *shadowTable) peek(g uint64) (*shadowChunk, uint32) {
-	key := g >> chunkBits
-	slot := &t.cache[key&shadowCacheMask]
-	if slot.ch != nil && slot.key == key {
-		return slot.ch, uint32(g & chunkMask)
-	}
-	ch := t.chunks[key]
-	if ch != nil {
-		slot.key, slot.ch = key, ch
-	}
 	return ch, uint32(g & chunkMask)
 }
 

@@ -8,39 +8,12 @@
 package critpath
 
 import (
-	"errors"
 	"fmt"
-	"io"
+	"math"
+	"slices"
 
 	"sigil/internal/trace"
 )
-
-// node is one computation segment (a box of the paper's Figure 3). The
-// inclusive cost is the self-cost plus the maximum inclusive cost over
-// predecessors — the longest dependent chain from the program's start.
-type node struct {
-	ctx  int32
-	self uint64
-	incl uint64
-	pred *node // predecessor on the longest incoming chain
-}
-
-// callState tracks the chain bookkeeping for one function call.
-type callState struct {
-	ctx     int32
-	callNum uint64
-	// last is the most recent closed segment node of this call; data
-	// consumers of this call's output depend on it.
-	last *node
-	// enterPred is the caller's segment node at the time of the call —
-	// the call edge source for this call's first segment.
-	enterPred *node
-	// open is the in-construction segment (created lazily by the first
-	// comm/ops after the previous segment closed).
-	open *node
-	// maxPred accumulates the best predecessor for the open segment.
-	maxPred *node
-}
 
 // Analysis is the result of processing one event stream.
 type Analysis struct {
@@ -49,7 +22,7 @@ type Analysis struct {
 	SerialOps uint64
 	// CriticalOps is the longest dependent chain's operation count.
 	CriticalOps uint64
-	// Segments is the number of chain nodes constructed.
+	// Segments is the number of computation segments the stream began.
 	Segments uint64
 	// Chain lists the critical path's function names from main to leaf
 	// (consecutive duplicates collapsed), the form §IV-C reports.
@@ -70,194 +43,185 @@ func (a *Analysis) Parallelism() float64 {
 	return float64(a.SerialOps) / float64(a.CriticalOps)
 }
 
-// analyzer is the incremental chain-construction state machine, shared by
-// the in-memory Analyze and the streaming AnalyzeReader. Call states and
-// segment nodes come from chunked arenas: a pass creates one of each per
-// call and per segment, and those are most of its allocations.
-type analyzer struct {
-	a      *Analysis
-	calls  callIndex[callState]
-	states arena[callState]
-	nodes  arena[node]
-	stack  []*callState
-	best   *node
-	names  map[int32]string
-	events uint64 // events stepped so far, bounding the dense call index
+// Analyze builds dependency chains from an event stream and extracts the
+// critical path: AnalyzeWithComm with free communication.
+func Analyze(tr *trace.Trace) (*Analysis, error) {
+	return AnalyzeWithComm(tr, CommConfig{})
 }
 
-func newAnalyzer() *analyzer {
-	return &analyzer{
-		a:     &Analysis{},
-		names: make(map[int32]string),
+// dag is an event stream's segment DAG (a box of the paper's Figure 3 per
+// node). Its nodes are the segments that closed, in the order they closed,
+// which is topological: each of a segment's predecessors had closed before
+// the edge from it was recorded. In a stream the profiler wrote, a
+// segment's events are adjacent, so this is also the order segments began.
+type dag struct {
+	nodes []node
+	edges []edge
+	// segments counts every segment begun. One that never closes (the
+	// last segment of a cut stream) is no node: it retired no recorded
+	// operations, and nothing can depend on it.
+	segments  uint64
+	serialOps uint64
+}
+
+// node is one closed segment.
+type node struct {
+	self  uint64 // operations the segment retired
+	ctx   int32
+	seq   int32 // sequential or call predecessor, -1 if none
+	edges int32 // first incoming data edge, -1 if none
+}
+
+// edge is a data-transfer edge, linked to the next one into the same
+// segment in stream order.
+type edge struct {
+	bytes uint64
+	src   int32 // producing segment
+	next  int32 // -1 if none
+}
+
+// callState is the replay's bookkeeping for one function call.
+type callState struct {
+	num uint64
+	ctx int32
+	// tail is the call's latest closed segment or, until it has one, the
+	// caller's tail at the call; -1 if neither exists. The call's next
+	// segment, its callees' first segments and the consumers of its data
+	// depend on it.
+	tail int32
+	// The open segment's predecessor and first and last data edges.
+	seq, first, last int32
+	open             bool
+}
+
+// replay walks the event stream once into its segment DAG. It is the only
+// pass over the events: Analyze, AnalyzeWithComm and Schedule all work on
+// its result. Call states come from a chunked arena, one per call.
+func replay(tr *trace.Trace) (*dag, error) {
+	if len(tr.Events) > math.MaxInt32 {
+		return nil, fmt.Errorf("critpath: %d events overflow the segment index", len(tr.Events))
+	}
+	// A segment closes with an Ops event inside a call that has an Enter
+	// and a Leave, and a call has at most one segment more than it has
+	// callees, so a complete stream has fewer segments than half its
+	// events.
+	g := &dag{nodes: make([]node, 0, len(tr.Events)/2)}
+	var (
+		calls  callIndex[callState]
+		states arena[callState]
+		stack  []*callState
+	)
+	for i := range tr.Events {
+		e := &tr.Events[i]
+		switch e.Kind {
+		case trace.KindEnter:
+			cs := states.alloc()
+			cs.num, cs.ctx, cs.tail = e.Call, e.Ctx, -1
+			if len(stack) > 0 {
+				// The profiler closes the caller's segment before the
+				// Enter, so the caller's tail is the call edge source.
+				cs.tail = stack[len(stack)-1].tail
+			}
+			calls.put(e.Call, cs, uint64(i)+1)
+			stack = append(stack, cs)
+
+		case trace.KindLeave:
+			if len(stack) == 0 {
+				return nil, fmt.Errorf("critpath: leave of call %d with empty stack", e.Call)
+			}
+			if top := stack[len(stack)-1]; top.num != e.Call {
+				return nil, fmt.Errorf("critpath: leave of call %d while call %d is open", e.Call, top.num)
+			}
+			stack = stack[:len(stack)-1]
+
+		case trace.KindComm:
+			cs := calls.get(e.Call)
+			if cs == nil {
+				return nil, fmt.Errorf("critpath: comm into unknown call %d", e.Call)
+			}
+			g.open(cs)
+			// Synthetic producers (@startup, @kernel) and producers with
+			// no segment yet impose no chain dependency.
+			if src := calls.get(e.SrcCall); src != nil && e.SrcCtx >= 0 && src.tail >= 0 {
+				k := int32(len(g.edges))
+				g.edges = append(g.edges, edge{bytes: e.Bytes, src: src.tail, next: -1})
+				if cs.last >= 0 {
+					g.edges[cs.last].next = k
+				} else {
+					cs.first = k
+				}
+				cs.last = k
+			}
+
+		case trace.KindOps:
+			cs := calls.get(e.Call)
+			if cs == nil {
+				return nil, fmt.Errorf("critpath: ops for unknown call %d", e.Call)
+			}
+			g.open(cs)
+			g.serialOps += e.Ops
+			g.nodes = append(g.nodes, node{self: e.Ops, ctx: cs.ctx, seq: cs.seq, edges: cs.first})
+			cs.tail, cs.open = int32(len(g.nodes)-1), false
+		}
+	}
+	return g, nil
+}
+
+// open begins a segment of cs unless one is open already.
+func (g *dag) open(cs *callState) {
+	if !cs.open {
+		cs.seq, cs.first, cs.last, cs.open = cs.tail, -1, -1, true
+		g.segments++
 	}
 }
 
-func (z *analyzer) ensureOpen(cs *callState) *node {
-	if cs.open == nil {
-		cs.open = z.nodes.alloc()
-		cs.open.ctx = cs.ctx
-		z.a.Segments++
-		// Sequential edge from the call's previous segment, or the
-		// call edge for the first segment.
-		switch {
-		case cs.last != nil:
-			cs.maxPred = cs.last
-		case cs.enterPred != nil:
-			cs.maxPred = cs.enterPred
-		default:
-			cs.maxPred = nil
+// pick returns node i's predecessor on its longest incoming chain and that
+// chain's length, given the chain lengths incl of the nodes before i and
+// opsPerByte charged per transferred byte. The sequential or call
+// predecessor stays unless a data edge is strictly longer; among data
+// edges, the first in stream order wins a tie.
+func (g *dag) pick(i int32, incl []float64, opsPerByte float64) (int32, float64) {
+	n := &g.nodes[i]
+	p, w := n.seq, 0.0
+	if p >= 0 {
+		w = incl[p]
+	}
+	for k := n.edges; k >= 0; k = g.edges[k].next {
+		e := &g.edges[k]
+		if d := incl[e.src] + float64(e.bytes)*opsPerByte; p < 0 || d > w {
+			p, w = e.src, d
 		}
 	}
-	return cs.open
+	return p, w
 }
 
-func (z *analyzer) step(e *trace.Event) error {
-	z.events++
-	switch e.Kind {
-	case trace.KindDefCtx:
-		z.names[e.Ctx] = e.Name
-
-	case trace.KindEnter:
-		cs := z.states.alloc()
-		cs.ctx, cs.callNum = e.Ctx, e.Call
-		if len(z.stack) > 0 {
-			parent := z.stack[len(z.stack)-1]
-			// The caller's segment closed just before this Enter
-			// (the profiler emits Ops first), so its last node is
-			// the call edge source.
-			if parent.last != nil {
-				cs.enterPred = parent.last
-			} else if parent.enterPred != nil {
-				cs.enterPred = parent.enterPred
-			}
+// longestPath finds the longest chain, charging opsPerByte per transferred
+// byte, and names its contexts with name. The first node to reach the
+// greatest length ends it.
+func (g *dag) longestPath(opsPerByte float64, name func(int32) string) *Analysis {
+	a := &Analysis{SerialOps: g.serialOps, Segments: g.segments}
+	incl := make([]float64, len(g.nodes))
+	best := int32(-1)
+	for i := range g.nodes {
+		_, w := g.pick(int32(i), incl, opsPerByte)
+		incl[i] = w + float64(g.nodes[i].self)
+		if best < 0 || incl[i] > incl[best] {
+			best = int32(i)
 		}
-		z.calls.put(e.Call, cs, z.events)
-		z.stack = append(z.stack, cs)
-
-	case trace.KindLeave:
-		if len(z.stack) == 0 {
-			return fmt.Errorf("critpath: leave of call %d with empty stack", e.Call)
-		}
-		cs := z.stack[len(z.stack)-1]
-		if cs.callNum != e.Call {
-			return fmt.Errorf("critpath: leave of call %d while call %d is open", e.Call, cs.callNum)
-		}
-		z.stack = z.stack[:len(z.stack)-1]
-
-	case trace.KindComm:
-		cs := z.calls.get(e.Call)
-		if cs == nil {
-			return fmt.Errorf("critpath: comm into unknown call %d", e.Call)
-		}
-		z.ensureOpen(cs)
-		// Producer's latest segment; synthetic producers (@startup,
-		// @kernel) and producers with no recorded segment impose no
-		// chain dependency.
-		if src := z.calls.get(e.SrcCall); src != nil && e.SrcCtx >= 0 {
-			var srcNode *node
-			if src.last != nil {
-				srcNode = src.last
-			} else if src.enterPred != nil {
-				srcNode = src.enterPred
-			}
-			if srcNode != nil && (cs.maxPred == nil || srcNode.incl > cs.maxPred.incl) {
-				cs.maxPred = srcNode
-			}
-		}
-
-	case trace.KindOps:
-		cs := z.calls.get(e.Call)
-		if cs == nil {
-			return fmt.Errorf("critpath: ops for unknown call %d", e.Call)
-		}
-		n := z.ensureOpen(cs)
-		n.self = e.Ops
-		z.a.SerialOps += e.Ops
-		n.pred = cs.maxPred
-		if n.pred != nil {
-			n.incl = n.pred.incl + n.self
-		} else {
-			n.incl = n.self
-		}
-		if z.best == nil || n.incl > z.best.incl {
-			z.best = n
-		}
-		cs.last = n
-		cs.open = nil
-		cs.maxPred = nil
-
-	case trace.KindSys:
-		// Syscalls impose no chain structure beyond the comm edges
-		// already recorded for their buffers.
 	}
-	return nil
-}
-
-func (z *analyzer) finish(name func(int32) string) *Analysis {
-	a := z.a
-	if z.best != nil {
-		a.CriticalOps = z.best.incl
-		for n := z.best; n != nil; n = n.pred {
-			a.ChainCtxs = append(a.ChainCtxs, n.ctx)
+	if best < 0 {
+		return a
+	}
+	a.CriticalOps = uint64(incl[best])
+	// Walk back from the leaf, collapsing consecutive repeats.
+	for i := best; i >= 0; i, _ = g.pick(i, incl, opsPerByte) {
+		if c := g.nodes[i].ctx; len(a.ChainCtxs) == 0 || a.ChainCtxs[len(a.ChainCtxs)-1] != c {
+			a.ChainCtxs = append(a.ChainCtxs, c)
 		}
-		// Reverse into main→leaf order and collapse repeats.
-		for i, j := 0, len(a.ChainCtxs)-1; i < j; i, j = i+1, j-1 {
-			a.ChainCtxs[i], a.ChainCtxs[j] = a.ChainCtxs[j], a.ChainCtxs[i]
-		}
-		var compact []int32
-		for _, c := range a.ChainCtxs {
-			if len(compact) == 0 || compact[len(compact)-1] != c {
-				compact = append(compact, c)
-			}
-		}
-		a.ChainCtxs = compact
-		for _, c := range a.ChainCtxs {
-			a.Chain = append(a.Chain, name(c))
-		}
+	}
+	slices.Reverse(a.ChainCtxs)
+	for _, c := range a.ChainCtxs {
+		a.Chain = append(a.Chain, name(c))
 	}
 	return a
-}
-
-// Analyze builds dependency chains from an event stream and extracts the
-// critical path.
-func Analyze(tr *trace.Trace) (*Analysis, error) {
-	z := newAnalyzer()
-	for i := range tr.Events {
-		if err := z.step(&tr.Events[i]); err != nil {
-			return nil, err
-		}
-	}
-	return z.finish(tr.CtxName), nil
-}
-
-// AnalyzeReader runs the same analysis over an encoded event file without
-// materializing it: each event is processed as it is decoded, so traces
-// larger than memory stream through in one pass.
-func AnalyzeReader(r io.Reader) (*Analysis, error) {
-	z := newAnalyzer()
-	rd := trace.NewReader(r)
-	for {
-		e, err := rd.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := z.step(&e); err != nil {
-			return nil, err
-		}
-	}
-	return z.finish(func(ctx int32) string {
-		switch ctx {
-		case trace.CtxStartup:
-			return "@startup"
-		case trace.CtxKernel:
-			return "@kernel"
-		}
-		if n, ok := z.names[ctx]; ok {
-			return n
-		}
-		return fmt.Sprintf("<ctx#%d>", ctx)
-	}), nil
 }

@@ -1,7 +1,6 @@
 package critpath
 
 import (
-	"bytes"
 	"math"
 	"runtime"
 	"strings"
@@ -78,6 +77,39 @@ func TestNonBlockingCallsOverlap(t *testing.T) {
 	// B's only pred is main's second segment: 5+1+20 = 26.
 	if a.CriticalOps != 26 {
 		t.Errorf("critical = %d, want 26 (A and B overlap)", a.CriticalOps)
+	}
+}
+
+// tieTrace gives B two predecessors of equal length: its call edge from
+// main's first segment (5 ops) and a data edge from C, which retired 0 ops
+// after that segment. B continues the call edge: a data edge wins only
+// when it is strictly longer.
+func tieTrace() *trace.Trace {
+	b := &trace.Buffer{}
+	emit := func(e trace.Event) { _ = b.Emit(e) }
+	emit(trace.Event{Kind: trace.KindDefCtx, Ctx: 0, SrcCtx: -1, Name: "main"})
+	emit(trace.Event{Kind: trace.KindDefCtx, Ctx: 1, SrcCtx: 0, Name: "B"})
+	emit(trace.Event{Kind: trace.KindDefCtx, Ctx: 2, SrcCtx: 0, Name: "C"})
+	emit(trace.Event{Kind: trace.KindEnter, Ctx: 0, Call: 1})
+	emit(trace.Event{Kind: trace.KindOps, Ctx: 0, Call: 1, Ops: 5})
+	emit(trace.Event{Kind: trace.KindEnter, Ctx: 2, Call: 2})
+	emit(trace.Event{Kind: trace.KindOps, Ctx: 2, Call: 2, Ops: 0})
+	emit(trace.Event{Kind: trace.KindLeave, Ctx: 2, Call: 2})
+	emit(trace.Event{Kind: trace.KindEnter, Ctx: 1, Call: 3})
+	emit(trace.Event{Kind: trace.KindComm, Ctx: 1, Call: 3, SrcCtx: 2, SrcCall: 2, Bytes: 8})
+	emit(trace.Event{Kind: trace.KindOps, Ctx: 1, Call: 3, Ops: 7})
+	emit(trace.Event{Kind: trace.KindLeave, Ctx: 1, Call: 3})
+	emit(trace.Event{Kind: trace.KindLeave, Ctx: 0, Call: 1})
+	return trace.FromBuffer(b)
+}
+
+func TestTieKeepsCallPredecessor(t *testing.T) {
+	a, err := Analyze(tieTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(a.Chain, ">"); got != "main>B" || a.CriticalOps != 12 {
+		t.Errorf("chain %s of %d ops, want main>B of 12", got, a.CriticalOps)
 	}
 }
 
@@ -223,25 +255,45 @@ func TestSequentialSegmentsWithinCallOrdered(t *testing.T) {
 	}
 }
 
-func TestErrorOnUnknownCall(t *testing.T) {
+// entryPoints runs each public analysis of a trace and returns its error.
+var entryPoints = []struct {
+	name string
+	run  func(*trace.Trace) error
+}{
+	{"Analyze", func(tr *trace.Trace) error { _, err := Analyze(tr); return err }},
+	{"AnalyzeWithComm", func(tr *trace.Trace) error {
+		_, err := AnalyzeWithComm(tr, CommConfig{OpsPerByte: 0.25})
+		return err
+	}},
+	{"Schedule", func(tr *trace.Trace) error { _, err := Schedule(tr, 2); return err }},
+}
+
+// rejects checks that every entry point refuses the stream events.
+func rejects(t *testing.T, what string, events ...trace.Event) {
+	t.Helper()
 	b := &trace.Buffer{}
-	_ = b.Emit(trace.Event{Kind: trace.KindOps, Ctx: 0, Call: 99, Ops: 5})
-	if _, err := Analyze(trace.FromBuffer(b)); err == nil {
-		t.Error("ops for unknown call accepted")
+	for _, e := range events {
+		_ = b.Emit(e)
 	}
-	b2 := &trace.Buffer{}
-	_ = b2.Emit(trace.Event{Kind: trace.KindComm, Ctx: 0, Call: 99, Bytes: 1})
-	if _, err := Analyze(trace.FromBuffer(b2)); err == nil {
-		t.Error("comm into unknown call accepted")
+	for _, ep := range entryPoints {
+		if err := ep.run(trace.FromBuffer(b)); err == nil {
+			t.Errorf("%s: %s accepted", ep.name, what)
+		}
 	}
 }
 
+func TestErrorOnUnknownCall(t *testing.T) {
+	rejects(t, "ops for unknown call", trace.Event{Kind: trace.KindOps, Ctx: 0, Call: 99, Ops: 5})
+	rejects(t, "comm into unknown call", trace.Event{Kind: trace.KindComm, Ctx: 0, Call: 99, Bytes: 1})
+}
+
 func TestErrorOnUnbalancedLeave(t *testing.T) {
-	b := &trace.Buffer{}
-	_ = b.Emit(trace.Event{Kind: trace.KindLeave, Ctx: 0, Call: 1})
-	if _, err := Analyze(trace.FromBuffer(b)); err == nil {
-		t.Error("leave with empty stack accepted")
-	}
+	rejects(t, "leave with empty stack", trace.Event{Kind: trace.KindLeave, Ctx: 0, Call: 1})
+	rejects(t, "leave of a call other than the open one",
+		trace.Event{Kind: trace.KindEnter, Ctx: 0, Call: 1},
+		trace.Event{Kind: trace.KindEnter, Ctx: 1, Call: 2},
+		trace.Event{Kind: trace.KindOps, Ctx: 1, Call: 2, Ops: 3},
+		trace.Event{Kind: trace.KindLeave, Ctx: 0, Call: 1})
 }
 
 func TestEmptyTrace(t *testing.T) {
@@ -264,96 +316,6 @@ func TestChainCollapsesConsecutiveDuplicates(t *testing.T) {
 			t.Errorf("chain has consecutive duplicate at %d: %v", i, a.ChainCtxs)
 		}
 	}
-}
-
-func TestAnalyzeReaderMatchesInMemory(t *testing.T) {
-	// Serialize a real workload trace and check the streaming analysis
-	// agrees with the in-memory one exactly.
-	b := vm.NewBuilder()
-	buf := b.Reserve("buf", 64)
-	main := b.Func("main")
-	main.MoviU(vm.R1, buf)
-	main.Call("stage1")
-	main.Call("stage2")
-	main.Halt()
-	s1 := b.Func("stage1")
-	heavyLoop(s1, 2000)
-	s1.Store(vm.R1, 0, vm.R20, 8)
-	s1.Ret()
-	s2 := b.Func("stage2")
-	s2.Load(vm.R3, vm.R1, 0, 8)
-	heavyLoop(s2, 3000)
-	s2.Ret()
-
-	var sink bytes.Buffer
-	w := trace.NewWriter(&sink)
-	prog := mustBuild(b)
-	if _, err := core.Run(prog, core.Options{Events: w}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	encoded := sink.Bytes()
-
-	streamed, err := AnalyzeReader(bytes.NewReader(encoded))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.ReadAll(bytes.NewReader(encoded))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inMem, err := Analyze(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed.CriticalOps != inMem.CriticalOps || streamed.SerialOps != inMem.SerialOps ||
-		streamed.Segments != inMem.Segments {
-		t.Errorf("streaming %+v != in-memory %+v", streamed, inMem)
-	}
-	if strings.Join(streamed.Chain, ",") != strings.Join(inMem.Chain, ",") {
-		t.Errorf("chains differ: %v vs %v", streamed.Chain, inMem.Chain)
-	}
-
-	// The same agreement on workload event files, and each file
-	// renumbered sparsely must give its dense original's result: the
-	// call index is a pure optimisation.
-	for _, s := range workloadStreams(t) {
-		dense := streamedMatchesInMemory(t, s.name, s.dense)
-		sparse := streamedMatchesInMemory(t, s.name+" renumbered", s.sparse)
-		if dense != nil && sparse != nil {
-			if d := diffAnalysis(sparse, dense); d != "" {
-				t.Errorf("%s renumbered vs dense: %s", s.name, d)
-			}
-		}
-	}
-}
-
-// streamedMatchesInMemory analyzes an encoded event file both streaming
-// and materialized, reports any disagreement, and returns the streaming
-// result (nil on error).
-func streamedMatchesInMemory(t *testing.T, name string, encoded []byte) *Analysis {
-	t.Helper()
-	streamed, err := AnalyzeReader(bytes.NewReader(encoded))
-	if err != nil {
-		t.Errorf("%s: AnalyzeReader: %v", name, err)
-		return nil
-	}
-	tr, err := trace.ReadAll(bytes.NewReader(encoded))
-	if err != nil {
-		t.Errorf("%s: ReadAll: %v", name, err)
-		return nil
-	}
-	inMem, err := Analyze(tr)
-	if err != nil {
-		t.Errorf("%s: Analyze: %v", name, err)
-		return nil
-	}
-	if d := diffAnalysis(streamed, inMem); d != "" {
-		t.Errorf("%s: streaming vs in-memory: %s", name, d)
-	}
-	return streamed
 }
 
 // TestHostileCallNumbersBoundMemory feeds Analyze ~1k-event streams whose
@@ -403,11 +365,5 @@ func TestHostileCallNumbersBoundMemory(t *testing.T) {
 		if allocated > 3*denseBytes {
 			t.Errorf("%s: Analyze allocated %d bytes, dense numbering %d", h.name, allocated, denseBytes)
 		}
-	}
-}
-
-func TestAnalyzeReaderRejectsGarbage(t *testing.T) {
-	if _, err := AnalyzeReader(bytes.NewReader([]byte("junkjunkjunk"))); err == nil {
-		t.Error("garbage accepted")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -41,12 +42,12 @@ var (
 	streamsErr  error
 )
 
-// workloadStreams returns the simsmall event files of canneal, dedup and
-// streamcluster with their sparse renumberings, built once per test binary.
+// workloadStreams returns the simsmall event file of every registry
+// workload with its sparse renumbering, built once per test binary.
 func workloadStreams(t *testing.T) []eventStream {
 	t.Helper()
 	streamsOnce.Do(func() {
-		for _, name := range []string{"canneal", "dedup", "streamcluster"} {
+		for _, name := range workloads.Names() {
 			dense, err := eventFile(name)
 			if err != nil {
 				streamsErr = fmt.Errorf("%s: %w", name, err)
@@ -110,7 +111,8 @@ func renumber(data []byte, f func(uint64) uint64) ([]byte, error) {
 }
 
 // diffAnalysis describes how got differs from want in SerialOps,
-// CriticalOps, Segments and Chain, or returns "" when they agree.
+// CriticalOps, Segments, Chain and ChainCtxs, or returns "" when they
+// agree.
 func diffAnalysis(got, want *Analysis) string {
 	var d []string
 	if got.SerialOps != want.SerialOps {
@@ -122,8 +124,19 @@ func diffAnalysis(got, want *Analysis) string {
 	if got.Segments != want.Segments {
 		d = append(d, fmt.Sprintf("Segments %d, want %d", got.Segments, want.Segments))
 	}
-	if g, w := strings.Join(got.Chain, ">"), strings.Join(want.Chain, ">"); g != w {
-		d = append(d, fmt.Sprintf("Chain of %d functions, want %d", len(got.Chain), len(want.Chain)))
+	if !slices.Equal(got.Chain, want.Chain) {
+		d = append(d, fmt.Sprintf("Chain %s, want %s", clip(got.Chain), clip(want.Chain)))
+	}
+	if !slices.Equal(got.ChainCtxs, want.ChainCtxs) {
+		d = append(d, fmt.Sprintf("ChainCtxs %v, want %v", clip(got.ChainCtxs), clip(want.ChainCtxs)))
 	}
 	return strings.Join(d, "; ")
+}
+
+// clip shortens a chain for a failure message.
+func clip[T any](chain []T) string {
+	if len(chain) > 8 {
+		return fmt.Sprintf("%v… (%d long)", chain[:8], len(chain))
+	}
+	return fmt.Sprint(chain)
 }

@@ -1,12 +1,11 @@
 package critpath
 
-// callIndex resolves call numbers to per-call chain state for both the
-// incremental analyzer and the explicit DAG builder. The profiler numbers
-// calls densely from 1, so the common case is a slice indexed by call
-// number. The slice grows only while numbers stay below a bound
-// proportional to the events consumed (2·events + denseSlack); larger
-// numbers, which only hostile or heavily salvaged files carry, go to a
-// map instead. Either way memory stays O(events).
+// callIndex resolves call numbers to the replay's per-call state. The
+// profiler numbers calls densely from 1, so the common case is a slice
+// indexed by call number. The slice grows only while numbers stay below a
+// bound proportional to the events consumed (2·events + denseSlack);
+// larger numbers, which only hostile or heavily salvaged files carry, go
+// to a map instead. Either way memory stays O(events).
 type callIndex[T any] struct {
 	dense  []*T
 	sparse map[uint64]*T // nil until a call number exceeds the dense bound

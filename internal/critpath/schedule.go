@@ -2,6 +2,7 @@ package critpath
 
 import (
 	"fmt"
+	"math"
 
 	"sigil/internal/trace"
 )
@@ -25,158 +26,18 @@ type CommConfig struct {
 	OpsPerByte float64
 }
 
-// AnalyzeWithComm is Analyze with communication edges charged: the critical
-// path then reflects not only dependent computation but the cost of moving
-// data between the chains' endpoints.
+// AnalyzeWithComm extracts the critical path with communication edges
+// charged: the path then reflects not only dependent computation but the
+// cost of moving data between the chains' endpoints.
 func AnalyzeWithComm(tr *trace.Trace, cfg CommConfig) (*Analysis, error) {
-	if cfg.OpsPerByte < 0 {
-		return nil, fmt.Errorf("critpath: negative OpsPerByte")
+	if !(cfg.OpsPerByte >= 0) || math.IsInf(cfg.OpsPerByte, 1) {
+		return nil, fmt.Errorf("critpath: OpsPerByte %v is not a finite non-negative number", cfg.OpsPerByte)
 	}
-	g, err := buildGraph(tr)
+	g, err := replay(tr)
 	if err != nil {
 		return nil, err
 	}
-	a := &Analysis{SerialOps: g.serialOps, Segments: uint64(len(g.nodes))}
-	// Longest path over the DAG with edge weights: nodes are already in
-	// creation (topological) order.
-	incl := make([]float64, len(g.nodes))
-	pred := make([]int, len(g.nodes))
-	best := -1
-	for i, n := range g.nodes {
-		pred[i] = -1
-		for _, e := range n.preds {
-			w := incl[e.src] + float64(e.bytes)*cfg.OpsPerByte
-			if w > incl[i] {
-				incl[i] = w
-				pred[i] = e.src
-			}
-		}
-		incl[i] += float64(n.self)
-		if best < 0 || incl[i] > incl[best] {
-			best = i
-		}
-	}
-	if best >= 0 {
-		a.CriticalOps = uint64(incl[best])
-		var ctxs []int32
-		for i := best; i >= 0; i = pred[i] {
-			ctxs = append(ctxs, g.nodes[i].ctx)
-		}
-		for i, j := 0, len(ctxs)-1; i < j; i, j = i+1, j-1 {
-			ctxs[i], ctxs[j] = ctxs[j], ctxs[i]
-		}
-		for _, c := range ctxs {
-			if len(a.ChainCtxs) == 0 || a.ChainCtxs[len(a.ChainCtxs)-1] != c {
-				a.ChainCtxs = append(a.ChainCtxs, c)
-			}
-		}
-		for _, c := range a.ChainCtxs {
-			a.Chain = append(a.Chain, tr.CtxName(c))
-		}
-	}
-	return a, nil
-}
-
-// --- explicit DAG construction (shared by scheduling) ---
-
-type gEdge struct {
-	src   int
-	bytes uint64 // 0 for sequential and call edges
-}
-
-type gNode struct {
-	ctx   int32
-	self  uint64
-	preds []gEdge
-}
-
-type graph struct {
-	nodes     []gNode
-	serialOps uint64
-}
-
-// buildGraph replays the event stream into an explicit segment DAG with the
-// same semantics as Analyze (sequential, call and data edges; non-blocking
-// returns).
-func buildGraph(tr *trace.Trace) (*graph, error) {
-	g := &graph{}
-	type callInfo struct {
-		ctx       int32
-		last      int // latest closed node, -1 if none
-		enterPred int
-		open      int // in-construction node, -1 if none
-	}
-	var calls callIndex[callInfo]
-	var infos arena[callInfo]
-	var stack []*callInfo
-
-	ensureOpen := func(ci *callInfo) int {
-		if ci.open >= 0 {
-			return ci.open
-		}
-		idx := len(g.nodes)
-		n := gNode{ctx: ci.ctx}
-		switch {
-		case ci.last >= 0:
-			n.preds = append(n.preds, gEdge{src: ci.last})
-		case ci.enterPred >= 0:
-			n.preds = append(n.preds, gEdge{src: ci.enterPred})
-		}
-		g.nodes = append(g.nodes, n)
-		ci.open = idx
-		return idx
-	}
-
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		switch e.Kind {
-		case trace.KindEnter:
-			ci := infos.alloc()
-			*ci = callInfo{ctx: e.Ctx, last: -1, enterPred: -1, open: -1}
-			if len(stack) > 0 {
-				parent := stack[len(stack)-1]
-				if parent.last >= 0 {
-					ci.enterPred = parent.last
-				} else if parent.enterPred >= 0 {
-					ci.enterPred = parent.enterPred
-				}
-			}
-			calls.put(e.Call, ci, uint64(i))
-			stack = append(stack, ci)
-		case trace.KindLeave:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("critpath: unbalanced leave of call %d", e.Call)
-			}
-			stack = stack[:len(stack)-1]
-		case trace.KindComm:
-			ci := calls.get(e.Call)
-			if ci == nil {
-				return nil, fmt.Errorf("critpath: comm into unknown call %d", e.Call)
-			}
-			idx := ensureOpen(ci)
-			if src := calls.get(e.SrcCall); src != nil && e.SrcCtx >= 0 {
-				from := src.last
-				if from < 0 {
-					from = src.enterPred
-				}
-				if from >= 0 {
-					g.nodes[idx].preds = append(g.nodes[idx].preds,
-						gEdge{src: from, bytes: e.Bytes})
-				}
-			}
-		case trace.KindOps:
-			ci := calls.get(e.Call)
-			if ci == nil {
-				return nil, fmt.Errorf("critpath: ops for unknown call %d", e.Call)
-			}
-			idx := ensureOpen(ci)
-			g.nodes[idx].self = e.Ops
-			g.serialOps += e.Ops
-			ci.last = idx
-			ci.open = -1
-		}
-	}
-	return g, nil
+	return g.longestPath(cfg.OpsPerByte, tr.CtxName), nil
 }
 
 // ScheduleResult reports a list-scheduling run: the makespan achieved on a
@@ -222,7 +83,7 @@ func Schedule(tr *trace.Trace, slots int) (*ScheduleResult, error) {
 	if slots < 1 {
 		return nil, fmt.Errorf("critpath: need at least one slot")
 	}
-	g, err := buildGraph(tr)
+	g, err := replay(tr)
 	if err != nil {
 		return nil, err
 	}
@@ -235,53 +96,43 @@ func Schedule(tr *trace.Trace, slots int) (*ScheduleResult, error) {
 	finish := make([]uint64, len(g.nodes))
 	placed := make([]int, len(g.nodes))
 
-	// Nodes are created in topological order (a node's preds always
-	// precede it), so scheduling in creation order never violates a
-	// dependency.
-	for idx := range g.nodes {
-		n := &g.nodes[idx]
+	// Nodes are in topological order, so scheduling them in order never
+	// violates a dependency.
+	for i := range g.nodes {
+		n := &g.nodes[i]
 		var readyAt uint64
-		bestSrc, bestBytes := -1, uint64(0)
-		for _, e := range n.preds {
-			if finish[e.src] > readyAt {
-				readyAt = finish[e.src]
-			}
-			if e.bytes > bestBytes {
-				bestBytes = e.bytes
-				bestSrc = e.src
+		if n.seq >= 0 {
+			readyAt = finish[n.seq]
+		}
+		heavy, heavyBytes := int32(-1), uint64(0)
+		for k := n.edges; k >= 0; k = g.edges[k].next {
+			e := &g.edges[k]
+			readyAt = max(readyAt, finish[e.src])
+			if e.bytes > heavyBytes {
+				heavy, heavyBytes = e.src, e.bytes
 			}
 		}
 		// Candidate slots: the heaviest producer's slot first, then the
 		// earliest-free slot.
-		pick := 0
-		if bestSrc >= 0 {
-			pick = placed[bestSrc]
+		slot := 0
+		if heavy >= 0 {
+			slot = placed[heavy]
 		}
-		bestSlot, bestStart := pick, maxU64(free[pick], readyAt)
-		for s := 0; s < slots; s++ {
-			if start := maxU64(free[s], readyAt); start < bestStart {
-				bestSlot, bestStart = s, start
+		start := max(free[slot], readyAt)
+		for s, f := range free {
+			if t := max(f, readyAt); t < start {
+				slot, start = s, t
 			}
 		}
-		placed[idx] = bestSlot
-		finish[idx] = bestStart + n.self
-		free[bestSlot] = finish[idx]
-		res.SlotLoad[bestSlot] += n.self
-		if finish[idx] > res.Makespan {
-			res.Makespan = finish[idx]
-		}
-		for _, e := range n.preds {
-			if e.bytes > 0 && placed[e.src] != bestSlot {
+		placed[i], finish[i] = slot, start+n.self
+		free[slot] = finish[i]
+		res.SlotLoad[slot] += n.self
+		res.Makespan = max(res.Makespan, finish[i])
+		for k := n.edges; k >= 0; k = g.edges[k].next {
+			if e := &g.edges[k]; e.bytes > 0 && placed[e.src] != slot {
 				res.CrossSlotBytes += e.bytes
 			}
 		}
 	}
 	return res, nil
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

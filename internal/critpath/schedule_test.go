@@ -1,29 +1,53 @@
 package critpath
 
 import (
-	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"sigil/internal/trace"
 )
 
+// zeroOpTrace is main → A where main's first segment retires 0
+// operations: A's first segment still continues it, so the chain is
+// main → A.
+func zeroOpTrace() *trace.Trace {
+	b := &trace.Buffer{}
+	emit := func(e trace.Event) { _ = b.Emit(e) }
+	emit(trace.Event{Kind: trace.KindDefCtx, Ctx: 0, SrcCtx: -1, Name: "main"})
+	emit(trace.Event{Kind: trace.KindDefCtx, Ctx: 1, SrcCtx: 0, Name: "A"})
+	emit(trace.Event{Kind: trace.KindEnter, Ctx: 0, Call: 1})
+	emit(trace.Event{Kind: trace.KindComm, Ctx: 0, Call: 1, SrcCtx: trace.CtxStartup, Bytes: 8})
+	emit(trace.Event{Kind: trace.KindOps, Ctx: 0, Call: 1, Ops: 0})
+	emit(trace.Event{Kind: trace.KindEnter, Ctx: 1, Call: 2})
+	emit(trace.Event{Kind: trace.KindOps, Ctx: 1, Call: 2, Ops: 10})
+	emit(trace.Event{Kind: trace.KindLeave, Ctx: 1, Call: 2})
+	emit(trace.Event{Kind: trace.KindLeave, Ctx: 0, Call: 1})
+	return trace.FromBuffer(b)
+}
+
 func TestAnalyzeWithCommMatchesBaselineAtZeroCost(t *testing.T) {
-	tr := handTrace()
-	base, err := Analyze(tr)
+	for name, tr := range map[string]*trace.Trace{
+		"hand": handTrace(), "hand without comm": handTraceNoComm(), "zero-op first segment": zeroOpTrace(),
+	} {
+		base, err := Analyze(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comm, err := AnalyzeWithComm(tr, CommConfig{OpsPerByte: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := diffAnalysis(comm, base); d != "" {
+			t.Errorf("%s: zero-cost comm analysis differs: %s", name, d)
+		}
+	}
+	a, err := AnalyzeWithComm(zeroOpTrace(), CommConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	comm, err := AnalyzeWithComm(tr, CommConfig{OpsPerByte: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comm.CriticalOps != base.CriticalOps || comm.SerialOps != base.SerialOps {
-		t.Errorf("zero-cost comm analysis differs: %d/%d vs %d/%d",
-			comm.CriticalOps, comm.SerialOps, base.CriticalOps, base.SerialOps)
-	}
-	if len(comm.Chain) != len(base.Chain) {
-		t.Errorf("chains differ: %v vs %v", comm.Chain, base.Chain)
+	if got := strings.Join(a.Chain, ">"); got != "main>A" || a.CriticalOps != 10 {
+		t.Errorf("zero-op first segment: chain %s of %d ops, want main>A of 10", got, a.CriticalOps)
 	}
 }
 
@@ -86,8 +110,10 @@ func TestAnalyzeWithCommCanRerouteCriticalPath(t *testing.T) {
 }
 
 func TestAnalyzeWithCommRejectsNegativeCost(t *testing.T) {
-	if _, err := AnalyzeWithComm(handTrace(), CommConfig{OpsPerByte: -1}); err == nil {
-		t.Error("negative cost accepted")
+	for _, cost := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := AnalyzeWithComm(handTrace(), CommConfig{OpsPerByte: cost}); err == nil {
+			t.Errorf("cost %v accepted", cost)
+		}
 	}
 }
 
@@ -176,55 +202,5 @@ func TestScheduleErrors(t *testing.T) {
 	}
 	if _, err := AnalyzeWithComm(trace.FromBuffer(b), CommConfig{}); err == nil {
 		t.Error("malformed trace accepted by AnalyzeWithComm")
-	}
-}
-
-func TestGraphMatchesIncrementalAnalysis(t *testing.T) {
-	// The explicit DAG (schedule.go) and the incremental longest path
-	// (critpath.go) must agree on every workload-shaped trace we have.
-	for _, tr := range []*trace.Trace{handTrace(), handTraceNoComm()} {
-		a, err := Analyze(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := AnalyzeWithComm(tr, CommConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.CriticalOps != c.CriticalOps || a.SerialOps != c.SerialOps || a.Segments != c.Segments {
-			t.Errorf("DAG/incremental disagree: %+v vs %+v", c, a)
-		}
-	}
-
-	// Workload event files, dense and renumbered sparsely: both passes
-	// resolve calls through the same index, and neither may depend on
-	// which side of it serves a lookup.
-	for _, s := range workloadStreams(t) {
-		var dense *Analysis
-		for _, in := range []struct {
-			name string
-			data []byte
-		}{{s.name, s.dense}, {s.name + " renumbered", s.sparse}} {
-			tr, err := trace.ReadAll(bytes.NewReader(in.data))
-			if err != nil {
-				t.Fatalf("%s: %v", in.name, err)
-			}
-			a, err := Analyze(tr)
-			if err != nil {
-				t.Fatalf("%s: Analyze: %v", in.name, err)
-			}
-			c, err := AnalyzeWithComm(tr, CommConfig{})
-			if err != nil {
-				t.Fatalf("%s: AnalyzeWithComm: %v", in.name, err)
-			}
-			if d := diffAnalysis(c, a); d != "" {
-				t.Errorf("%s: DAG vs incremental: %s", in.name, d)
-			}
-			if dense == nil {
-				dense = c
-			} else if d := diffAnalysis(c, dense); d != "" {
-				t.Errorf("%s vs dense: %s", in.name, d)
-			}
-		}
 	}
 }

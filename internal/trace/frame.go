@@ -152,22 +152,13 @@ func decodePayload(raw []byte, count int, dst []Event) ([]Event, error) {
 
 // frameEncoder turns event batches into on-wire frames, reusing its raw
 // and compressed scratch buffers and its flate state across frames.
+// Payloads compress at flate.BestSpeed: after delta encoding they are so
+// repetitive that higher levels buy little size for much more encoder CPU.
 type frameEncoder struct {
-	raw   []byte
-	comp  bytes.Buffer
-	head  []byte
-	fw    *flate.Writer
-	level int
-}
-
-func newFrameEncoder(level int) *frameEncoder {
-	fw, err := flate.NewWriter(io.Discard, level)
-	if err != nil {
-		// Levels outside flate's range are a programming error caught by
-		// WriterOptions validation; fall back to the default.
-		fw, _ = flate.NewWriter(io.Discard, flate.DefaultCompression)
-	}
-	return &frameEncoder{fw: fw, level: level}
+	raw  []byte
+	comp bytes.Buffer
+	head []byte
+	fw   *flate.Writer
 }
 
 // encoderPool recycles frame encoders across writer lifetimes. The flate
@@ -176,16 +167,15 @@ func newFrameEncoder(level int) *frameEncoder {
 // chaos iteration) otherwise re-allocate all of it per stream.
 var encoderPool sync.Pool
 
-// getFrameEncoder returns a pooled encoder for level, or a fresh one when
-// the pool is empty or holds an encoder built for a different level (flate
-// state cannot change level on Reset).
-func getFrameEncoder(level int) *frameEncoder {
+// getFrameEncoder returns a pooled encoder, or a fresh one when the pool
+// is empty.
+func getFrameEncoder() *frameEncoder {
 	if fe, ok := encoderPool.Get().(*frameEncoder); ok && fe != nil {
-		if fe.level == level {
-			return fe
-		}
+		return fe
 	}
-	return newFrameEncoder(level)
+	// BestSpeed is a valid level, so NewWriter cannot fail.
+	fw, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
+	return &frameEncoder{fw: fw}
 }
 
 // putFrameEncoder returns an encoder to the pool. The scratch buffers keep

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -257,23 +256,6 @@ func flatRecordBytes(events []Event) int {
 		}
 	}
 	return n
-}
-
-// TestWriterNoCompressionLevel checks an explicit flate.NoCompression still
-// round-trips (stored blocks, no size win).
-func TestWriterNoCompressionLevel(t *testing.T) {
-	var opts WriterOptions
-	opts.FrameEvents = 8
-	opts.SetLevel(flate.NoCompression)
-	events := genEvents(50)
-	data := encodeV3(t, events, opts)
-	tr, err := ReadAll(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Events) != len(events)-2 {
-		t.Fatalf("decoded %d events", len(tr.Events))
-	}
 }
 
 // TestParallelCorruptFrame damages one mid-stream frame and checks the

@@ -53,29 +53,25 @@ func defaultPermanent(err error) bool {
 // same bytes twice and the stream stays tear-free across a successful
 // retry.
 type retryWriter struct {
-	w         io.Writer
-	max       int           // retries after the first attempt
-	backoff   time.Duration // first retry's wait; doubles per retry
-	ctx       context.Context
-	permanent func(error) bool
-	clock     sleeper
-	retries   atomic.Uint64 // attempts beyond the first, across all writes
+	w       io.Writer
+	max     int           // retries after the first attempt
+	backoff time.Duration // first retry's wait; doubles per retry
+	ctx     context.Context
+	clock   sleeper
+	retries atomic.Uint64 // attempts beyond the first, across all writes
 }
 
-func newRetryWriter(w io.Writer, max int, backoff time.Duration, ctx context.Context, permanent func(error) bool, clock sleeper) *retryWriter {
+func newRetryWriter(w io.Writer, max int, backoff time.Duration, ctx context.Context, clock sleeper) *retryWriter {
 	if backoff <= 0 {
 		backoff = time.Millisecond
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if permanent == nil {
-		permanent = defaultPermanent
-	}
 	if clock == nil {
 		clock = realSleeper{}
 	}
-	return &retryWriter{w: w, max: max, backoff: backoff, ctx: ctx, permanent: permanent, clock: clock}
+	return &retryWriter{w: w, max: max, backoff: backoff, ctx: ctx, clock: clock}
 }
 
 func (rw *retryWriter) Write(p []byte) (int, error) {
@@ -96,7 +92,7 @@ func (rw *retryWriter) Write(p []byte) (int, error) {
 		if err == nil {
 			err = io.ErrShortWrite
 		}
-		if attempt >= rw.max || rw.permanent(err) {
+		if attempt >= rw.max || defaultPermanent(err) {
 			return written, err
 		}
 		tracing.Flight().Record(tracing.KindRetry, "trace.sink", rw.retries.Add(1), 0)

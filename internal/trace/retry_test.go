@@ -64,7 +64,7 @@ func (s *shortSink) Write(p []byte) (int, error) {
 func TestRetrySucceedsAfterN(t *testing.T) {
 	sink := &flakySink{failures: 3}
 	clock := &fakeClock{}
-	rw := newRetryWriter(sink, 5, time.Millisecond, nil, nil, clock)
+	rw := newRetryWriter(sink, 5, time.Millisecond, nil, clock)
 	n, err := rw.Write([]byte("payload"))
 	if err != nil || n != len("payload") {
 		t.Fatalf("Write = %d, %v", n, err)
@@ -90,7 +90,7 @@ func TestRetrySucceedsAfterN(t *testing.T) {
 func TestRetryGivesUp(t *testing.T) {
 	sink := &flakySink{failures: 100}
 	clock := &fakeClock{}
-	rw := newRetryWriter(sink, 2, time.Millisecond, nil, nil, clock)
+	rw := newRetryWriter(sink, 2, time.Millisecond, nil, clock)
 	if _, err := rw.Write([]byte("payload")); err == nil {
 		t.Fatal("exhausted retries reported success")
 	}
@@ -105,7 +105,7 @@ func TestRetryGivesUp(t *testing.T) {
 func TestRetryPermanentSkipsBackoff(t *testing.T) {
 	sink := &flakySink{failures: 100, err: syscall.ENOSPC}
 	clock := &fakeClock{}
-	rw := newRetryWriter(sink, 5, time.Millisecond, nil, nil, clock)
+	rw := newRetryWriter(sink, 5, time.Millisecond, nil, clock)
 	_, err := rw.Write([]byte("payload"))
 	if !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("err = %v, want ENOSPC", err)
@@ -119,7 +119,7 @@ func TestRetryContextCancelledDuringBackoff(t *testing.T) {
 	sink := &flakySink{failures: 100}
 	ctx, cancel := context.WithCancel(context.Background())
 	clock := &fakeClock{cancelAfter: 2, cancel: cancel}
-	rw := newRetryWriter(sink, 10, time.Millisecond, ctx, nil, clock)
+	rw := newRetryWriter(sink, 10, time.Millisecond, ctx, clock)
 	_, err := rw.Write([]byte("payload"))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -132,7 +132,7 @@ func TestRetryContextCancelledDuringBackoff(t *testing.T) {
 func TestRetryResumesShortWrites(t *testing.T) {
 	sink := &shortSink{shorts: 3}
 	clock := &fakeClock{}
-	rw := newRetryWriter(sink, 5, time.Millisecond, nil, nil, clock)
+	rw := newRetryWriter(sink, 5, time.Millisecond, nil, clock)
 	payload := []byte("0123456789abcdef")
 	n, err := rw.Write(payload)
 	if err != nil || n != len(payload) {
@@ -152,7 +152,7 @@ func TestRetryHostileWriterClampsProgress(t *testing.T) {
 		return len(p) + 10, errors.New("liar")
 	})
 	clock := &fakeClock{}
-	rw := newRetryWriter(hostile, 1, time.Millisecond, nil, nil, clock)
+	rw := newRetryWriter(hostile, 1, time.Millisecond, nil, clock)
 	if _, err := rw.Write([]byte("data")); err == nil {
 		t.Fatal("hostile sink reported success")
 	}

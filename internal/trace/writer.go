@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"compress/flate"
 	"context"
 	"errors"
 	"fmt"
@@ -21,11 +20,6 @@ type WriterOptions struct {
 	// Smaller frames lose less data on a crash and parallelize shorter
 	// decodes; larger frames compress and amortize better.
 	FrameEvents int
-	// Level is the DEFLATE level for frame payloads, in flate's range
-	// [-2, 9]. The default is flate.BestSpeed: event payloads are so
-	// repetitive after delta encoding that higher levels buy little size
-	// for much more encoder CPU.
-	Level int
 	// MaxRetries bounds how many times a failing sink write is retried
 	// (beyond the first attempt) before the error is surfaced. Zero
 	// disables retry. The retry layer sits beneath the writer's bufio
@@ -39,9 +33,6 @@ type WriterOptions struct {
 	// RetryCtx, when set, cancels in-flight backoff waits — a run being
 	// torn down should not sit out a backoff schedule. Default Background.
 	RetryCtx context.Context
-	// Permanent classifies sink errors that no retry can fix (give up
-	// immediately). Default: ENOSPC and context cancellation.
-	Permanent func(error) bool
 	// Degraded selects degraded mode: the writer bounds every stall and
 	// never surfaces sink errors through Emit. A hand-off to a saturated
 	// encoder waits at most DegradedGrace; past that, whole batches are
@@ -54,9 +45,6 @@ type WriterOptions struct {
 	// encoder before shedding a batch (default 50ms). It is paid once per
 	// saturation episode, not per batch.
 	DegradedGrace time.Duration
-	// levelSet distinguishes an explicit flate.NoCompression (0) from the
-	// zero value; SetLevel sets it.
-	levelSet bool
 	// clock substitutes the retry layer's backoff waits in tests.
 	clock sleeper
 	// Trace, when non-nil, records per-frame encode spans on the encoder
@@ -65,13 +53,6 @@ type WriterOptions struct {
 	// degraded-transition, and retry events always go to the process
 	// flight recorder regardless — they are rare slow-path events.
 	Trace *tracing.Buf
-}
-
-// SetLevel fixes the DEFLATE level explicitly, distinguishing
-// flate.NoCompression (0) from "use the default".
-func (o *WriterOptions) SetLevel(level int) {
-	o.Level = level
-	o.levelSet = true
 }
 
 // Writer encodes events to an io.Writer in the v3 format. Emit appends to
@@ -142,13 +123,10 @@ func NewWriterOptions(w io.Writer, opts WriterOptions) *Writer {
 	if opts.FrameEvents <= 0 {
 		opts.FrameEvents = defaultFrameEvents
 	}
-	if opts.Level == 0 && !opts.levelSet {
-		opts.Level = flate.BestSpeed
-	}
 	target := faultinject.WrapWriter(faultinject.TraceWriteV3, w)
 	var rw *retryWriter
 	if opts.MaxRetries > 0 {
-		rw = newRetryWriter(target, opts.MaxRetries, opts.RetryBackoff, opts.RetryCtx, opts.Permanent, opts.clock)
+		rw = newRetryWriter(target, opts.MaxRetries, opts.RetryBackoff, opts.RetryCtx, opts.clock)
 		target = rw
 	}
 	if opts.DegradedGrace <= 0 {
@@ -162,7 +140,7 @@ func NewWriterOptions(w io.Writer, opts WriterOptions) *Writer {
 		free:        make(chan []Event, 3),
 		done:        make(chan struct{}),
 		w:           bufio.NewWriterSize(target, 1<<16),
-		enc:         getFrameEncoder(opts.Level),
+		enc:         getFrameEncoder(),
 		rw:          rw,
 		trace:       opts.Trace,
 	}

@@ -3,8 +3,10 @@
 # untrusted-input parsers (event files, profiles, .sasm programs), the
 # classifier against the map-based reference in every mode (byte, re-use,
 # line, and re-use and line under FIFO chunk eviction, each with events),
-# and the streaming critical-path analyzer. scripts/check.sh and
-# `make fuzz` both run this list, so a new fuzz target is added here once.
+# and the critical-path analysis against its map-based reference on
+# synthetic event streams, with the scheduler's invariants. scripts/check.sh
+# and `make fuzz` both run this list, so a new fuzz target is added here
+# once.
 #
 # While `go test -fuzz` minimizes an input that found new coverage, the
 # classifier target's exec counter can stay still for many seconds; that
@@ -24,5 +26,5 @@ fuzz FuzzFrameReader ./internal/trace
 fuzz FuzzQuarantineReader ./internal/trace
 fuzz FuzzReadProfile ./internal/core
 fuzz FuzzClassifierAgainstReference ./internal/core
-fuzz FuzzAnalyzeReader ./internal/critpath
+fuzz FuzzAnalyze ./internal/critpath
 fuzz FuzzAssemble ./internal/vm
