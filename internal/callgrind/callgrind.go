@@ -258,33 +258,38 @@ func (t *Tool) Branch(site uint64, taken bool) {
 
 // MemRead implements dbi.Tool.
 func (t *Tool) MemRead(addr uint64, size uint8) {
-	cur := t.current()
-	if cur == nil {
-		return
+	if cur := t.current(); cur != nil {
+		cur.Self.ChargeAccess(t.caches, false, addr, size)
 	}
-	cur.Self.Reads++
-	cur.Self.ReadBytes += uint64(size)
-	t.simulate(cur, addr, size)
 }
 
 // MemWrite implements dbi.Tool.
 func (t *Tool) MemWrite(addr uint64, size uint8) {
-	cur := t.current()
-	if cur == nil {
-		return
+	if cur := t.current(); cur != nil {
+		cur.Self.ChargeAccess(t.caches, true, addr, size)
 	}
-	cur.Self.Writes++
-	cur.Self.WriteBytes += uint64(size)
-	t.simulate(cur, addr, size)
 }
 
-func (t *Tool) simulate(cur *Node, addr uint64, size uint8) {
-	switch t.caches.Access(addr, size) {
+// ChargeAccess charges one data access of size bytes at addr to c: a load,
+// or a store if write, its bytes, and the L1 and LL misses the hierarchy h
+// simulates for it. It is the substrate's one accounting of an access:
+// MemRead and MemWrite charge the executing context through it, and a tool
+// that owns the run's hierarchy (see Caches) charges its own cost centres
+// through it, in program order.
+func (c *Costs) ChargeAccess(h *cachesim.Hierarchy, write bool, addr uint64, size uint8) {
+	if write {
+		c.Writes++
+		c.WriteBytes += uint64(size)
+	} else {
+		c.Reads++
+		c.ReadBytes += uint64(size)
+	}
+	switch h.Access(addr, size) {
 	case cachesim.HitLL:
-		cur.Self.L1Misses++
+		c.L1Misses++
 	case cachesim.MissAll:
-		cur.Self.L1Misses++
-		cur.Self.LLMisses++
+		c.L1Misses++
+		c.LLMisses++
 	}
 }
 
@@ -330,16 +335,22 @@ func (t *Tool) Now() uint64 {
 // Program returns the program under instrumentation.
 func (t *Tool) Program() *vm.Program { return t.prog }
 
+// Caches returns the run's cache hierarchy. A tool that charges the run's
+// loads and stores itself, with ChargeAccess, owns it for the run and does
+// not forward MemRead or MemWrite here; the tool only reads the hierarchy's
+// geometry again, in Profile, after the run.
+func (t *Tool) Caches() *cachesim.Hierarchy { return t.caches }
+
 // Live is a point-in-time view of the substrate's counters, the raw
 // material of the telemetry sampler. Unlike Profile it is valid mid-run
-// and costs only a handful of loads.
+// and costs only a handful of loads. The cache hierarchy's counters are not
+// among them: whoever charges the accesses reads those (Caches).
 type Live struct {
 	Instrs      uint64 // retired instructions so far
 	CallDepth   int    // live machine call-stack depth
 	Contexts    int    // calling contexts materialized
 	HeapBytes   uint64 // program heap bytes bump-allocated
 	MemPages    int    // program memory pages materialized
-	Cache       cachesim.Stats
 	Branches    uint64
 	Mispredicts uint64
 }
@@ -349,7 +360,6 @@ type Live struct {
 func (t *Tool) Live() Live {
 	l := Live{
 		Contexts:    len(t.nodes),
-		Cache:       t.caches.Stats(),
 		Branches:    t.bp.Branches(),
 		Mispredicts: t.bp.Mispredicts(),
 	}

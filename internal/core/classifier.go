@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sigil/internal/cachesim"
+	"sigil/internal/callgrind"
 	"sigil/internal/trace"
 	"sigil/internal/vm"
 )
@@ -20,6 +22,13 @@ type classifier struct {
 
 	comm  []CommStats  // indexed by context ID
 	reuse []ReuseStats // indexed by context ID; nil unless trackReuse
+
+	// The substrate's load and store costs, indexed by context ID: counts,
+	// bytes and the misses of caches, the substrate's hierarchy, which
+	// simulates the accesses in program order. finish adds them to the
+	// calltree.
+	costs  []callgrind.Costs
+	caches *cachesim.Hierarchy
 
 	edges     map[uint64]*Edge
 	edgeKey   uint64 // one-entry edge cache for runs of same-edge bytes
@@ -87,10 +96,11 @@ type ctxDef struct {
 	defined bool
 }
 
-// init wires the classifier for the given mode. The shadow table's eviction
-// hook is the classifier's own flushChunk, so init must run after the
-// classifier has its final address.
-func (c *classifier) init(opts Options) {
+// init wires the classifier for the given mode and the substrate's cache
+// hierarchy. The shadow table's eviction hook is the classifier's own
+// flushChunk, so init must run after the classifier has its final address.
+func (c *classifier) init(opts Options, caches *cachesim.Hierarchy) {
+	c.caches = caches
 	c.lineMode = opts.LineGranularity
 	c.trackReuse = opts.TrackReuse
 	c.edges = make(map[uint64]*Edge)
@@ -140,8 +150,9 @@ type record struct {
 func (c *classifier) apply(r *record) {
 	switch r.op {
 	case opRead, opWrite:
-		if c.top != nil {
-			c.access(r.op, c.top, r.addr, r.n, r.now)
+		if f := c.top; f != nil {
+			c.costs[f.ctx].ChargeAccess(c.caches, r.op == opWrite, r.addr, uint8(r.n))
+			c.access(r.op, f, r.addr, r.n, r.now)
 		}
 	case opKernel, opStartup:
 		c.access(r.op, nil, r.addr, r.n, r.now)
@@ -444,6 +455,7 @@ func (c *classifier) growCtx(id, parent, fn int32) {
 	}
 	for len(c.comm) <= int(id) {
 		c.comm = append(c.comm, CommStats{})
+		c.costs = append(c.costs, callgrind.Costs{})
 	}
 	if c.trackReuse {
 		for len(c.reuse) <= int(id) {

@@ -3,17 +3,19 @@ package core
 import (
 	"testing"
 
+	"sigil/internal/callgrind"
 	"sigil/internal/vm"
 )
 
 // The fuzz harness compiles random byte strings into straight-line programs
 // over an arena spanning several shadow chunks, then profiles each program
 // under the classifier wrapped by the map-based reference (refTool) and
-// demands identical output, events included. The generated access mix
-// covers everything batching special-cases: overlapping writes, runs broken
-// by alternating writers/readers/calls, ranges crossing chunk boundaries,
-// wide syscall in/out ranges, startup data, and all three profiling modes
-// (plus eviction-heavy variants of re-use and line mode).
+// demands identical output, events included, and the substrate profile of
+// Callgrind alone. The generated access mix covers everything batching
+// special-cases: overlapping writes, runs broken by alternating
+// writers/readers/calls, ranges crossing chunk boundaries, wide syscall
+// in/out ranges, startup data, and all three profiling modes (plus
+// eviction-heavy variants of re-use and line mode).
 
 // fuzzArenaGranules spans a bit more than three chunks so generated ranges
 // can start and end in different chunks while the chunk working set stays
@@ -144,13 +146,15 @@ func runFuzzCase(t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatalf("generated program failed to build: %v", err)
 	}
-	diffAgainstRef(t, prog, fuzzInput(), opts)
+	res := diffAgainstRef(t, prog, fuzzInput(), opts)
+	assertSameProfile(t, res.Profile, callgrindProfile(t, prog, fuzzInput(), callgrind.Options{}, 0))
 }
 
 // FuzzClassifierAgainstReference differentially fuzzes the classifier
-// against the map-based reference, with an event sink in every mode. The
-// seed corpus alone covers every mode and op kind, so `go test` exercises
-// the differential even without -fuzz.
+// against the map-based reference, with an event sink in every mode, and
+// the substrate profile against Callgrind alone. The seed corpus alone
+// covers every mode and op kind, so `go test` exercises the differential
+// even without -fuzz.
 func FuzzClassifierAgainstReference(f *testing.F) {
 	for m := 0; m < 5; m++ {
 		seed := []byte{byte(m)}

@@ -111,16 +111,18 @@ func (o Options) validate() error {
 }
 
 // Tool is the Sigil instrumentation tool. It drives a callgrind.Tool,
-// forwarding every callback to it before acting, and asks it for the
-// executing calling context — mirroring how the paper's Sigil hooks into
-// Callgrind to identify function names and count operations.
+// forwarding calls, branches and syscalls to it before acting, and asks it
+// for the executing calling context — mirroring how the paper's Sigil hooks
+// into Callgrind to identify function names and count operations.
 //
 // Each callback Sigil acts on becomes a record for the embedded classifier:
 // accesses, syscalls, call boundaries and newly seen contexts. The
 // classifier holds the shadow table, every classification aggregate, the
-// call-stack mirror and the event sink, and applies the records in program
-// order: at once, or, when a CPU is free, on the classification worker
-// (worker.go).
+// call-stack mirror, the event sink and the substrate's cache hierarchy,
+// and applies the records in program order: at once, or, when a CPU is
+// free, on the classification worker (worker.go). It also charges each load
+// and store to the substrate's costs of its context, so the interpreter
+// never simulates the caches; finish adds those costs to the calltree.
 type Tool struct {
 	classifier
 	// The classifier above is the worker's to write while one runs; the
@@ -151,14 +153,16 @@ type Tool struct {
 var _ vm.Observer = (*Tool)(nil)
 
 // New returns a Sigil tool observing contexts through sub. Run the Sigil
-// tool alone: it forwards each event to sub first.
+// tool alone: it forwards calls, branches and syscalls to sub first and
+// charges the loads and stores to sub's calltree itself, with sub's cache
+// hierarchy.
 func New(sub *callgrind.Tool, opts Options) (*Tool, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	t := &Tool{sub: sub, opts: opts}
-	t.classifier.init(opts)
+	t.classifier.init(opts, sub.Caches())
 	return t, nil
 }
 
@@ -234,15 +238,15 @@ func (t *Tool) Branch(site uint64, taken bool) { t.sub.Branch(site, taken) }
 
 // MemRead implements dbi.Tool: every granule of the access is classified.
 // Each granule counts one unit: a byte in byte mode (g1-g0+1 == size), a
-// line-touch in line-granularity mode.
+// line-touch in line-granularity mode. The classifier charges the load to
+// the substrate's costs too.
 func (t *Tool) MemRead(addr uint64, size uint8) {
-	t.sub.MemRead(addr, size)
 	t.classify(record{op: opRead, addr: addr, n: uint64(size), now: t.sub.Now()})
 }
 
-// MemWrite implements dbi.Tool: the writer takes ownership of the granules.
+// MemWrite implements dbi.Tool: the writer takes ownership of the granules,
+// and the classifier charges the store to the substrate's costs.
 func (t *Tool) MemWrite(addr uint64, size uint8) {
-	t.sub.MemWrite(addr, size)
 	t.classify(record{op: opWrite, addr: addr, n: uint64(size), now: t.sub.Now()})
 }
 
@@ -270,10 +274,14 @@ func (t *Tool) ProgramEnd() {
 	t.finish()
 }
 
-// finish joins the worker, closes the calls still open, flushes the open
-// re-use episodes of all live shadow chunks, and freezes the result.
+// finish joins the worker, adds the classifier's load and store costs to
+// the calltree, closes the calls still open, flushes the open re-use
+// episodes of all live shadow chunks, and freezes the result. Every run
+// ends here, a partial one too, so the calltree always holds the accesses
+// the classifier was sent.
 func (t *Tool) finish() {
 	t.join()
+	t.chargeCalltree()
 	if t.holdsCPU {
 		t.holdsCPU = false
 		cpusBusy.Add(-1)
@@ -283,6 +291,17 @@ func (t *Tool) finish() {
 	}
 	t.shadow.forEach(t.flushChunk)
 	t.finished = true
+}
+
+// chargeCalltree adds the classifier's per-context load and store costs to
+// the substrate's calltree, once: a finish that a panic cut short and abort
+// repeats finds them charged.
+func (t *Tool) chargeCalltree() {
+	nodes := t.sub.Profile().Nodes
+	for id := range t.costs {
+		nodes[id].Self.Add(t.costs[id])
+	}
+	t.costs = nil
 }
 
 // abort force-finishes observation after a mid-run failure (typically a

@@ -2,14 +2,30 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"reflect"
 	"testing"
 
 	"sigil/internal/cachesim"
 	"sigil/internal/callgrind"
+	"sigil/internal/dbi"
 	"sigil/internal/trace"
+	"sigil/internal/vm"
 	"sigil/internal/workloads"
 )
+
+// otherSubstrate differs from the default substrate in every simulated
+// component: smaller caches of other line sizes, the prefetcher, and a
+// gshare predictor of another table size.
+var otherSubstrate = callgrind.Options{
+	L1:            cachesim.Config{Size: 4 << 10, LineSize: 32, Assoc: 2},
+	LL:            cachesim.Config{Size: 256 << 10, LineSize: 128, Assoc: 4},
+	Prefetch:      true,
+	Gshare:        true,
+	GshareHistory: 10,
+	BranchTab:     512,
+}
 
 // TestCommunicationIndependentOfSubstrate pins the paper's central claim:
 // communication is a property of the program, not of the simulated
@@ -19,14 +35,6 @@ import (
 // byte, while the L1 miss total must move, which proves the second
 // substrate took effect.
 func TestCommunicationIndependentOfSubstrate(t *testing.T) {
-	other := callgrind.Options{
-		L1:            cachesim.Config{Size: 4 << 10, LineSize: 32, Assoc: 2},
-		LL:            cachesim.Config{Size: 256 << 10, LineSize: 128, Assoc: 4},
-		Prefetch:      true,
-		Gshare:        true,
-		GshareHistory: 10,
-		BranchTab:     512,
-	}
 	cases := []struct {
 		workload string
 		opts     Options
@@ -66,7 +74,7 @@ func TestCommunicationIndependentOfSubstrate(t *testing.T) {
 				return res, file.Bytes()
 			}
 			base, baseFile := run(callgrind.Options{})
-			moved, movedFile := run(other)
+			moved, movedFile := run(otherSubstrate)
 
 			for _, f := range []struct {
 				name        string
@@ -100,4 +108,121 @@ func l1Misses(r *Result) uint64 {
 		n += node.Self.L1Misses
 	}
 	return n
+}
+
+// TestProfileMatchesCallgrind is the oracle of the substrate costs Sigil
+// charges from its record stream: Sigil charges each load and store to its
+// context on whichever goroutine classifies, while Callgrind alone charges
+// it in its own callback. Every registry workload is profiled both ways in
+// byte, re-use, line and event mode, and stopped by an instruction budget,
+// under the default substrate and under otherSubstrate; the two profiles
+// must have the same calltree, the same 13 costs at every context and the
+// same instruction total. Run it at -cpu 1,2 to cover both schedules.
+func TestProfileMatchesCallgrind(t *testing.T) {
+	modes := []struct {
+		name string
+		opts Options
+	}{
+		{"byte", Options{}},
+		{"reuse", Options{TrackReuse: true}},
+		{"line", Options{LineGranularity: true}},
+		{"events", Options{Events: &trace.Buffer{}}},
+		{"stopped", Options{MaxInstrs: 200_000}},
+	}
+	substrates := []struct {
+		name string
+		opts callgrind.Options
+	}{{"default", callgrind.Options{}}, {"other", otherSubstrate}}
+	for _, name := range workloads.Names() {
+		prog, input, err := workloads.Build(name, workloads.SimSmall)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sub := range substrates {
+			for _, m := range modes {
+				t.Run(name+"/"+sub.name+"/"+m.name, func(t *testing.T) {
+					opts := m.opts
+					opts.Substrate = sub.opts
+					if opts.Events != nil {
+						opts.Events = &trace.Buffer{}
+					}
+					res, err := Run(prog, opts, input)
+					var berr *BudgetError
+					if err != nil && !(opts.MaxInstrs > 0 && errors.As(err, &berr)) {
+						t.Fatal(err)
+					}
+					want := callgrindProfile(t, prog, input, sub.opts, opts.MaxInstrs)
+					assertSameProfile(t, res.Profile, want)
+				})
+			}
+		}
+	}
+}
+
+// errStopped ends a Callgrind-alone run at its instruction budget.
+var errStopped = errors.New("instruction budget")
+
+// callgrindProfile profiles prog under Callgrind alone with opts. A
+// maxInstrs above 0 stops the run at the first poll point at or past it,
+// where Sigil's instruction budget stops a run.
+func callgrindProfile(t *testing.T, prog *vm.Program, input []byte, opts callgrind.Options, maxInstrs uint64) *callgrind.Profile {
+	t.Helper()
+	sub, err := callgrind.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stop func() error
+	if maxInstrs > 0 {
+		stop = func() error {
+			if sub.Now() >= maxInstrs {
+				return errStopped
+			}
+			return nil
+		}
+	}
+	if _, err := dbi.RunContext(context.Background(), prog, sub, input, stop); err != nil && !errors.Is(err, errStopped) {
+		t.Fatal(err)
+	}
+	return sub.Profile()
+}
+
+// assertSameProfile demands the same calltree (each context's function,
+// parent, children and calls), the same costs at every context, the same
+// instruction total and the same cache geometry.
+func assertSameProfile(t *testing.T, got, want *callgrind.Profile) {
+	t.Helper()
+	if got.TotalInstrs != want.TotalInstrs {
+		t.Errorf("TotalInstrs: sigil %d, callgrind %d", got.TotalInstrs, want.TotalInstrs)
+	}
+	if got.L1 != want.L1 || got.LL != want.LL {
+		t.Errorf("caches: sigil %v/%v, callgrind %v/%v", got.L1, got.LL, want.L1, want.LL)
+	}
+	if len(got.Nodes) != len(want.Nodes) {
+		t.Fatalf("contexts: sigil %d, callgrind %d", len(got.Nodes), len(want.Nodes))
+	}
+	id := func(n *callgrind.Node) int {
+		if n == nil {
+			return -1
+		}
+		return n.ID
+	}
+	for i, g := range got.Nodes {
+		w := want.Nodes[i]
+		if g.ID != w.ID || g.Fn != w.Fn || g.Name != w.Name || id(g.Parent) != id(w.Parent) || g.Calls != w.Calls {
+			t.Errorf("context %d: sigil %s (fn %d, parent %d, %d calls), callgrind %s (fn %d, parent %d, %d calls)",
+				i, g.Path(), g.Fn, id(g.Parent), g.Calls, w.Path(), w.Fn, id(w.Parent), w.Calls)
+		}
+		if len(g.Children) != len(w.Children) {
+			t.Errorf("context %d (%s): sigil %d children, callgrind %d", i, g.Path(), len(g.Children), len(w.Children))
+		} else {
+			for k := range g.Children {
+				if g.Children[k].ID != w.Children[k].ID {
+					t.Errorf("context %d (%s): child %d is sigil %d, callgrind %d", i, g.Path(), k, g.Children[k].ID, w.Children[k].ID)
+				}
+			}
+		}
+		if g.Self != w.Self {
+			t.Errorf("context %d (%s) costs:\nsigil     %+v\ncallgrind %+v", i, g.Path(), g.Self, w.Self)
+		}
+	}
 }

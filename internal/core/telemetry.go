@@ -23,10 +23,10 @@ func (t *Tool) sampleInto(m *telemetry.Metrics) {
 // and, on a traced run, onto the trace's sample timeline. While a worker
 // classifies, the interpreter publishes only its own counters and leaves a
 // sample record in the stream; the worker publishes the classifier's
-// counters, the event counters among them, and records the sample when it
-// reaches it. The poll then does not wait for the worker, and the sample
-// still reads what inline classification would have at this point of the
-// program. Each counter keeps one writer: the classifier's belong to the
+// counters, the cache and event counters among them, and records the sample
+// when it reaches it. The poll then does not wait for the worker, and the
+// sample still reads what inline classification would have at this point of
+// the program. Each counter keeps one writer: the classifier's belong to the
 // worker until the run ends.
 //
 // Cost: a pass over the per-context aggregates plus ~40 atomic stores,
@@ -67,7 +67,7 @@ func (c *classifier) sample(m *telemetry.Metrics, b *tracing.Buf, r *record) {
 }
 
 // sampleRun publishes the counters the interpreter goroutine owns: the
-// substrate's and the trace's.
+// substrate's, except its cache counters, and the trace's.
 func (t *Tool) sampleRun(m *telemetry.Metrics) {
 	live := t.sub.Live()
 	m.Store(telemetry.Instrs, live.Instrs)
@@ -75,10 +75,6 @@ func (t *Tool) sampleRun(m *telemetry.Metrics) {
 	m.Store(telemetry.Contexts, uint64(live.Contexts))
 	m.Store(telemetry.HeapBytes, live.HeapBytes)
 	m.Store(telemetry.MemPages, uint64(live.MemPages))
-	m.Store(telemetry.CacheAccesses, live.Cache.Accesses)
-	m.Store(telemetry.CacheL1Misses, live.Cache.L1Misses)
-	m.Store(telemetry.CacheLLMisses, live.Cache.LLMisses)
-	m.Store(telemetry.CachePrefetches, live.Cache.Prefetches)
 	m.Store(telemetry.Branches, live.Branches)
 	m.Store(telemetry.BranchMispredicts, live.Mispredicts)
 	m.Store(telemetry.ClassifyWaits, t.waits)
@@ -92,7 +88,8 @@ func (t *Tool) sampleRun(m *telemetry.Metrics) {
 }
 
 // publish stores the classifier's counters: communication totals, the
-// shadow table's footprint, the batching counters and the event counters.
+// shadow table's footprint, the batching counters, the substrate's cache
+// counters and the event counters.
 // The event sink's pipeline counters follow Emit: they are read on the
 // goroutine that calls it, since a trace.Writer counts accepted events
 // unsynchronised.
@@ -124,6 +121,12 @@ func (c *classifier) publish(m *telemetry.Metrics) {
 	m.Store(telemetry.ClassifySpans, c.spans)
 	m.Store(telemetry.ClassifyRuns, c.runs)
 	m.Store(telemetry.ClassifyGranules, c.granules)
+
+	cache := c.caches.Stats()
+	m.Store(telemetry.CacheAccesses, cache.Accesses)
+	m.Store(telemetry.CacheL1Misses, cache.L1Misses)
+	m.Store(telemetry.CacheLLMisses, cache.LLMisses)
+	m.Store(telemetry.CachePrefetches, cache.Prefetches)
 
 	m.Store(telemetry.EventsEmitted, c.emitted)
 	if c.evStats != nil {

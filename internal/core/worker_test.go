@@ -41,8 +41,8 @@ func runAt(t *testing.T, procs int, prog *vm.Program, input []byte, opts Options
 }
 
 // classifyCounters are the final telemetry counters classification, the
-// shadow table and event emission produce; both paths must agree on every
-// one.
+// shadow table, the substrate's cache simulation and event emission
+// produce; both paths must agree on every one.
 func classifyCounters(s *telemetry.Snapshot) []uint64 {
 	return []uint64{
 		s[telemetry.InputUniqueBytes], s[telemetry.InputNonUniqueBytes],
@@ -54,6 +54,8 @@ func classifyCounters(s *telemetry.Snapshot) []uint64 {
 		s[telemetry.ShadowCacheHits], s[telemetry.ShadowCacheMisses],
 		s[telemetry.ShadowChunksRecycled], s[telemetry.ClassifySpans],
 		s[telemetry.ClassifyRuns], s[telemetry.ClassifyGranules], s[telemetry.Samples],
+		s[telemetry.CacheAccesses], s[telemetry.CacheL1Misses],
+		s[telemetry.CacheLLMisses], s[telemetry.CachePrefetches],
 		s[telemetry.EventsEmitted],
 	}
 }
@@ -321,9 +323,12 @@ func runAborting(ctx context.Context, tool *Tool, prog *vm.Program, _ Options, i
 
 // TestWorkerJoinedOnEveryExit ends runs every way a run can end, inline and
 // with the worker: both return the same error type and a partial Result
-// that conserves bytes (except after a panic), a shadow-chunk budget fires
-// at the same count, no goroutine outlives a run, and the run gives back
-// every CPU it counted as busy.
+// that conserves bytes (except after a panic on the classifier's side,
+// which leaves records unapplied), a shadow-chunk budget fires at the same
+// count, no goroutine outlives a run, and the run gives back every CPU it
+// counted as busy. Conservation holds on a partial run because the
+// classifier charges the substrate's reads at the same records it
+// classifies.
 func TestWorkerJoinedOnEveryExit(t *testing.T) {
 	vips, vipsIn, err := workloads.Build("vips", workloads.SimSmall)
 	if err != nil {
@@ -349,24 +354,24 @@ func TestWorkerJoinedOnEveryExit(t *testing.T) {
 		run     func(context.Context, *Tool, *vm.Program, Options, []byte) (*Result, error)
 		timeout time.Duration
 		check   func(t *testing.T, err error)
-		panic   bool
+		lossy   bool // a panic on the classifier's side leaves records unapplied
 	}{
 		{name: "complete", prog: vips, input: vipsIn, check: noErr},
 		{name: "instructions", prog: vips, input: vipsIn, opts: Options{MaxInstrs: 300_000}, check: wantBudget("instructions")},
 		{name: "shadow-chunks", prog: dedup, input: dedupIn, opts: Options{MaxShadowChunksHard: 6}, check: wantBudget("shadow-chunks")},
 		{name: "cancelled", prog: producerConsumerProg(1<<10, 1<<30), timeout: 30 * time.Millisecond, check: cancelled},
 		{name: "interpreter-panic", prog: vips, input: vipsIn, run: runAborting,
-			check: wantPanic("interpreter exploded"), panic: true},
+			check: wantPanic("interpreter exploded")},
 		{name: "sampler-panic", prog: vips, input: vipsIn, opts: Options{Telemetry: &telemetry.Metrics{}},
 			setup: func(tool *Tool) {
 				tool.evStats = func() trace.WriterStats { panic("sampler exploded") }
 			},
-			check: wantPanic("sampler exploded"), panic: true},
+			check: wantPanic("sampler exploded"), lossy: true},
 		{name: "worker-panic", prog: vips, input: vipsIn, opts: Options{MaxShadowChunks: 1},
 			setup: func(tool *Tool) {
 				tool.shadow.onEvict = func(uint64, *shadowChunk) { panic("evict exploded") }
 			},
-			check: wantPanic("evict exploded"), panic: true},
+			check: wantPanic("evict exploded"), lossy: true},
 	}
 	for _, c := range cases {
 		var used []uint64
@@ -404,7 +409,7 @@ func TestWorkerJoinedOnEveryExit(t *testing.T) {
 					!strings.Contains(string(perr.Stack), "(*worker).run") {
 					t.Errorf("panic stack is not the worker's:\n%s", perr.Stack)
 				}
-				if !c.panic {
+				if !c.lossy {
 					if got, want := conserved(res); got != want || want == 0 {
 						t.Errorf("classified %d bytes, substrate counted %d", got, want)
 					}

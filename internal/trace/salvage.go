@@ -4,11 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 
 	"sigil/internal/faultinject"
+	"sigil/internal/safeio"
 	"sigil/internal/tracing"
 )
 
@@ -211,12 +210,20 @@ func drain(r io.Reader) int64 {
 // FileSink streams events to a temporary file next to path and renames it
 // into place only on Commit, after the footer is written and the file
 // synced — so path either does not exist or holds a complete,
-// footer-verified event file, never a truncated one.
+// footer-verified event file, never a truncated one. A path that names a
+// device or a named pipe is written in place instead (safeio.Create).
 type FileSink struct {
 	w    *Writer
-	f    *os.File
-	path string
+	f    *safeio.File
 	done bool
+}
+
+// sinkPoints are the fault points of the event file's own pipeline.
+var sinkPoints = safeio.Points{
+	Create: faultinject.SinkCreate,
+	Sync:   faultinject.SinkSync,
+	Close:  faultinject.SinkClose,
+	Rename: faultinject.SinkRename,
 }
 
 // CreateFile opens a FileSink writing the event file that will appear at
@@ -228,14 +235,11 @@ func CreateFile(path string) (*FileSink, error) {
 // CreateFileOptions opens a FileSink with explicit writer options — frame
 // size, retry schedule, degraded mode.
 func CreateFileOptions(path string, opts WriterOptions) (*FileSink, error) {
-	if err := faultinject.Fire(faultinject.SinkCreate); err != nil {
-		return nil, err
-	}
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	f, err := safeio.Create(path, sinkPoints)
 	if err != nil {
 		return nil, err
 	}
-	return &FileSink{w: NewWriterOptions(f, opts), f: f, path: path}, nil
+	return &FileSink{w: NewWriterOptions(f, opts), f: f}, nil
 }
 
 // Emit implements Sink.
@@ -250,46 +254,24 @@ func (s *FileSink) EventsWritten() uint64 { return s.w.Count() }
 func (s *FileSink) Stats() WriterStats { return s.w.Stats() }
 
 // Commit finalizes the stream (footer, flush, fsync) and atomically renames
-// it to the target path. Each finalization step is a named fault point
-// (trace.sink.sync, trace.sink.close, trace.sink.rename); a failure at any
-// of them discards the temporary file and leaves path untouched.
+// it to the target path; a device or named pipe written in place is closed.
+// Each finalization step is a named fault point (trace.sink.sync,
+// trace.sink.close, trace.sink.rename); a failure at any of them discards
+// the temporary file and leaves path untouched.
 func (s *FileSink) Commit() error {
 	if s.done {
 		return nil
 	}
 	s.done = true
 	if err := s.w.Close(); err != nil {
-		s.discard()
+		s.f.Abort()
 		return err
 	}
-	if err := faultinject.Fire(faultinject.SinkSync); err != nil {
-		s.discard()
-		return err
-	}
-	if err := s.f.Sync(); err != nil {
-		s.discard()
-		return err
-	}
-	if err := faultinject.Fire(faultinject.SinkClose); err != nil {
-		s.discard()
-		return err
-	}
-	if err := s.f.Close(); err != nil {
-		os.Remove(s.f.Name())
-		return err
-	}
-	if err := faultinject.Fire(faultinject.SinkRename); err != nil {
-		os.Remove(s.f.Name())
-		return err
-	}
-	if err := os.Rename(s.f.Name(), s.path); err != nil {
-		os.Remove(s.f.Name())
-		return err
-	}
-	return nil
+	return s.f.Commit()
 }
 
-// Abort discards the temporary file, leaving the target path untouched.
+// Abort discards the temporary file, leaving the target path untouched;
+// bytes already written to a device or named pipe stay written.
 func (s *FileSink) Abort() {
 	if s.done {
 		return
@@ -298,10 +280,5 @@ func (s *FileSink) Abort() {
 	// Close first: it stops the writer's background encoder goroutine,
 	// which would otherwise leak (its output is discarded with the file).
 	_ = s.w.Close()
-	s.discard()
-}
-
-func (s *FileSink) discard() {
-	_ = s.f.Close() // the file is being thrown away with its contents
-	os.Remove(s.f.Name())
+	s.f.Abort()
 }

@@ -37,15 +37,16 @@ go test -race ./...
 echo "== perfbench smoke (its own module: profile and event-file digests of every workload)"
 (cd perfbench && go test ./...)
 
-# Ten runs in two test binaries: one count takes about 90 s under -race, so
-# ten in one binary would outlast go test's default 10-minute timeout.
-echo "== classification worker shakeout (-race, 2 x 5 runs: worker = inline, joined on every exit, sink panics on both schedules)"
-for half in 1 2; do
-    go test -race -count=5 -run 'TestWorkerMatchesInline|TestWorkerJoinedOnEveryExit|TestOpsConservedAtCallBoundaries' ./internal/core
+# Ten runs in five test binaries: one count takes about 100 s under -race
+# with the substrate-profile oracle, so ten in one binary would outlast go
+# test's default 10-minute timeout.
+echo "== classification worker shakeout (-race, 5 x 2 runs: worker = inline, joined on every exit, sink panics on both schedules, substrate profile = Callgrind alone)"
+for part in 1 2 3 4 5; do
+    go test -race -count=2 -run 'TestWorkerMatchesInline|TestWorkerJoinedOnEveryExit|TestOpsConservedAtCallBoundaries|TestProfileMatchesCallgrind' ./internal/core
 done
 
 echo "== reference differentials on both schedules (GOMAXPROCS 1 inline, 2 worker)"
-go test -cpu 1,2 -run 'TestDifferentialAgainstReference|TestWrappingAccessClassified|TestCommunicationIndependentOfSubstrate' ./internal/core
+go test -cpu 1,2 -run 'TestDifferentialAgainstReference|TestWrappingAccessClassified|TestCommunicationIndependentOfSubstrate|TestProfileMatchesCallgrind' ./internal/core
 
 echo "== experiments worker-pool shakeout (-race, uncached)"
 go test -race -count=1 -run 'TestProfileSingleflight|TestParallelSuite|TestRunPool' ./internal/experiments
