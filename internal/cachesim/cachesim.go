@@ -122,16 +122,6 @@ func (c *Cache) fill(addr uint64) {
 	set[0] = line{tag: lineAddr, valid: true}
 }
 
-// Flush invalidates every line and zeroes the counters.
-func (c *Cache) Flush() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{}
-		}
-	}
-	c.accesses, c.misses = 0, 0
-}
-
 // Hierarchy is the two-level data-cache stack Callgrind simulates: L1 backed
 // by LL. An access that misses L1 is looked up in LL. With Prefetch set, an
 // L1 miss also installs the next sequential line (a next-line prefetcher:

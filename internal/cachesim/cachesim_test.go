@@ -109,18 +109,6 @@ func TestStreamingThrashes(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	c := mustNew(DefaultL1())
-	c.Access(0)
-	c.Flush()
-	if c.Accesses() != 0 || c.Misses() != 0 {
-		t.Error("counters not reset")
-	}
-	if c.Access(0) {
-		t.Error("line survived flush")
-	}
-}
-
 func TestHierarchyClassification(t *testing.T) {
 	h := mustHierarchy(
 		Config{Size: 256, LineSize: 64, Assoc: 2},

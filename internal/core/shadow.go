@@ -133,8 +133,9 @@ func shadowBytesPerGranule(reuse bool) uint64 {
 // command-line option, needed there only for dedup. An evicted chunk is
 // zeroed and handed straight to the key that forced the eviction, so
 // sustained eviction churn under MaxShadowChunks reuses the same buffers
-// instead of hammering the allocator with 256KiB blocks, and at most max
-// chunk buffers ever exist.
+// instead of hammering the allocator with chunk-sized blocks (256 KiB in
+// byte mode, 640 KiB with the re-use extension), and at most max chunk
+// buffers ever exist.
 type shadowTable struct {
 	chunks  map[uint64]*shadowChunk
 	cache   [shadowCacheSlots]shadowCacheSlot
@@ -143,10 +144,12 @@ type shadowTable struct {
 	max     int      // max live chunks; 0 = unlimited
 	reuse   bool
 	onEvict func(key uint64, ch *shadowChunk)
+	stock   chan *shadowChunk // zeroed buffers restock made, or nil
 
 	allocated uint64 // chunks ever created (including recycled buffers)
 	evicted   uint64
 	recycled  uint64 // materializations served by an evicted buffer
+	stocked   uint64 // materializations served by the stock
 	peakLive  int
 
 	cacheHits   uint64
@@ -195,10 +198,36 @@ func (t *shadowTable) get(g uint64) (*shadowChunk, uint32) {
 	return ch, uint32(g & chunkMask)
 }
 
-// newChunk allocates a zeroed chunk buffer.
+// newChunk returns a zeroed chunk buffer: the stocked one, when the
+// interpreter left one while it waited for the classification worker
+// (worker.go), or a new one. Either way the buffer is the same, so nothing
+// the run reports shows which goroutine cleared it.
 func (t *shadowTable) newChunk() *shadowChunk {
+	select {
+	case ch := <-t.stock:
+		t.stocked++
+		return ch
+	default:
+		return makeChunk(t.reuse)
+	}
+}
+
+// restock puts a zeroed chunk buffer in the stock when the stock is empty.
+// It runs on the interpreter goroutine while the classification worker owns
+// the rest of the table, so it reads only the stock and the mode, which do
+// not change while the worker runs; nothing else sends to the stock, so the
+// send never blocks.
+func (t *shadowTable) restock() {
+	if t.stock != nil && len(t.stock) == 0 {
+		t.stock <- makeChunk(t.reuse)
+	}
+}
+
+// makeChunk allocates a zeroed chunk buffer, with the re-use extension when
+// reuse is set.
+func makeChunk(reuse bool) *shadowChunk {
 	ch := &shadowChunk{objs: make([]shadowObj, chunkGranules)}
-	if t.reuse {
+	if reuse {
 		ch.reuse = make([]reuseObj, chunkGranules)
 	}
 	return ch

@@ -117,6 +117,7 @@ func (c *classifier) publish(m *telemetry.Metrics) {
 	m.Store(telemetry.ShadowCacheHits, sh.cacheHits)
 	m.Store(telemetry.ShadowCacheMisses, sh.cacheMisses)
 	m.Store(telemetry.ShadowChunksRecycled, sh.recycled)
+	m.Store(telemetry.ShadowChunksStocked, sh.stocked)
 
 	m.Store(telemetry.ClassifySpans, c.spans)
 	m.Store(telemetry.ClassifyRuns, c.runs)

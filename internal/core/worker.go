@@ -23,10 +23,18 @@ import (
 // the end of the run calls join, which wait for the worker. So samples,
 // budget stops, event streams and results are those of inline
 // classification.
+//
+// When the worker is the busier goroutine the interpreter spends its waits
+// clearing memory for it: a hand-off that finds no free batch first makes a
+// zeroed shadow-chunk buffer, if the one-slot stock is empty, and the shadow
+// table takes its next new chunk from the stock before it allocates one. A
+// run makes at most one buffer that no chunk needs. Runs with a shadow-chunk
+// limit or budget have no stock, so every chunk buffer they make counts.
 
 const (
 	batchRecords = 2048 // records per batch
 	batchCount   = 3    // batches in circulation
+	stockChunks  = 1    // zeroed chunk buffers the interpreter keeps ready
 )
 
 // cpusBusy counts the goroutines Sigil runs keep busy in this process: the
@@ -87,7 +95,8 @@ type workerPanic struct {
 	stack []byte
 }
 
-// startWorker starts the worker with every batch free.
+// startWorker starts the worker with every batch free, and the chunk stock
+// when the run sets no shadow-chunk limit or budget.
 func (t *Tool) startWorker() {
 	w := &worker{
 		full:  make(chan []record, batchCount),
@@ -101,6 +110,9 @@ func (t *Tool) startWorker() {
 		w.spare = append(w.spare, all[i*batchRecords:(i+1)*batchRecords:(i+1)*batchRecords])
 	}
 	w.take()
+	if t.opts.MaxShadowChunks == 0 && t.opts.MaxShadowChunksHard == 0 {
+		t.shadow.stock = make(chan *shadowChunk, stockChunks)
+	}
 	if b := t.opts.Trace; b != nil {
 		w.trace = b.Recorder().Local("classify.worker")
 	}
@@ -222,7 +234,8 @@ func (w *worker) drain() (waited, ok bool) {
 }
 
 // handOff passes the full batch to the worker and takes a free one,
-// blocking only when the worker still holds every other batch.
+// blocking only when the worker still holds every other batch. Before it
+// blocks, it restocks.
 func (t *Tool) handOff() {
 	w := t.pipe
 	w.full <- w.buf // never blocks: full has room for every batch
@@ -234,6 +247,7 @@ func (t *Tool) handOff() {
 			w.keep(b)
 		default:
 			t.waits++
+			t.shadow.restock()
 			select {
 			case b := <-w.free:
 				w.keep(b)
@@ -272,8 +286,8 @@ func (t *Tool) sync() {
 }
 
 // join applies every record on the worker and ends it; classification is
-// inline from then on. A panic recovered on the worker is re-raised here,
-// once, on the interpreter goroutine.
+// inline, with no chunk stock, from then on. A panic recovered on the
+// worker is re-raised here, once, on the interpreter goroutine.
 func (t *Tool) join() {
 	w := t.pipe
 	if w == nil {
@@ -285,6 +299,7 @@ func (t *Tool) join() {
 	}
 	close(w.full)
 	<-w.done
+	t.shadow.stock = nil // a buffer still stocked is garbage
 	cpusBusy.Add(-1)
 	if w.failure != nil {
 		panic(&workerPanic{value: w.failure, stack: w.stack}) //sigil:lint-allow panicfree runTool recovers it as the run's *PanicError

@@ -610,6 +610,75 @@ func TestClassifyWaits(t *testing.T) {
 	}
 }
 
+// TestStockedChunks: behind a worker slowed on purpose, the interpreter
+// stocks zeroed chunk buffers while it waits and the shadow table takes
+// them, with the profile and the shadow accounting of the inline run. An
+// inline run has no stock, and neither has a run with a shadow-chunk limit
+// or budget, so every chunk buffer it makes counts against the bound.
+func TestStockedChunks(t *testing.T) {
+	prog, input, err := workloads.Build("vips", workloads.SimSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(procs int, opts Options) (*Result, bool) {
+		t.Helper()
+		opts.TrackReuse = true
+		opts.Telemetry = &telemetry.Metrics{}
+		// The telemetry sampler sleeps at the first polls, so the
+		// interpreter fills every batch and waits; it also notes whether
+		// the run has a stock.
+		stocking := false
+		slow := func(tool *Tool) {
+			polls := 0
+			tool.evStats = func() trace.WriterStats {
+				stocking = stocking || tool.shadow.stock != nil
+				if polls < 10 {
+					polls++
+					time.Sleep(5 * time.Millisecond)
+				}
+				return trace.WriterStats{}
+			}
+		}
+		tool, res, err := runAt(t, procs, prog, input, opts, slow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tool.shadow.stock != nil {
+			t.Error("the stock outlived the run")
+		}
+		return res, stocking
+	}
+
+	inline, stocking := run(1, Options{})
+	if n := inline.Telemetry[telemetry.ShadowChunksStocked]; n != 0 || stocking {
+		t.Errorf("inline: shadow_chunks_stocked = %d, stock made %v; want 0, false", n, stocking)
+	}
+	worker, _ := run(2, Options{})
+	if n := worker.Telemetry[telemetry.ShadowChunksStocked]; n == 0 {
+		t.Errorf("worker: shadow_chunks_stocked = 0 behind a slowed worker (classify_waits %d)",
+			worker.Telemetry[telemetry.ClassifyWaits])
+	}
+	if !bytes.Equal(profileBytes(t, inline), profileBytes(t, worker)) {
+		t.Error("profiles differ")
+	}
+	if inline.Shadow != worker.Shadow {
+		t.Errorf("shadow stats: inline %+v, worker %+v", inline.Shadow, worker.Shadow)
+	}
+
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{{"limit", Options{MaxShadowChunks: 2}}, {"budget", Options{MaxShadowChunksHard: 1 << 20}}} {
+		res, stocking := run(2, c.opts)
+		if w := res.Telemetry[telemetry.ClassifyWaits]; w == 0 {
+			t.Errorf("%s: classify_waits = 0 behind a slowed worker", c.name)
+		}
+		if n := res.Telemetry[telemetry.ShadowChunksStocked]; n != 0 || stocking {
+			t.Errorf("%s: shadow_chunks_stocked = %d, stock made %v; want 0, false", c.name, n, stocking)
+		}
+	}
+}
+
 // TestRecordSize pins the record layout at 32 bytes: no record names its
 // frame, since the classifier's call-stack mirror does.
 func TestRecordSize(t *testing.T) {

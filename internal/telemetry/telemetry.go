@@ -64,6 +64,7 @@ const (
 	ShadowCacheHits
 	ShadowCacheMisses
 	ShadowChunksRecycled
+	ShadowChunksStocked
 	ClassifySpans
 	ClassifyRuns
 	ClassifyGranules
@@ -134,6 +135,7 @@ var counters = [numCounters]counter{
 	ShadowCacheHits:       {key: "shadow_cache_hits", prom: "sigil_shadow_cache_hits_total", kind: "counter", layer: "sigil", help: "Chunk lookups served by the direct-mapped cache"},
 	ShadowCacheMisses:     {key: "shadow_cache_misses", prom: "sigil_shadow_cache_misses_total", kind: "counter", layer: "sigil", help: "Chunk lookups that fell through to the map"},
 	ShadowChunksRecycled:  {key: "shadow_chunks_recycled", prom: "sigil_shadow_chunks_recycled_total", kind: "counter", layer: "sigil", help: "Chunk materializations served by an evicted chunk buffer"},
+	ShadowChunksStocked:   {key: "shadow_chunks_stocked", prom: "sigil_shadow_chunks_stocked_total", kind: "counter", layer: "sigil", help: "Chunk buffers the classification worker took from the interpreter's stock"},
 	ClassifySpans:         {key: "classify_spans", prom: "sigil_classify_spans_total", kind: "counter", layer: "sigil", help: "Per-chunk spans classified by the batched path"},
 	ClassifyRuns:          {key: "classify_runs", prom: "sigil_classify_runs_total", kind: "counter", layer: "sigil", help: "State-uniform runs classified by the batched path"},
 	ClassifyGranules:      {key: "classify_granules", prom: "sigil_classify_granules_total", kind: "counter", layer: "sigil", help: "Granules covered by batched classification runs"},

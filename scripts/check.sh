@@ -40,9 +40,9 @@ echo "== perfbench smoke (its own module: profile and event-file digests of ever
 # Ten runs in five test binaries: one count takes about 100 s under -race
 # with the substrate-profile oracle, so ten in one binary would outlast go
 # test's default 10-minute timeout.
-echo "== classification worker shakeout (-race, 5 x 2 runs: worker = inline, joined on every exit, sink panics on both schedules, substrate profile = Callgrind alone)"
+echo "== classification worker shakeout (-race, 5 x 2 runs: worker = inline, joined on every exit, sink panics on both schedules, substrate profile = Callgrind alone, chunk buffers stocked across goroutines)"
 for part in 1 2 3 4 5; do
-    go test -race -count=2 -run 'TestWorkerMatchesInline|TestWorkerJoinedOnEveryExit|TestOpsConservedAtCallBoundaries|TestProfileMatchesCallgrind' ./internal/core
+    go test -race -count=2 -run 'TestWorkerMatchesInline|TestWorkerJoinedOnEveryExit|TestOpsConservedAtCallBoundaries|TestProfileMatchesCallgrind|TestStockedChunks' ./internal/core
 done
 
 echo "== reference differentials on both schedules (GOMAXPROCS 1 inline, 2 worker)"
