@@ -247,9 +247,8 @@ func BenchmarkAblationTelemetry(b *testing.B) {
 
 // BenchmarkAblationTracing measures the run-tracing subsystem on top of
 // profiling: the full core.Run path with and without a span buffer on
-// Options, so the span bookkeeping, the per-poll sample+flight recording,
-// and the private metrics block a traced run attaches are the only
-// difference. The acceptance bar is ≤3% on fft (scripts/bench.sh gates it).
+// Options, so the span bookkeeping and deltas, the per-poll sample, and the
+// private metrics block a traced run attaches are the only difference. The acceptance bar is ≤3% on fft (scripts/bench.sh gates it).
 func BenchmarkAblationTracing(b *testing.B) {
 	for _, traced := range []bool{false, true} {
 		b.Run(fmt.Sprintf("tracing=%v", traced), func(b *testing.B) {

@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
@@ -137,9 +138,10 @@ func TestCLIReportAndExperiments(t *testing.T) {
 }
 
 // TestCLITelemetry drives the observability surface end to end: a profiled
-// run with -progress emits JSON heartbeats and phase spans on stderr, and
+// run with -progress emits JSON heartbeats and phase spans on stderr,
 // -telemetry-dump prints a final snapshot whose instruction count matches
-// the summary the profile itself reports.
+// the summary the profile itself reports, and the run report and Perfetto
+// trace it writes carry the same counters (checkRunArtifacts).
 func TestCLITelemetry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -147,8 +149,12 @@ func TestCLITelemetry(t *testing.T) {
 	dir := t.TempDir()
 	sigilBin := buildCmd(t, dir, "sigil")
 
+	evt := filepath.Join(dir, "fft.evt")
+	report := filepath.Join(dir, "fft.report.json")
+	perfetto := filepath.Join(dir, "fft.trace.json")
 	cmd := exec.Command(sigilBin, "-workload", "fft",
-		"-progress", "5ms", "-log-format", "json", "-telemetry-dump")
+		"-progress", "5ms", "-log-format", "json", "-telemetry-dump",
+		"-events", evt, "-run-report", report, "-trace-out", perfetto)
 	var stdout, stderr strings.Builder
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
@@ -175,6 +181,113 @@ func TestCLITelemetry(t *testing.T) {
 	}
 	if summary[1] != dump[1] {
 		t.Errorf("telemetry dump instrs %s != profile instrs %s", dump[1], summary[1])
+	}
+	checkRunArtifacts(t, logs, evt, report, perfetto)
+}
+
+// reportSpan is the part of a run-report span the artifact checks read.
+type reportSpan struct {
+	Name   string                       `json:"name"`
+	Deltas map[string]map[string]uint64 `json:"deltas"`
+}
+
+// checkRunArtifacts reads what a traced sigil run wrote: the run span's
+// deltas in the run report equal its telemetry section and include
+// counters tracing never named; the same deltas reach the run's phase log
+// line and its Perfetto span args; and the sink section counts the records
+// the event file holds.
+func checkRunArtifacts(t *testing.T, logs, evt, report, perfetto string) {
+	t.Helper()
+	var rep struct {
+		Spans     []reportSpan      `json:"spans"`
+		Telemetry map[string]uint64 `json:"telemetry"`
+		Sink      *struct {
+			Events uint64 `json:"events"`
+		} `json:"sink"`
+	}
+	readJSON(t, report, &rep)
+	var run *reportSpan // a root: sigil closes the assemble span first
+	for i := range rep.Spans {
+		if rep.Spans[i].Name == "run" {
+			run = &rep.Spans[i]
+		}
+	}
+	if run == nil {
+		t.Fatalf("run report has no run span: %+v", rep.Spans)
+	}
+	for layer, keys := range run.Deltas {
+		for k, v := range keys {
+			if v != rep.Telemetry[k] {
+				t.Errorf("run span delta %s.%s = %d, telemetry %d", layer, k, v, rep.Telemetry[k])
+			}
+		}
+	}
+	for _, c := range [][2]string{{"vm", "instrs"}, {"callgrind", "cache_l1_misses"}, {"sigil", "classify_spans"}, {"events", "events_emitted"}} {
+		if run.Deltas[c[0]][c[1]] == 0 {
+			t.Errorf("run span deltas lack %s.%s: %v", c[0], c[1], run.Deltas)
+		}
+	}
+
+	f, err := os.Open(evt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.ReadAll(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if records := uint64(len(tr.Events) + len(tr.Contexts)); rep.Sink == nil || rep.Sink.Events != records {
+		t.Errorf("run report sink %+v, event file holds %d records", rep.Sink, records)
+	}
+
+	var phase *reportSpan
+	for _, line := range strings.Split(logs, "\n") {
+		var rec struct {
+			Msg string `json:"msg"`
+			reportSpan
+		}
+		if json.Unmarshal([]byte(line), &rec) == nil && rec.Msg == "phase" && rec.Name == "run" {
+			phase = &rec.reportSpan
+		}
+	}
+	if phase == nil || !reflect.DeepEqual(phase.Deltas, run.Deltas) {
+		t.Errorf("run phase log line deltas %v, run report %v", phase, run.Deltas)
+	}
+
+	var chrome struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	readJSON(t, perfetto, &chrome)
+	found := false
+	for _, e := range chrome.TraceEvents {
+		if e.Ph != "X" || e.Name != "run" {
+			continue
+		}
+		found = true
+		for layer, k := range map[string]string{"vm": "instrs", "callgrind": "cache_l1_misses"} {
+			if want := run.Deltas[layer][k]; e.Args[k] != float64(want) {
+				t.Errorf("Perfetto run span %s = %v, run report %d", k, e.Args[k], want)
+			}
+		}
+	}
+	if !found {
+		t.Error("Perfetto trace has no run span")
+	}
+}
+
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
 }
 
@@ -339,6 +452,39 @@ func TestCLIFaultTolerance(t *testing.T) {
 	out = runCmd(t, critBin, "-events", cut, "-salvage")
 	if !strings.Contains(out, "recovered") || !strings.Contains(out, "max parallelism") {
 		t.Errorf("salvage run malformed:\n%s", out)
+	}
+
+	// The run report of a salvage run carries the salvage pass's own
+	// accounting. The budget run's file is one frame, so its cut recovers
+	// nothing; cut a complete multi-frame file instead.
+	full := filepath.Join(dir, "full.evt")
+	runCmd(t, sigilBin, "-workload", "canneal", "-events", full)
+	if data, err = os.ReadFile(full); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cut, data[:len(data)*3/4], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	salvageReport := filepath.Join(dir, "salvage.report.json")
+	out = runCmd(t, critBin, "-events", cut, "-salvage", "-run-report", salvageReport)
+	recovered := regexp.MustCompile(`recovered (\d+) of`).FindStringSubmatch(out)
+	if recovered == nil || recovered[1] == "0" {
+		t.Fatalf("salvage of a cut multi-frame file recovered nothing:\n%s", out)
+	}
+	var salvaged struct {
+		Salvage *struct {
+			Complete   bool  `json:"complete"`
+			Truncated  bool  `json:"truncated"`
+			Events     int   `json:"events"`
+			BytesValid int64 `json:"bytes_valid"`
+			BytesTotal int64 `json:"bytes_total"`
+		} `json:"salvage"`
+	}
+	readJSON(t, salvageReport, &salvaged)
+	sv := salvaged.Salvage
+	if sv == nil || sv.Complete || !sv.Truncated || fmt.Sprint(sv.Events) != recovered[1] ||
+		sv.BytesValid <= 0 || sv.BytesValid > sv.BytesTotal {
+		t.Errorf("run report salvage %+v, want truncated, incomplete, %s events, 0 < bytes_valid <= bytes_total", sv, recovered[1])
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"sigil/internal/core"
 	"sigil/internal/critpath"
 	"sigil/internal/trace"
-	"sigil/internal/tracing"
 	"sigil/internal/workloads"
 )
 
@@ -142,15 +141,7 @@ func readEventFile(f *os.File, salvage bool) (*trace.Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		art.Salvage = &tracing.SalvageInfo{
-			Complete:          rep.Complete,
-			Truncated:         rep.Truncated,
-			Events:            uint64(rep.Events),
-			EventsDropped:     rep.EventsDropped,
-			FramesQuarantined: rep.FramesQuarantined,
-			BytesRead:         uint64(rep.BytesValid),
-			BytesDropped:      uint64(rep.BytesTotal - rep.BytesValid),
-		}
+		art.Salvage = rep
 		fmt.Fprintf(os.Stderr, "sigil-critpath: %s\n", rep)
 		// A quarantined mid-stream frame leaves a gap: surviving events can
 		// reference calls whose Enter fell in the hole. Drop those so the

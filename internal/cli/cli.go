@@ -8,6 +8,7 @@ package cli
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -98,25 +99,6 @@ func ParseSlots(list string) ([]int, error) {
 		slots = append(slots, n)
 	}
 	return slots, nil
-}
-
-// Outcome classifies a run error for run reports and span attributes:
-// "ok", "budget", "panic", "interrupted", or "error".
-func Outcome(err error) string {
-	var be *core.BudgetError
-	var pe *core.PanicError
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.As(err, &be):
-		return "budget"
-	case errors.As(err, &pe):
-		return "panic"
-	case errors.Is(err, context.Canceled):
-		return "interrupted"
-	default:
-		return "error"
-	}
 }
 
 // Telemetry bundles the observation flags every tool registers: the live
@@ -308,7 +290,7 @@ type Artifacts struct {
 	Err       error
 	Telemetry *telemetry.Snapshot
 	Sink      *trace.WriterStats
-	Salvage   *tracing.SalvageInfo
+	Salvage   *trace.SalvageReport
 }
 
 // flightDumpMax bounds how many flight events a stderr dump prints; the
@@ -324,7 +306,7 @@ const flightDumpMax = 32
 // the run's outcome.
 func (t *Telemetry) Finish(a Artifacts) {
 	t.ensureRecorder()
-	outcome := Outcome(a.Err)
+	outcome := core.Outcome(a.Err)
 	degraded := a.Sink != nil && (a.Sink.Degraded || a.Sink.Dropped > 0)
 	if outcome != "ok" || degraded {
 		t.dumpFlight(outcome, degraded)
@@ -373,7 +355,11 @@ func (t *Telemetry) dumpFlight(outcome string, degraded bool) {
 }
 
 func (t *Telemetry) writeRunReport(a Artifacts, outcome string, degraded bool) error {
-	rep := tracing.NewReport(t.tool, t.rec)
+	rep := struct {
+		*tracing.Report
+		Sink    *trace.WriterStats   `json:"sink,omitempty"`
+		Salvage *trace.SalvageReport `json:"salvage,omitempty"`
+	}{tracing.NewReport(t.tool, t.rec), a.Sink, a.Salvage}
 	rep.Args = os.Args[1:]
 	rep.StartNanos = t.start.UnixNano()
 	rep.WallNanos = int64(time.Since(t.start))
@@ -382,22 +368,12 @@ func (t *Telemetry) writeRunReport(a Artifacts, outcome string, degraded bool) e
 		rep.Error = a.Err.Error()
 	}
 	rep.Telemetry = a.Telemetry
-	if a.Sink != nil {
-		rep.Sink = &tracing.SinkStats{
-			Events:          a.Sink.Events,
-			Frames:          a.Sink.Frames,
-			QueueDepth:      a.Sink.QueueDepth,
-			Stalls:          a.Sink.Stalls,
-			RawBytes:        a.Sink.RawBytes,
-			CompressedBytes: a.Sink.CompressedBytes,
-			Dropped:         a.Sink.Dropped,
-			Retries:         a.Sink.Retries,
-			Degraded:        a.Sink.Degraded,
-		}
-	}
-	rep.Salvage = a.Salvage
 	if outcome != "ok" || degraded {
 		rep.Flight = tracing.Flight().Dump()
 	}
-	return safeio.WriteFile(t.RunReport, rep.WriteJSON)
+	return safeio.WriteFile(t.RunReport, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(rep)
+	})
 }

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"context"
+	"errors"
+	"fmt"
+)
 
 // BudgetError reports a profiling run ended because a resource budget from
 // Options was exhausted. The run is not a failure: RunContext returns the
@@ -29,4 +33,25 @@ type PanicError struct {
 
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("core: profiling run panicked: %v", e.Value)
+}
+
+// Outcome names how a run that returned err ended, in the one vocabulary of
+// run spans and run reports: "ok", "budget", "panic", "interrupted" (the
+// context was cancelled or its deadline passed) or "error".
+func Outcome(err error) string {
+	if err == nil {
+		return "ok"
+	}
+	var be *BudgetError
+	var pe *PanicError
+	switch {
+	case errors.As(err, &be):
+		return "budget"
+	case errors.As(err, &pe):
+		return "panic"
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return "interrupted"
+	default:
+		return "error"
+	}
 }

@@ -233,12 +233,12 @@ func runTool(ctx context.Context, tool *Tool, p *vm.Program, opts Options, input
 					res.Telemetry = finalSnapshot(tool, tel, opts, start, res.Wall)
 				}()
 			}
-			tracing.Flight().Record(tracing.KindPanic, "run", 0, 0)
-			runSpan.End(tracing.A("outcome", "panic"))
 			perr := &PanicError{Value: r, Stack: debug.Stack()}
 			if wp, ok := r.(*workerPanic); ok {
 				perr.Value, perr.Stack = wp.value, wp.stack
 			}
+			tracing.Flight().Record(tracing.KindPanic, "run", 0, 0)
+			runSpan.End(tracing.A("outcome", Outcome(perr)))
 			err = perr
 		}
 	}()
@@ -284,18 +284,14 @@ func runTool(ctx context.Context, tool *Tool, p *vm.Program, opts Options, input
 // flight-recorder event so budget kills and cancellations are visible in
 // the ring even when no span buffer was attached.
 func recordRunEnd(runSpan *tracing.Active, runErr error) {
-	outcome := "ok"
-	var budget *BudgetError
-	switch {
-	case runErr == nil:
-	case errors.As(runErr, &budget):
-		outcome = "budget"
+	outcome := Outcome(runErr)
+	switch outcome {
+	case "budget":
+		var budget *BudgetError
+		errors.As(runErr, &budget)
 		tracing.Flight().Record(tracing.KindBudget, budget.Resource, budget.Limit, budget.Used)
-	case errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded):
-		outcome = "interrupted"
+	case "interrupted":
 		tracing.Flight().Record(tracing.KindCancel, "run", 0, 0)
-	default:
-		outcome = "error"
 	}
 	tracing.Flight().Record(tracing.KindPhase, "run:end", 0, 0)
 	runSpan.End(tracing.A("outcome", outcome))

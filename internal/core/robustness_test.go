@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -218,6 +219,29 @@ func TestRunContextVMFaultSalvage(t *testing.T) {
 		t.Fatalf("fault misclassified: %v", err)
 	}
 	assertPartial(t, res)
+}
+
+// TestOutcome pins the one run-outcome vocabulary that run spans and run
+// reports share; a passed context deadline is an interrupt, like a cancel.
+func TestOutcome(t *testing.T) {
+	cases := []struct {
+		err  error
+		want string
+	}{
+		{nil, "ok"},
+		{&BudgetError{Resource: "instructions"}, "budget"},
+		{fmt.Errorf("wrapped: %w", &BudgetError{}), "budget"},
+		{&PanicError{Value: "boom"}, "panic"},
+		{context.Canceled, "interrupted"},
+		{fmt.Errorf("wrapped: %w", context.Canceled), "interrupted"},
+		{context.DeadlineExceeded, "interrupted"},
+		{errors.New("boom"), "error"},
+	}
+	for _, c := range cases {
+		if got := Outcome(c.err); got != c.want {
+			t.Errorf("Outcome(%v) = %q, want %q", c.err, got, c.want)
+		}
+	}
 }
 
 // producerConsumerProg mirrors producerConsumer without needing a *testing.T.

@@ -50,20 +50,17 @@ func (t *Tool) poll() {
 
 // sample completes the poll-point sample r stands for: it publishes the
 // classifier's counters as they are at r's place in the program, and on a
-// traced run records the poll on track b and in the flight recorder.
+// traced run records the poll on track b's sample timeline.
 func (c *classifier) sample(m *telemetry.Metrics, b *tracing.Buf, r *record) {
 	c.publish(m)
 	m.Add(telemetry.Samples, 1)
-	if b != nil {
-		b.Sample(tracing.Sample{
-			TimeNanos:   int64(r.now),
-			Instrs:      r.addr,
-			HeapBytes:   r.n,
-			ShadowBytes: m.Load(telemetry.ShadowBytesResident),
-			Events:      c.emitted,
-		})
-		tracing.Flight().Record(tracing.KindPoll, "poll", r.addr, c.emitted)
-	}
+	b.Sample(tracing.Sample{
+		TimeNanos:           int64(r.now),
+		Instrs:              r.addr,
+		HeapBytes:           r.n,
+		ShadowBytesResident: m.Load(telemetry.ShadowBytesResident),
+		EventsEmitted:       c.emitted,
+	})
 }
 
 // sampleRun publishes the counters the interpreter goroutine owns: the

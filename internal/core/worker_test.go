@@ -567,8 +567,8 @@ func TestClassifyWaits(t *testing.T) {
 
 	rep := tracing.NewReport("sigil", rec)
 	rep.Telemetry = res.Telemetry
-	var out bytes.Buffer
-	if err := rep.WriteJSON(&out); err != nil {
+	out, err := json.Marshal(rep)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back struct {
@@ -581,7 +581,7 @@ func TestClassifyWaits(t *testing.T) {
 			} `json:"attrs"`
 		} `json:"spans"`
 	}
-	if err := json.Unmarshal(out.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(out, &back); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := back.Telemetry["classify_waits"]; !ok || got != waits {

@@ -222,6 +222,25 @@ func (s Snapshot) Delta(base Snapshot, c Counter) uint64 {
 	return s[c] - base[c]
 }
 
+// Deltas returns the growth of every counter row from base to s, through
+// Delta, keyed by layer and then by JSON key: the counters a tracing span
+// carries. Rows that did not grow are left out, and so are gauges, since
+// Delta reads a gauge that fell (call depth 3 to 2) as its end value.
+func (s Snapshot) Deltas(base Snapshot) map[string]map[string]uint64 {
+	out := make(map[string]map[string]uint64)
+	for c, d := range counters {
+		v := s.Delta(base, Counter(c))
+		if d.kind != "counter" || v == 0 {
+			continue
+		}
+		if out[d.layer] == nil {
+			out[d.layer] = make(map[string]uint64)
+		}
+		out[d.layer][d.key] = v
+	}
+	return out
+}
+
 // InstrsPerSec estimates throughput over the run so far (or the whole run,
 // once WallNanos is set).
 func (s Snapshot) InstrsPerSec(now time.Time) float64 {

@@ -139,6 +139,25 @@ func TestSnapshotHelpers(t *testing.T) {
 	}
 }
 
+// TestDeltasCountersOnly: Deltas carries every counter row that grew, under
+// its layer and key, and no gauge, not even one that fell.
+func TestDeltasCountersOnly(t *testing.T) {
+	s := sentinelSnapshot()
+	got := s.Deltas(Snapshot{})
+	for c, d := range counters {
+		v, ok := got[d.layer][d.key]
+		if isCounter := d.kind == "counter"; ok != isCounter || (isCounter && v != s[c]) {
+			t.Errorf("%s %s, a %s: delta %d (present %v), snapshot %d", d.layer, d.key, d.kind, v, ok, s[c])
+		}
+	}
+
+	base := Snapshot{Instrs: 500, CallDepth: 3}
+	end := Snapshot{Instrs: 500, CallDepth: 2}
+	if got := end.Deltas(base); len(got) != 0 {
+		t.Errorf("Deltas of no growth and a fallen gauge = %v, want none", got)
+	}
+}
+
 // TestPrometheusFormat checks every emitted line against the text
 // exposition format: HELP/TYPE metadata per series and a parseable
 // integer sample whose value round-trips from the snapshot.

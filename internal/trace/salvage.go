@@ -15,38 +15,38 @@ import (
 // skipped: its position in the stream and the exact byte range it spans in
 // the file, so forensics can extract the damaged bytes.
 type QuarantinedFrame struct {
-	Index  int    // frame position in the stream (0-based, good frames counted)
-	Start  int64  // file offset of the frame marker byte
-	End    int64  // file offset one past the frame's last payload byte
-	Events uint64 // the frame header's declared event count
-	Err    error  // what failed: checksum, inflate, or decode
+	Index  int    `json:"index"`  // frame position in the stream (0-based, good frames counted)
+	Start  int64  `json:"start"`  // file offset of the frame marker byte
+	End    int64  `json:"end"`    // file offset one past the frame's last payload byte
+	Events uint64 `json:"events"` // the frame header's declared event count
+	Err    error  `json:"-"`      // what failed: checksum, inflate, or decode
 }
 
 // SalvageReport describes what a Salvage pass recovered from a (possibly
 // truncated or corrupt) event file. Mid-stream corruption and truncation
 // are reported separately: a quarantined frame is a bounded hole with the
 // stream intact on both sides, while Truncated means the stream's tail
-// (and footer) is gone.
+// (and footer) is gone. It is the run report's "salvage" section.
 type SalvageReport struct {
-	Events     int   // records recovered (context definitions included)
-	Contexts   int   // context definitions among them
-	BytesValid int64 // bytes of verified, decoded records (header excluded)
-	BytesTotal int64 // total record bytes present in the input
-	Complete   bool  // footer verified, nothing quarantined, no recorded drops
-	Err        error // the decode error that ended the scan early (nil otherwise)
+	Events     int   `json:"events"`      // records recovered (context definitions included)
+	Contexts   int   `json:"contexts"`    // context definitions among them
+	BytesValid int64 `json:"bytes_valid"` // bytes of verified, decoded records (header excluded)
+	BytesTotal int64 `json:"bytes_total"` // total record bytes present in the input
+	Complete   bool  `json:"complete"`    // footer verified, nothing quarantined, no recorded drops
+	Err        error `json:"-"`           // the decode error that ended the scan early (nil otherwise)
 
 	// FramesQuarantined counts corrupt v3 frames skipped mid-stream; each
 	// has an entry in Quarantined. BytesQuarantined is their combined size.
-	FramesQuarantined int
-	Quarantined       []QuarantinedFrame
-	BytesQuarantined  int64
+	FramesQuarantined int                `json:"frames_quarantined"`
+	Quarantined       []QuarantinedFrame `json:"quarantined,omitempty"`
+	BytesQuarantined  int64              `json:"bytes_quarantined"`
 	// Truncated reports that the stream ended before its footer — the
 	// crash/cut case — as opposed to mid-stream damage with an intact tail.
-	Truncated bool
+	Truncated bool `json:"truncated"`
 	// EventsDropped is the write-side loss recorded in the stream's loss
 	// footer (a degraded writer shedding events), distinct from read-side
 	// quarantine loss.
-	EventsDropped uint64
+	EventsDropped uint64 `json:"events_dropped"`
 }
 
 // EstimatedTotal extrapolates how many events the intact file likely held,
@@ -244,10 +244,6 @@ func CreateFileOptions(path string, opts WriterOptions) (*FileSink, error) {
 
 // Emit implements Sink.
 func (s *FileSink) Emit(e Event) error { return s.w.Emit(e) }
-
-// EventsWritten reports how many events the sink has accepted, so tools
-// can reconcile the file against the run's telemetry snapshot.
-func (s *FileSink) EventsWritten() uint64 { return s.w.Count() }
 
 // Stats exposes the underlying async writer's pipeline counters (frames,
 // queue depth, stalls, compressed bytes) for telemetry sampling.

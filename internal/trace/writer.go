@@ -367,17 +367,18 @@ func (w *Writer) setErr(err error) {
 func (w *Writer) Count() uint64 { return w.count }
 
 // WriterStats is a point-in-time view of the writer's async pipeline, the
-// numbers behind the sigil_event_* telemetry series.
+// numbers behind the sigil_event_* telemetry series and the run report's
+// "sink" section.
 type WriterStats struct {
-	Events          uint64 // events accepted by Emit
-	Frames          uint64 // frames written by the encoder
-	QueueDepth      int    // batches handed off but not yet encoded
-	Stalls          uint64 // Emit hand-offs that blocked on the encoder
-	RawBytes        uint64 // payload bytes before compression
-	CompressedBytes uint64 // frame bytes on the wire (headers included)
-	Dropped         uint64 // events discarded instead of persisted (exact loss)
-	Retries         uint64 // sink writes retried by the backoff layer
-	Degraded        bool   // a degraded-mode writer has started losing events
+	Events          uint64 `json:"events"`           // events accepted by Emit
+	Frames          uint64 `json:"frames"`           // frames written by the encoder
+	QueueDepth      int    `json:"queue_depth"`      // batches handed off but not yet encoded
+	Stalls          uint64 `json:"stalls"`           // Emit hand-offs that blocked on the encoder
+	RawBytes        uint64 `json:"raw_bytes"`        // payload bytes before compression
+	CompressedBytes uint64 `json:"compressed_bytes"` // frame bytes on the wire (headers included)
+	Dropped         uint64 `json:"dropped"`          // events discarded instead of persisted (exact loss)
+	Retries         uint64 `json:"retries"`          // sink writes retried by the backoff layer
+	Degraded        bool   `json:"degraded"`         // a degraded-mode writer has started losing events
 }
 
 // Stats returns the writer's pipeline counters. Safe to call concurrently

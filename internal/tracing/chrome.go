@@ -96,10 +96,11 @@ func WriteChrome(w io.Writer, rec *Recorder, flight []FlightEvent) error {
 		for _, a := range s.Attrs {
 			args[a.Key] = a.Value
 		}
-		if s.Deltas != nil {
-			args["instrs"] = s.Deltas.Instrs
-			args["events"] = s.Deltas.Events
-			args["shadow_bytes"] = s.Deltas.ShadowBytes
+		// Counter keys are unique across layers, so the args take them flat.
+		for _, keys := range s.Deltas {
+			for k, v := range keys {
+				args[k] = v
+			}
 		}
 		timeline = append(timeline, chromeEvent{
 			Name: s.Name, Ph: "X", Ts: us(s.StartNanos), Dur: &dur,
@@ -113,10 +114,10 @@ func WriteChrome(w io.Writer, rec *Recorder, flight []FlightEvent) error {
 				Name: "telemetry", Ph: "C", Ts: us(s.TimeNanos),
 				Pid: chromePid, Tid: t.ID,
 				Args: map[string]any{
-					"instrs":       s.Instrs,
-					"heap_bytes":   s.HeapBytes,
-					"shadow_bytes": s.ShadowBytes,
-					"events":       s.Events,
+					"instrs":                s.Instrs,
+					"heap_bytes":            s.HeapBytes,
+					"shadow_bytes_resident": s.ShadowBytesResident,
+					"events_emitted":        s.EventsEmitted,
 				},
 			})
 		}

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"sigil/internal/telemetry"
 )
 
 // chromeCheckEvent mirrors the trace_event fields the schema test pins.
@@ -117,10 +119,17 @@ func TestChromeTraceSchema(t *testing.T) {
 
 // TestChromeGolden pins the exact serialized form for a fixed input so
 // unintentional format drift is caught, without depending on wall time.
+// Span args carry the counter deltas flat, and the counter track names its
+// values, under the telemetry table's keys.
 func TestChromeGolden(t *testing.T) {
+	var m telemetry.Metrics
 	rec := NewRecorder()
 	b := rec.Local("main")
+	b.SetMetrics(&m)
 	s := b.Start("run", A("mode", "sigil"))
+	m.Store(telemetry.Instrs, 300)
+	m.Store(telemetry.CacheL1Misses, 5)
+	b.Sample(Sample{TimeNanos: 1_500_000, Instrs: 300, ShadowBytesResident: 64, EventsEmitted: 2})
 	s.End()
 	// Overwrite clock-derived fields for determinism.
 	b.spans[0].StartNanos = 1_000_000
@@ -136,7 +145,8 @@ func TestChromeGolden(t *testing.T) {
 	want := `{"traceEvents":[` +
 		`{"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"sigil"}},` +
 		`{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":1,"args":{"name":"main"}},` +
-		`{"name":"run","ph":"X","ts":0,"dur":2000,"pid":1,"tid":1,"args":{"cpu_us":1000,"mode":"sigil"}}` +
+		`{"name":"run","ph":"X","ts":0,"dur":2000,"pid":1,"tid":1,"args":{"cache_l1_misses":5,"cpu_us":1000,"instrs":300,"mode":"sigil"}},` +
+		`{"name":"telemetry","ph":"C","ts":500,"pid":1,"tid":1,"args":{"events_emitted":2,"heap_bytes":0,"instrs":300,"shadow_bytes_resident":64}}` +
 		`],"displayTimeUnit":"ms"}` + "\n"
 	if got != want {
 		t.Fatalf("golden mismatch:\n got: %s\nwant: %s", got, want)

@@ -14,9 +14,6 @@ type Kind uint8
 const (
 	// KindPhase marks a run phase transition (run start/end, writer open).
 	KindPhase Kind = iota + 1
-	// KindPoll is a 16K-instruction poll sample; A carries instructions
-	// retired, B the event count at the poll point.
-	KindPoll
 	// KindFault is a fault-injection firing; Name is the point, A the hit
 	// ordinal, B the injection mode.
 	KindFault
@@ -44,7 +41,6 @@ const (
 
 var kindNames = map[Kind]string{
 	KindPhase:      "phase",
-	KindPoll:       "poll",
 	KindFault:      "fault",
 	KindStall:      "stall",
 	KindShed:       "shed",
@@ -66,27 +62,6 @@ func (k Kind) String() string {
 // MarshalJSON renders the kind as its name so dumps read without a legend.
 func (k Kind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
 
-// UnmarshalJSON accepts the name form (and, leniently, the numeric form)
-// so recorded dumps round-trip through JSON.
-func (k *Kind) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		for kk, name := range kindNames {
-			if name == s {
-				*k = kk
-				return nil
-			}
-		}
-		return fmt.Errorf("tracing: unknown flight event kind %q", s)
-	}
-	var n uint8
-	if err := json.Unmarshal(b, &n); err != nil {
-		return err
-	}
-	*k = Kind(n)
-	return nil
-}
-
 // FlightEvent is one recorded event. A and B are kind-specific payloads
 // (documented on the Kind constants).
 type FlightEvent struct {
@@ -96,13 +71,6 @@ type FlightEvent struct {
 	Name      string `json:"name,omitempty"`
 	A         uint64 `json:"a,omitempty"`
 	B         uint64 `json:"b,omitempty"`
-}
-
-// String renders the event for a terminal dump.
-func (e FlightEvent) String() string {
-	return fmt.Sprintf("#%d %s %s %q a=%d b=%d",
-		e.Seq, time.Unix(0, e.TimeNanos).UTC().Format("15:04:05.000000"),
-		e.Kind, e.Name, e.A, e.B)
 }
 
 // FlightRecorder is a fixed-size lock-free ring of the last N events.

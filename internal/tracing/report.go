@@ -1,37 +1,6 @@
 package tracing
 
-import (
-	"encoding/json"
-	"io"
-
-	"sigil/internal/telemetry"
-)
-
-// SinkStats mirrors trace.WriterStats in tracing's own vocabulary so the
-// run report can embed event-sink accounting without an import cycle (the
-// trace package itself records into this package).
-type SinkStats struct {
-	Events          uint64 `json:"events"`
-	Frames          uint64 `json:"frames"`
-	QueueDepth      int    `json:"queue_depth"`
-	Stalls          uint64 `json:"stalls"`
-	RawBytes        uint64 `json:"raw_bytes"`
-	CompressedBytes uint64 `json:"compressed_bytes"`
-	Dropped         uint64 `json:"dropped"`
-	Retries         uint64 `json:"retries"`
-	Degraded        bool   `json:"degraded"`
-}
-
-// SalvageInfo summarizes loss accounting from reading a damaged event file.
-type SalvageInfo struct {
-	Complete          bool   `json:"complete"`
-	Truncated         bool   `json:"truncated"`
-	Events            uint64 `json:"events"`
-	EventsDropped     uint64 `json:"events_dropped"`
-	FramesQuarantined int    `json:"frames_quarantined"`
-	BytesRead         uint64 `json:"bytes_read"`
-	BytesDropped      uint64 `json:"bytes_dropped"`
-}
+import "sigil/internal/telemetry"
 
 // SpanNode is a span with its children, the tree form used in run reports.
 type SpanNode struct {
@@ -59,10 +28,11 @@ func Tree(spans []Span) []*SpanNode {
 	return roots
 }
 
-// Report is the single machine-readable record of one tool invocation:
-// what ran, how it ended, the span tree, the final telemetry snapshot,
-// event-sink and salvage accounting, and — for runs that ended badly — the
-// flight-recorder dump.
+// Report is the skeleton of the machine-readable record of one tool
+// invocation: what ran, how it ended, the span tree, the final telemetry
+// snapshot and — for runs that ended badly — the flight-recorder dump. The
+// tool's own writer adds the event sink's and the salvage pass's stats,
+// which the trace package declares.
 type Report struct {
 	Tool       string              `json:"tool"`
 	Args       []string            `json:"args,omitempty"`
@@ -73,14 +43,12 @@ type Report struct {
 	Spans      []*SpanNode         `json:"spans,omitempty"`
 	Tracks     []Track             `json:"tracks,omitempty"`
 	Telemetry  *telemetry.Snapshot `json:"telemetry,omitempty"`
-	Sink       *SinkStats          `json:"sink,omitempty"`
-	Salvage    *SalvageInfo        `json:"salvage,omitempty"`
 	Flight     *FlightDump         `json:"flight,omitempty"`
 }
 
 // NewReport seeds a report with the recorder's merged span tree and track
-// timelines; the caller fills in outcome, telemetry, and sink accounting.
-// The recorder's goroutines must be quiescent (see Recorder).
+// timelines; the caller fills in outcome and telemetry. The recorder's
+// goroutines must be quiescent (see Recorder).
 func NewReport(tool string, rec *Recorder) *Report {
 	r := &Report{Tool: tool, Outcome: "ok"}
 	if rec != nil {
@@ -88,11 +56,4 @@ func NewReport(tool string, rec *Recorder) *Report {
 		r.Tracks = rec.Tracks()
 	}
 	return r
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

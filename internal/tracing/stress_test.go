@@ -33,7 +33,7 @@ func TestConcurrentRecordingStress(t *testing.T) {
 				run := b.Start("run", A("worker", w))
 				for p := 0; p < 8; p++ {
 					b.Sample(Sample{TimeNanos: time.Now().UnixNano(), Instrs: uint64(p)})
-					flight.Record(KindPoll, "poll", uint64(p), 0)
+					flight.Record(KindRetry, "sink", uint64(p), 0)
 				}
 				child := b.Start("write")
 				flight.Record(KindStall, "writer", uint64(r), 0)

@@ -3,17 +3,17 @@
 // Chrome trace_event exporter.
 //
 // The span layer subsumes the ad-hoc telemetry phase spans: a span is a
-// named interval with attributes, wall and CPU time, and the telemetry
-// counter deltas (instructions, events, shadow bytes) accrued while it was
-// open. Spans are recorded into per-goroutine buffers (a Buf is owned by
-// exactly one goroutine at a time, never locked) and merged at run end, so
-// the parallel experiments pool gets correct per-workload span trees at any
-// worker count.
+// named interval with attributes, wall and CPU time, and the growth of every
+// telemetry counter while it was open (telemetry.Snapshot.Deltas). Spans
+// are recorded into per-goroutine buffers (a Buf is owned by exactly one
+// goroutine at a time, never locked) and merged at run end, so the parallel
+// experiments pool gets correct per-workload span trees at any worker
+// count.
 //
 // The flight recorder (flight.go) is orthogonal: a fixed-size ring of the
-// last N notable events — phase transitions, poll samples, fault firings,
-// writer stalls and sheds — safe to write from any goroutine and dumped
-// when a run ends badly.
+// last N notable events — phase transitions, fault firings, writer stalls
+// and sheds — safe to write from any goroutine and dumped when a run ends
+// badly.
 package tracing
 
 import (
@@ -47,36 +47,30 @@ type Attr struct {
 // A builds an Attr; it exists so call sites read Start("run", A("mode", m)).
 func A(key string, value any) Attr { return Attr{Key: key, Value: value} }
 
-// Deltas are the telemetry counters a span accounted for while open,
-// computed reset-tolerantly from the attached Metrics.
-type Deltas struct {
-	Instrs      uint64 `json:"instrs"`
-	Events      uint64 `json:"events"`
-	ShadowBytes uint64 `json:"shadow_bytes"`
-}
-
 // Span is one completed interval. Parent is 0 for roots; Track identifies
-// the Buf (goroutine) that recorded it.
+// the Buf (goroutine) that recorded it. Deltas is the growth of the attached
+// Metrics' counters while the span was open, by layer and then by JSON key.
 type Span struct {
-	ID         uint64  `json:"id"`
-	Parent     uint64  `json:"parent,omitempty"`
-	Track      uint64  `json:"track"`
-	Name       string  `json:"name"`
-	Attrs      []Attr  `json:"attrs,omitempty"`
-	StartNanos int64   `json:"start_nanos"`
-	WallNanos  int64   `json:"wall_nanos"`
-	CPUNanos   int64   `json:"cpu_nanos"`
-	Deltas     *Deltas `json:"deltas,omitempty"`
+	ID         uint64                       `json:"id"`
+	Parent     uint64                       `json:"parent,omitempty"`
+	Track      uint64                       `json:"track"`
+	Name       string                       `json:"name"`
+	Attrs      []Attr                       `json:"attrs,omitempty"`
+	StartNanos int64                        `json:"start_nanos"`
+	WallNanos  int64                        `json:"wall_nanos"`
+	CPUNanos   int64                        `json:"cpu_nanos"`
+	Deltas     map[string]map[string]uint64 `json:"deltas,omitempty"`
 }
 
 // Sample is one point on a track's counter timeline, recorded from the
-// machine's 16K-instruction poll hook.
+// machine's 16K-instruction poll hook. The values are telemetry counters
+// under their table keys.
 type Sample struct {
-	TimeNanos   int64  `json:"time_nanos"`
-	Instrs      uint64 `json:"instrs"`
-	HeapBytes   uint64 `json:"heap_bytes"`
-	ShadowBytes uint64 `json:"shadow_bytes"`
-	Events      uint64 `json:"events"`
+	TimeNanos           int64  `json:"time_nanos"`
+	Instrs              uint64 `json:"instrs"`
+	HeapBytes           uint64 `json:"heap_bytes"`
+	ShadowBytesResident uint64 `json:"shadow_bytes_resident"`
+	EventsEmitted       uint64 `json:"events_emitted"`
 }
 
 // Track is the merged view of one Buf: its identity plus the sample
@@ -248,13 +242,6 @@ func (b *Buf) Start(name string, attrs ...Attr) *Active {
 	return a
 }
 
-// SetAttr adds an annotation to an open span.
-func (a *Active) SetAttr(key string, value any) {
-	if a != nil {
-		a.span.Attrs = append(a.span.Attrs, Attr{Key: key, Value: value})
-	}
-}
-
 // End closes the span, computing wall, CPU, and counter deltas, and logs
 // the "phase" line when the buffer has a logger. Spans must be closed
 // innermost-first; if children were left open they are closed implicitly
@@ -298,17 +285,8 @@ func (a *Active) finish(now time.Time, cpu time.Duration, attrs []Attr) {
 		slog.Duration("cpu", time.Duration(a.span.CPUNanos)),
 	}
 	if a.hasBase && b.metrics != nil {
-		cur := b.metrics.Snapshot()
-		a.span.Deltas = &Deltas{
-			Instrs:      cur.Delta(a.base, telemetry.Instrs),
-			Events:      cur.Delta(a.base, telemetry.EventsEmitted),
-			ShadowBytes: cur.Delta(a.base, telemetry.ShadowBytesResident),
-		}
-		logAttrs = append(logAttrs,
-			slog.Uint64("instrs", a.span.Deltas.Instrs),
-			slog.Uint64("events", a.span.Deltas.Events),
-			slog.Uint64("shadow_bytes", a.span.Deltas.ShadowBytes),
-		)
+		a.span.Deltas = b.metrics.Snapshot().Deltas(a.base)
+		logAttrs = append(logAttrs, slog.Any("deltas", a.span.Deltas))
 	}
 	if len(b.spans) < maxSpansPerBuf {
 		b.spans = append(b.spans, a.span)

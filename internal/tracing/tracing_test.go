@@ -2,6 +2,7 @@ package tracing
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -42,25 +43,34 @@ func TestSpanHierarchyAndMerge(t *testing.T) {
 	}
 }
 
+// TestSpanDeltas: a span carries the growth of every counter row, by
+// layer, and no gauge, not even one that fell (call depth 3 to 2, which
+// Delta's reset tolerance would read as 2).
 func TestSpanDeltas(t *testing.T) {
 	var m telemetry.Metrics
 	m.BeginRun(time.Now(), 0, 0)
+	m.Store(telemetry.CallDepth, 3)
 	rec := NewRecorder()
 	b := rec.Local("main")
 	b.SetMetrics(&m)
 
 	s := b.Start("run")
 	m.Store(telemetry.Instrs, 1000)
+	m.Store(telemetry.CallDepth, 2)
 	m.Store(telemetry.EventsEmitted, 40)
+	// The resident shadow bytes are a gauge: their growth shows as chunks
+	// allocated, a counter.
 	m.Store(telemetry.ShadowBytesResident, 1<<20)
+	m.Store(telemetry.ShadowChunksAllocated, 4)
 	s.End()
 
-	got := rec.Spans()[0].Deltas
-	if got == nil {
-		t.Fatal("span recorded no deltas despite attached metrics")
+	want := map[string]map[string]uint64{
+		"vm":     {"instrs": 1000},
+		"sigil":  {"shadow_chunks_allocated": 4},
+		"events": {"events_emitted": 40},
 	}
-	if got.Instrs != 1000 || got.Events != 40 || got.ShadowBytes != 1<<20 {
-		t.Fatalf("deltas = %+v, want {1000 40 %d}", got, 1<<20)
+	if got := rec.Spans()[0].Deltas; !reflect.DeepEqual(got, want) {
+		t.Fatalf("deltas = %v, want %v", got, want)
 	}
 }
 
@@ -84,7 +94,7 @@ func TestSpanLogsDeltas(t *testing.T) {
 	s.End()
 
 	out := buf.String()
-	for _, want := range []string{"phase", "name=assemble", "instrs=250", "events=12", "wall=", "cpu="} {
+	for _, want := range []string{"phase", "name=assemble", "instrs:250", "events_emitted:12", "wall=", "cpu="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("span log missing %q:\n%s", want, out)
 		}
@@ -104,9 +114,8 @@ func TestDeltaResetTolerant(t *testing.T) {
 	m.Store(telemetry.Instrs, 70)
 	s.End()
 
-	spans := b.rec.Spans()
-	if d := spans[0].Deltas; d == nil || d.Instrs != 70 {
-		t.Fatalf("reset-straddling span deltas = %+v, want instrs=70", spans[0].Deltas)
+	if d := b.rec.Spans()[0].Deltas; d["vm"]["instrs"] != 70 {
+		t.Fatalf("reset-straddling span deltas = %v, want instrs 70", d)
 	}
 }
 
@@ -129,9 +138,7 @@ func TestEndOutOfOrderClosesChildren(t *testing.T) {
 
 func TestNilBufAndActiveAreInert(t *testing.T) {
 	var b *Buf
-	s := b.Start("nothing")
-	s.SetAttr("k", 1)
-	s.End()
+	b.Start("nothing").End()
 	b.Sample(Sample{})
 	b.SetLogger(nil)
 	if b.Recorder() != nil {

@@ -48,8 +48,8 @@ done
 echo "== reference differentials on both schedules (GOMAXPROCS 1 inline, 2 worker)"
 go test -cpu 1,2 -run 'TestDifferentialAgainstReference|TestWrappingAccessClassified|TestCommunicationIndependentOfSubstrate|TestProfileMatchesCallgrind' ./internal/core
 
-echo "== experiments worker-pool shakeout (-race, uncached)"
-go test -race -count=1 -run 'TestProfileSingleflight|TestParallelSuite|TestRunPool' ./internal/experiments
+echo "== experiments worker-pool shakeout (-race, uncached: every counter's run-span delta reconciled with the final snapshot at -p 1 and -p 4)"
+go test -race -count=1 -run 'TestProfileSingleflight|TestParallelSuite|TestRunPool|TestSpanTreesReconcile' ./internal/experiments
 
 echo "== parallel decode shakeout (-race: frame slots recycled between the fetch loop and the workers, for ReadAll and Salvage)"
 go test -race -count=10 -run 'TestV3MultiFrameRoundTrip|TestParallelCorruptFrame|TestSalvageQuarantinesCorruptMidStreamFrame|TestSalvageQuarantineThenTruncation' ./internal/trace
