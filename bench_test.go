@@ -4,9 +4,9 @@ package sigil
 // evaluation (run with `go test -bench=. -benchmem`). Experiment results
 // are computed once per process and cached in a shared suite, so each
 // BenchmarkTable*/BenchmarkFigure* bench measures regeneration of its
-// experiment's rows; the BenchmarkOverhead* and BenchmarkAblation* benches
-// measure the raw profiling costs themselves (the quantities behind
-// Figs 4-6) and the design-choice ablations called out in DESIGN.md.
+// experiment's rows; the BenchmarkAblation* benches measure the
+// design-choice ablations called out in DESIGN.md. The raw profiling costs
+// behind Figs 4-6 are BenchmarkFigure4's and the perfbench ladder's.
 
 import (
 	"fmt"
@@ -129,12 +129,10 @@ func BenchmarkFigure13(b *testing.B) {
 	benchExperiment(b, func() (interface{ Render() string }, error) { return s.Figure13() })
 }
 
-// --- raw overhead benches (the measurements behind Figs 4-6) ---
+// --- ablations (design choices called out in DESIGN.md) ---
 
-// overheadWorkloads is a representative spread: fp-heavy, int/streaming,
-// pointer-chasing, and the big-footprint outlier.
-var overheadWorkloads = []string{"blackscholes", "canneal", "vips", "dedup"}
-
+// benchRun times simsmall runs of the named workload under the tool mk
+// builds afresh for each run.
 func benchRun(b *testing.B, name string, mk func() dbi.Tool) {
 	b.Helper()
 	prog, input, err := workloads.Build(name, workloads.SimSmall)
@@ -149,39 +147,6 @@ func benchRun(b *testing.B, name string, mk func() dbi.Tool) {
 		}
 	}
 }
-
-// BenchmarkOverheadNative measures uninstrumented execution.
-func BenchmarkOverheadNative(b *testing.B) {
-	for _, name := range overheadWorkloads {
-		b.Run(name, func(b *testing.B) {
-			benchRun(b, name, func() dbi.Tool { return nil })
-		})
-	}
-}
-
-// BenchmarkOverheadCallgrind measures the substrate tool alone.
-func BenchmarkOverheadCallgrind(b *testing.B) {
-	for _, name := range overheadWorkloads {
-		b.Run(name, func(b *testing.B) {
-			benchRun(b, name, func() dbi.Tool {
-				return mustSub()
-			})
-		})
-	}
-}
-
-// BenchmarkOverheadSigil measures the full Sigil stack (baseline mode).
-func BenchmarkOverheadSigil(b *testing.B) {
-	for _, name := range overheadWorkloads {
-		b.Run(name, func(b *testing.B) {
-			benchRun(b, name, func() dbi.Tool {
-				return mustCore(mustSub(), core.Options{})
-			})
-		})
-	}
-}
-
-// --- ablations (design choices called out in DESIGN.md) ---
 
 // BenchmarkAblationReuseMode measures the cost of re-use tracking on top of
 // baseline shadowing (the paper's "up to 2x memory" mode).

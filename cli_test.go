@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -485,6 +486,88 @@ func TestCLIFaultTolerance(t *testing.T) {
 	if sv == nil || sv.Complete || !sv.Truncated || fmt.Sprint(sv.Events) != recovered[1] ||
 		sv.BytesValid <= 0 || sv.BytesValid > sv.BytesTotal {
 		t.Errorf("run report salvage %+v, want truncated, incomplete, %s events, 0 < bytes_valid <= bytes_total", sv, recovered[1])
+	}
+}
+
+// TestCLIExitPath drives one failing invocation of every command but
+// sigil-lint, each with -run-report: the command exits 1, its report reads
+// outcome "error", and the report's error is the text of the one stderr
+// line the command prints. sigil still writes the profile when the event
+// file fails, a negative -top is an error rather than a panic, and a
+// failing command still logs its final heartbeat.
+func TestCLIExitPath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	bins := map[string]string{}
+	for _, name := range []string{"sigil", "sigil-part", "sigil-reuse", "sigil-critpath", "sigil-report", "experiments"} {
+		bins[name] = buildCmd(t, dir, name)
+	}
+	missing := filepath.Join(dir, "missing")
+	degradedProf := filepath.Join(dir, "degraded.prof")
+	deadProf := filepath.Join(dir, "dead.prof")
+	cases := []struct {
+		name string
+		tool string
+		args []string
+		prof string // a profile the command must write all the same
+	}{
+		{"missing output dir", "sigil", []string{"-workload", "dedup", "-o", filepath.Join(missing, "p.prof")}, ""},
+		{"dead degraded sink", "sigil", []string{"-workload", "dedup", "-events", "/dev/full", "-events-degraded", "-o", degradedProf}, degradedProf},
+		{"dead sink", "sigil", []string{"-workload", "dedup", "-events", "/dev/full", "-o", deadProf}, deadProf},
+		{"missing profile", "sigil-part", []string{"-profile", filepath.Join(dir, "missing.prof"), "-progress", "1h"}, ""},
+		{"negative top", "sigil-part", []string{"-workload", "fft", "-top", "-1"}, ""},
+		{"missing profile", "sigil-reuse", []string{"-profile", filepath.Join(dir, "missing.prof")}, ""},
+		{"missing event file", "sigil-critpath", []string{"-events", filepath.Join(dir, "missing.evt")}, ""},
+		{"negative top", "sigil-report", []string{"-workload", "fft", "-top", "-1"}, ""},
+		{"unknown experiment", "experiments", []string{"-only", "nosuch"}, ""},
+	}
+	for i, c := range cases {
+		t.Run(c.tool+"/"+c.name, func(t *testing.T) {
+			if slices.Contains(c.args, "/dev/full") {
+				if _, err := os.Stat("/dev/full"); err != nil {
+					t.Skip("no /dev/full")
+				}
+			}
+			report := filepath.Join(dir, fmt.Sprintf("%d.report.json", i))
+			cmd := exec.Command(bins[c.tool], append(c.args, "-run-report", report)...)
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exitErr *exec.ExitError
+			if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+				t.Fatalf("%v, want exit 1\nstderr:\n%s", err, stderr.String())
+			}
+			var rep struct {
+				Outcome string `json:"outcome"`
+				Error   string `json:"error"`
+			}
+			readJSON(t, report, &rep)
+			if rep.Outcome != "error" || rep.Error == "" {
+				t.Errorf("run report outcome %q, error %q; want outcome error", rep.Outcome, rep.Error)
+			}
+			var lines []string
+			for _, line := range strings.Split(stderr.String(), "\n") {
+				if strings.HasPrefix(line, c.tool+": ") {
+					lines = append(lines, line)
+				}
+			}
+			if want := c.tool + ": " + rep.Error; len(lines) != 1 || lines[0] != want {
+				t.Errorf("stderr lines %q, want the one line %q", lines, want)
+			}
+			if strings.Contains(stderr.String(), "panic:") {
+				t.Errorf("stderr holds a panic:\n%s", stderr.String())
+			}
+			if slices.Contains(c.args, "-progress") && !strings.Contains(stderr.String(), "final=true") {
+				t.Errorf("no final heartbeat on stderr:\n%s", stderr.String())
+			}
+			if c.prof != "" {
+				if _, err := core.ReadProfileFile(c.prof); err != nil {
+					t.Errorf("profile not written beside the failed event file: %v", err)
+				}
+			}
+		})
 	}
 }
 

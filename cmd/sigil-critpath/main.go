@@ -23,35 +23,30 @@ import (
 	"sigil/internal/workloads"
 )
 
+var (
+	evtFile  = flag.String("events", "", "event file written by `sigil -events`")
+	workload = flag.String("workload", "", "trace this bundled workload instead")
+	class    = flag.String("class", "simsmall", "input class with -workload")
+	commCost = flag.Float64("opsperbyte", 0, "charge data edges at this many ops per byte")
+	slots    = flag.String("slots", "", "comma-separated slot counts to schedule onto (e.g. 2,4,8)")
+	salvage  = flag.Bool("salvage", false, "recover the valid prefix of a truncated/corrupt event file")
+)
+
 func main() {
-	var (
-		evtFile  = flag.String("events", "", "event file written by `sigil -events`")
-		workload = flag.String("workload", "", "trace this bundled workload instead")
-		class    = flag.String("class", "simsmall", "input class with -workload")
-		commCost = flag.Float64("opsperbyte", 0, "charge data edges at this many ops per byte")
-		slots    = flag.String("slots", "", "comma-separated slot counts to schedule onto (e.g. 2,4,8)")
-		salvage  = flag.Bool("salvage", false, "recover the valid prefix of a truncated/corrupt event file")
-	)
-	tel = cli.RegisterTelemetry(flag.CommandLine, "sigil-critpath")
-	flag.Parse()
+	os.Exit(cli.Main("sigil-critpath", run))
+}
+
+func run(ctx context.Context, tel *cli.Telemetry, art *cli.Artifacts) error {
 	slotCounts, err := cli.ParseSlots(*slots)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
-	ctx, stop := cli.Context()
-	defer stop()
-	stopTel, err := tel.Start()
-	if err != nil {
-		fatal(err)
-	}
-	defer stopTel()
 
 	load := tel.StartSpan("load")
-	tr, err := loadTrace(ctx, *evtFile, *workload, *class, *salvage, tel)
+	tr, err := loadTrace(ctx, tel, art)
 	load.End()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	analyze := tel.StartSpan("analyze")
 	g, err := critpath.Build(tr)
@@ -61,7 +56,7 @@ func main() {
 	}
 	analyze.End()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("serial length:      %d ops\n", a.SerialOps)
 	fmt.Printf("critical path:      %d ops over %d segments", a.CriticalOps, a.Segments)
@@ -79,31 +74,32 @@ func main() {
 	}
 	if len(slotCounts) > 0 {
 		sched := tel.StartSpan("schedule")
+		defer sched.End()
 		fmt.Println("\nschedule onto bounded slots:")
 		fmt.Printf("  %-6s %12s %10s %12s %14s\n", "slots", "makespan", "speedup", "utilization", "cross-slot B")
 		for _, n := range slotCounts {
 			r, err := g.Schedule(n)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			fmt.Printf("  %-6d %12d %10.2f %12.2f %14d\n",
 				n, r.Makespan, r.Speedup(), r.Utilization(), r.CrossSlotBytes)
 		}
-		sched.End()
 	}
-	tel.Finish(art)
+	return nil
 }
 
-func loadTrace(ctx context.Context, evtFile, workload, class string, salvage bool, tel *cli.Telemetry) (*trace.Trace, error) {
+// loadTrace reads the -events file or traces the -workload.
+func loadTrace(ctx context.Context, tel *cli.Telemetry, art *cli.Artifacts) (*trace.Trace, error) {
 	switch {
-	case evtFile != "" && workload != "":
+	case *evtFile != "" && *workload != "":
 		return nil, fmt.Errorf("use either -events or -workload")
-	case evtFile != "":
-		f, err := os.Open(evtFile)
+	case *evtFile != "":
+		f, err := os.Open(*evtFile)
 		if err != nil {
 			return nil, err
 		}
-		tr, err := readEventFile(f, salvage)
+		tr, err := readEventFile(f, art)
 		if cerr := f.Close(); err == nil && cerr != nil {
 			err = cerr
 		}
@@ -111,12 +107,12 @@ func loadTrace(ctx context.Context, evtFile, workload, class string, salvage boo
 			return nil, err
 		}
 		return tr, nil
-	case workload != "":
-		c, err := workloads.ParseClass(class)
+	case *workload != "":
+		c, err := workloads.ParseClass(*class)
 		if err != nil {
 			return nil, err
 		}
-		prog, input, err := workloads.Build(workload, c)
+		prog, input, err := workloads.Build(*workload, c)
 		if err != nil {
 			return nil, err
 		}
@@ -133,10 +129,11 @@ func loadTrace(ctx context.Context, evtFile, workload, class string, salvage boo
 	}
 }
 
-// readEventFile decodes an event file, either salvaging a damaged one or
-// fanning the frame decode out across GOMAXPROCS workers.
-func readEventFile(f *os.File, salvage bool) (*trace.Trace, error) {
-	if salvage {
+// readEventFile decodes an event file, either salvaging a damaged one
+// (with -salvage) or fanning the frame decode out across GOMAXPROCS
+// workers.
+func readEventFile(f *os.File, art *cli.Artifacts) (*trace.Trace, error) {
+	if *salvage {
 		tr, rep, err := trace.Salvage(f)
 		if err != nil {
 			return nil, err
@@ -156,19 +153,4 @@ func readEventFile(f *os.File, salvage bool) (*trace.Trace, error) {
 		return nil, fmt.Errorf("%w (rerun with -salvage to recover the valid prefix)", err)
 	}
 	return tr, err
-}
-
-// tel and art are package-level so fatal can flush run artifacts (report,
-// trace, flight dump) on every exit path.
-var (
-	tel *cli.Telemetry
-	art cli.Artifacts
-)
-
-func fatal(err error) {
-	if tel != nil {
-		art.Err = err
-		tel.Finish(art)
-	}
-	cli.Fatal("sigil-critpath", err)
 }

@@ -10,10 +10,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"math"
+	"os"
 
 	"sigil/internal/cdfg"
 	"sigil/internal/cli"
@@ -21,47 +23,39 @@ import (
 	"sigil/internal/safeio"
 )
 
+var (
+	profFile = flag.String("profile", "", "profile file written by `sigil -o`")
+	workload = flag.String("workload", "", "profile this bundled workload instead")
+	class    = flag.String("class", "simsmall", "input class with -workload")
+	bus      = flag.Float64("bus", 8, "SoC bus bandwidth in bytes per cycle")
+	maxBE    = flag.Float64("maxbreakeven", 0, "candidate viability cutoff (0 = any finite)")
+	top      = flag.Int("top", 5, "candidates to list from each end")
+	dotFile  = flag.String("dot", "", "write the CDFG in Graphviz format")
+	offload  = flag.Float64("offload", 0, "estimate app speedup assuming this accelerator speedup (0 = skip)")
+	accels   = flag.Int("accelerators", 0, "accelerator budget for -offload (0 = unlimited)")
+)
+
 func main() {
-	var (
-		profFile = flag.String("profile", "", "profile file written by `sigil -o`")
-		workload = flag.String("workload", "", "profile this bundled workload instead")
-		class    = flag.String("class", "simsmall", "input class with -workload")
-		bus      = flag.Float64("bus", 8, "SoC bus bandwidth in bytes per cycle")
-		maxBE    = flag.Float64("maxbreakeven", 0, "candidate viability cutoff (0 = any finite)")
-		top      = flag.Int("top", 5, "candidates to list from each end")
-		dotFile  = flag.String("dot", "", "write the CDFG in Graphviz format")
-		offload  = flag.Float64("offload", 0, "estimate app speedup assuming this accelerator speedup (0 = skip)")
-		accels   = flag.Int("accelerators", 0, "accelerator budget for -offload (0 = unlimited)")
-	)
-	tel = cli.RegisterTelemetry(flag.CommandLine, "sigil-part")
-	flag.Parse()
+	os.Exit(cli.Main("sigil-part", run))
+}
 
-	ctx, stop := cli.Context()
-	defer stop()
-	stopTel, err := tel.Start()
-	if err != nil {
-		fatal(err)
+func run(ctx context.Context, tel *cli.Telemetry, art *cli.Artifacts) error {
+	if *top < 0 {
+		return fmt.Errorf("-top %d: must not be negative", *top)
 	}
-	defer stopTel()
-
 	load := tel.StartSpan("load")
 	res, err := cli.LoadResult(ctx, *profFile, *workload, *class,
 		core.Options{Telemetry: tel.Metrics(), Trace: tel.TraceBuf()})
 	load.End()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if res.Telemetry != nil {
-		art.Telemetry = res.Telemetry
-	}
+	art.Telemetry = res.Telemetry
 	partition := tel.StartSpan("partition")
-	defer func() {
-		partition.End()
-		tel.Finish(art)
-	}()
+	defer partition.End()
 	g, err := cdfg.Build(res, cdfg.Config{BytesPerCycle: *bus, MaxBreakeven: *maxBE})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	tr := g.Trim()
 
@@ -77,7 +71,7 @@ func main() {
 	if *offload > 0 {
 		est, err := tr.EstimateOffload(cdfg.OffloadConfig{Speedup: *offload, MaxAccelerators: *accels})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("\noffload model (assumed %gx accelerators):\n", *offload)
 		fmt.Printf("  baseline %d cycles -> %.0f cycles: app speedup %.2fx with %d accelerators\n",
@@ -93,10 +87,11 @@ func main() {
 			return g.WriteDOT(w, tr)
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("\nCDFG written to %s\n", *dotFile)
 	}
+	return nil
 }
 
 func printCands(cands []cdfg.Candidate) {
@@ -116,19 +111,4 @@ func clip(s string, n int) string {
 		return s
 	}
 	return "…" + s[len(s)-n+1:]
-}
-
-// tel and art are package-level so fatal can flush run artifacts before
-// exiting.
-var (
-	tel *cli.Telemetry
-	art cli.Artifacts
-)
-
-func fatal(err error) {
-	if tel != nil {
-		art.Err = err
-		tel.Finish(art)
-	}
-	cli.Fatal("sigil-part", err)
 }

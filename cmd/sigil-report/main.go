@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -22,40 +23,38 @@ import (
 	"sigil/internal/workloads"
 )
 
+var (
+	workload = flag.String("workload", "", "bundled workload name")
+	class    = flag.String("class", "simsmall", "input class")
+	out      = flag.String("o", "", "output file (default stdout)")
+	bus      = flag.Float64("bus", 8, "SoC bus bandwidth, bytes per cycle")
+	slotsArg = flag.String("slots", "2,4,8", "slot counts for the scheduling study")
+	top      = flag.Int("top", 12, "rows per table")
+)
+
 func main() {
-	var (
-		workload = flag.String("workload", "", "bundled workload name")
-		class    = flag.String("class", "simsmall", "input class")
-		out      = flag.String("o", "", "output file (default stdout)")
-		bus      = flag.Float64("bus", 8, "SoC bus bandwidth, bytes per cycle")
-		slotsArg = flag.String("slots", "2,4,8", "slot counts for the scheduling study")
-		top      = flag.Int("top", 12, "rows per table")
-	)
-	tel = cli.RegisterTelemetry(flag.CommandLine, "sigil-report")
-	flag.Parse()
+	os.Exit(cli.Main("sigil-report", run))
+}
+
+func run(ctx context.Context, tel *cli.Telemetry, art *cli.Artifacts) error {
 	if *workload == "" {
-		fatal(fmt.Errorf("need -workload (see `sigil -list`)"))
+		return fmt.Errorf("need -workload (see `sigil -list`)")
+	}
+	if *top < 0 {
+		return fmt.Errorf("-top %d: must not be negative", *top)
 	}
 	c, err := workloads.ParseClass(*class)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	prog, input, err := workloads.Build(*workload, c)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	slots, err := cli.ParseSlots(*slotsArg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
-	ctx, stop := cli.Context()
-	defer stop()
-	stopTel, err := tel.Start()
-	if err != nil {
-		fatal(err)
-	}
-	defer stopTel()
 
 	// One run collects aggregates + events; a second collects reuse. A
 	// report needs both complete, so an interrupt aborts rather than
@@ -63,11 +62,11 @@ func main() {
 	var buf trace.Buffer
 	res, err := core.RunContext(ctx, prog, core.Options{TrackReuse: true, Telemetry: tel.Metrics(), Trace: tel.TraceBuf()}, input)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	evRes, err := core.RunContext(ctx, prog, core.Options{Events: &buf, Telemetry: tel.Metrics(), Trace: tel.TraceBuf()}, input)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	art.Telemetry = evRes.Telemetry
 	tr := trace.FromBuffer(&buf)
@@ -79,31 +78,11 @@ func main() {
 		Slots:        slots,
 	}
 	render := tel.StartSpan("render")
+	defer render.End()
 	if *out != "" {
-		err = safeio.WriteFile(*out, func(w io.Writer) error {
+		return safeio.WriteFile(*out, func(w io.Writer) error {
 			return report.Write(w, res, tr, cfg)
 		})
-	} else {
-		err = report.Write(os.Stdout, res, tr, cfg)
 	}
-	render.End()
-	if err != nil {
-		fatal(err)
-	}
-	tel.Finish(art)
-}
-
-// tel and art are package-level so fatal can flush run artifacts before
-// exiting.
-var (
-	tel *cli.Telemetry
-	art cli.Artifacts
-)
-
-func fatal(err error) {
-	if tel != nil {
-		art.Err = err
-		tel.Finish(art)
-	}
-	cli.Fatal("sigil-report", err)
+	return report.Write(os.Stdout, res, tr, cfg)
 }

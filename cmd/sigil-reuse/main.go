@@ -11,8 +11,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"os"
 	"strings"
 
 	"sigil/internal/cli"
@@ -20,41 +22,30 @@ import (
 	"sigil/internal/reuse"
 )
 
+var (
+	profFile = flag.String("profile", "", "re-use-mode profile file")
+	workload = flag.String("workload", "", "profile this bundled workload instead")
+	class    = flag.String("class", "simsmall", "input class with -workload")
+	fn       = flag.String("fn", "", "print the lifetime histogram of this function")
+	top      = flag.Int("top", 10, "functions to rank by reused bytes")
+	lineMode = flag.Bool("line", false, "collect line-granularity re-use (with -workload)")
+)
+
 func main() {
-	var (
-		profFile = flag.String("profile", "", "re-use-mode profile file")
-		workload = flag.String("workload", "", "profile this bundled workload instead")
-		class    = flag.String("class", "simsmall", "input class with -workload")
-		fn       = flag.String("fn", "", "print the lifetime histogram of this function")
-		top      = flag.Int("top", 10, "functions to rank by reused bytes")
-		lineMode = flag.Bool("line", false, "collect line-granularity re-use (with -workload)")
-	)
-	tel = cli.RegisterTelemetry(flag.CommandLine, "sigil-reuse")
-	flag.Parse()
+	os.Exit(cli.Main("sigil-reuse", run))
+}
 
-	ctx, stop := cli.Context()
-	defer stop()
-	stopTel, err := tel.Start()
-	if err != nil {
-		fatal(err)
-	}
-	defer stopTel()
-
+func run(ctx context.Context, tel *cli.Telemetry, art *cli.Artifacts) error {
 	load := tel.StartSpan("load")
 	res, err := cli.LoadResult(ctx, *profFile, *workload, *class,
 		core.Options{TrackReuse: !*lineMode, LineGranularity: *lineMode, Telemetry: tel.Metrics(), Trace: tel.TraceBuf()})
 	load.End()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if res.Telemetry != nil {
-		art.Telemetry = res.Telemetry
-	}
+	art.Telemetry = res.Telemetry
 	analyze := tel.StartSpan("analyze")
-	defer func() {
-		analyze.End()
-		tel.Finish(art)
-	}()
+	defer analyze.End()
 
 	if res.Lines != nil {
 		fr := res.Lines.Fractions()
@@ -62,19 +53,19 @@ func main() {
 		for i, label := range core.BucketLabels {
 			fmt.Printf("  reused %-7s %6.1f%%\n", label, 100*fr[i])
 		}
-		return
+		return nil
 	}
 
 	bd, err := reuse.Analyze(res)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("episodes: %d   zero re-use: %.1f%%   1-9: %.1f%%   >9: %.1f%%\n\n",
 		bd.Episodes, 100*bd.Zero, 100*bd.Low, 100*bd.High)
 
 	funcs, err := reuse.TopFunctions(res, *top)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("%-32s %14s %16s\n", "function", "reused bytes", "avg lifetime")
 	for _, f := range funcs {
@@ -84,7 +75,7 @@ func main() {
 	if *fn != "" {
 		hist, err := reuse.LifetimeHistogram(res, *fn)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		sh := reuse.Shape(hist)
 		fmt.Printf("\n%s lifetime histogram (bin = %d instrs; peak bin %d, tail bin %d):\n",
@@ -100,19 +91,5 @@ func main() {
 			fmt.Printf("%9d %-10d %s\n", bin*core.LifetimeBin, v, strings.Repeat("*", bar))
 		}
 	}
-}
-
-// tel and art are package-level so fatal can flush run artifacts before
-// exiting.
-var (
-	tel *cli.Telemetry
-	art cli.Artifacts
-)
-
-func fatal(err error) {
-	if tel != nil {
-		art.Err = err
-		tel.Finish(art)
-	}
-	cli.Fatal("sigil-reuse", err)
+	return nil
 }

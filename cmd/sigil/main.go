@@ -22,8 +22,8 @@
 package main
 
 import (
+	"cmp"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -40,61 +40,48 @@ import (
 	"sigil/internal/workloads"
 )
 
+var (
+	workload = flag.String("workload", "", "bundled workload name (see -list)")
+	class    = flag.String("class", "simsmall", "input class: simsmall, simmedium, simlarge")
+	asmFile  = flag.String("asm", "", "assemble and profile this .sasm file instead")
+	inFile   = flag.String("input", "", "file fed to the program's read syscalls (with -asm)")
+	reuseM   = flag.Bool("reuse", false, "enable re-use mode (counts and lifetimes)")
+	lineM    = flag.Bool("line", false, "line-granularity shadowing")
+	lineSize = flag.Int("linesize", 64, "line size for -line")
+	memLimit = flag.Int("memlimit", 0, "shadow-memory FIFO limit in chunks (0 = unlimited)")
+	timeout  = flag.Duration("timeout", 0, "wall-clock budget for the run (0 = unlimited)")
+	maxInstr = flag.Uint64("maxinstrs", 0, "retired-instruction budget (0 = unlimited)")
+	chunkBud = flag.Int("chunkbudget", 0, "hard shadow-chunk budget, no eviction (0 = unlimited)")
+	outProf  = flag.String("o", "", "write the profile to this file")
+	outEvt   = flag.String("events", "", "write the event file to this path")
+	evtRetry = flag.Int("events-retries", 0, "retry failing event-sink writes up to this many times (exponential backoff)")
+	evtDegr  = flag.Bool("events-degraded", false, "never stall the run on a slow or dead event sink; drop events with exact counted loss instead")
+	outCg    = flag.String("callgrind", "", "write the substrate profile in callgrind format")
+	gshare   = flag.Bool("gshare", false, "use a gshare branch predictor in the substrate")
+	prefetch = flag.Bool("prefetch", false, "enable the substrate's next-line prefetcher")
+	top      = flag.Int("top", 15, "functions to print, by unique input bytes")
+	list     = flag.Bool("list", false, "list bundled workloads and exit")
+	telSnap  = flag.Bool("telemetry-dump", false, "print the final telemetry snapshot after the run")
+)
+
 func main() {
-	os.Exit(run())
+	os.Exit(cli.Main("sigil", run))
 }
 
-func run() int {
-	var (
-		workload = flag.String("workload", "", "bundled workload name (see -list)")
-		class    = flag.String("class", "simsmall", "input class: simsmall, simmedium, simlarge")
-		asmFile  = flag.String("asm", "", "assemble and profile this .sasm file instead")
-		inFile   = flag.String("input", "", "file fed to the program's read syscalls (with -asm)")
-		reuseM   = flag.Bool("reuse", false, "enable re-use mode (counts and lifetimes)")
-		lineM    = flag.Bool("line", false, "line-granularity shadowing")
-		lineSize = flag.Int("linesize", 64, "line size for -line")
-		memLimit = flag.Int("memlimit", 0, "shadow-memory FIFO limit in chunks (0 = unlimited)")
-		timeout  = flag.Duration("timeout", 0, "wall-clock budget for the run (0 = unlimited)")
-		maxInstr = flag.Uint64("maxinstrs", 0, "retired-instruction budget (0 = unlimited)")
-		chunkBud = flag.Int("chunkbudget", 0, "hard shadow-chunk budget, no eviction (0 = unlimited)")
-		outProf  = flag.String("o", "", "write the profile to this file")
-		outEvt   = flag.String("events", "", "write the event file to this path")
-		evtRetry = flag.Int("events-retries", 0, "retry failing event-sink writes up to this many times (exponential backoff)")
-		evtDegr  = flag.Bool("events-degraded", false, "never stall the run on a slow or dead event sink; drop events with exact counted loss instead")
-		outCg    = flag.String("callgrind", "", "write the substrate profile in callgrind format")
-		gshare   = flag.Bool("gshare", false, "use a gshare branch predictor in the substrate")
-		prefetch = flag.Bool("prefetch", false, "enable the substrate's next-line prefetcher")
-		top      = flag.Int("top", 15, "functions to print, by unique input bytes")
-		list     = flag.Bool("list", false, "list bundled workloads and exit")
-		telSnap  = flag.Bool("telemetry-dump", false, "print the final telemetry snapshot after the run")
-	)
-	tel := cli.RegisterTelemetry(flag.CommandLine, "sigil")
-	flag.Parse()
-
+func run(ctx context.Context, tel *cli.Telemetry, art *cli.Artifacts) error {
 	if *list {
 		for _, name := range workloads.Names() {
 			s, _ := workloads.Get(name)
 			fmt.Printf("%-15s %s\n", name, s.Description)
 		}
-		return 0
+		return nil
 	}
-
-	stopTel, err := tel.Start()
-	if err != nil {
-		return fail(err)
-	}
-	defer stopTel()
-
-	// Run artifacts (-run-report, -trace-out, flight dump on bad outcomes)
-	// are written on every exit path, including setup failures.
-	var art cli.Artifacts
-	defer func() { tel.Finish(art) }()
 
 	assemble := tel.StartSpan("assemble")
 	prog, input, err := loadProgram(*workload, *class, *asmFile, *inFile)
 	assemble.End()
 	if err != nil {
-		return fail(err)
+		return err
 	}
 
 	opts := core.Options{
@@ -120,14 +107,11 @@ func run() int {
 			Trace:      tel.NewTrack("trace-writer"),
 		})
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		defer sink.Abort() // no-op after Commit
 		opts.Events = sink
 	}
-
-	ctx, stop := cli.Context()
-	defer stop()
 
 	// core traces the run span itself when a span buffer is attached;
 	// without one, keep the logged phase span so the assemble → run →
@@ -138,79 +122,23 @@ func run() int {
 	}
 	res, runErr := core.RunContext(ctx, prog, opts, input)
 	runSpan.End()
-	art.Err = runErr
-	if res != nil {
-		art.Telemetry = res.Telemetry
+	if res == nil {
+		return runErr
 	}
-	exit := 0
-	if runErr != nil {
-		if res == nil {
-			return fail(runErr)
-		}
-		// The run ended early but salvaged a partial result: report why,
-		// write everything that was collected, and pick the exit status
-		// by cause — budgets are a bounded run working as configured,
-		// interrupts exit 130 by convention, faults and panics exit 1.
-		var budget *core.BudgetError
-		switch {
-		case errors.As(runErr, &budget):
-			fmt.Fprintf(os.Stderr, "sigil: run ended early: %v (partial profile follows)\n", runErr)
-		case errors.Is(runErr, context.Canceled):
-			fmt.Fprintf(os.Stderr, "sigil: interrupted: %v (partial profile follows)\n", runErr)
-			exit = 130
-		default:
-			fmt.Fprintf(os.Stderr, "sigil: run failed: %v (partial profile follows)\n", runErr)
-			exit = 1
-		}
-	}
+	art.Telemetry = res.Telemetry
+
+	// A run that ended early salvaged a partial result: it is written and
+	// summarized like a complete one. An output that fails to write costs
+	// none of the others, and ends the command with its error.
 	write := tel.StartSpan("write")
+	var eventsErr error
 	if sink != nil {
-		commitErr := sink.Commit()
-		st := sink.Stats()
-		art.Sink = &st
-		if err := commitErr; err != nil {
-			if !*evtDegr {
-				return fail(err)
-			}
-			// Degraded mode: the event sink dying must not cost the other
-			// artifacts. The target path is untouched (Commit discards the
-			// temporary file); report and keep writing the profile.
-			fmt.Fprintf(os.Stderr, "sigil: event sink failed, event file not written: %v\n", err)
-			exit = 1
-			sink = nil
-		}
+		eventsErr = commitEvents(sink, art)
 	}
-	if sink != nil {
-		st := sink.Stats()
-		if st.RawBytes > 0 {
-			fmt.Printf("event file written to %s (%d events in %d frames, %.1f KiB compressed from %.1f, %d emit stalls)\n",
-				*outEvt, st.Events, st.Frames,
-				float64(st.CompressedBytes)/1024, float64(st.RawBytes)/1024, st.Stalls)
-		} else {
-			fmt.Printf("event file written to %s\n", *outEvt)
-		}
-		if st.Retries > 0 {
-			fmt.Printf("event sink retried %d write(s)\n", st.Retries)
-		}
-		if st.Dropped > 0 {
-			fmt.Fprintf(os.Stderr, "sigil: event sink ran degraded: %d event(s) dropped (loss recorded in file footer)\n", st.Dropped)
-		}
-	}
-	if *outProf != "" {
-		if err := core.WriteProfileFile(*outProf, res); err != nil {
-			return fail(err)
-		}
-		fmt.Printf("profile written to %s\n", *outProf)
-	}
-	if *outCg != "" {
-		err := safeio.WriteFile(*outCg, func(w io.Writer) error {
-			return res.Profile.WriteCallgrindFormat(w)
-		})
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Printf("callgrind-format profile written to %s\n", *outCg)
-	}
+	profErr := writeOutput(*outProf, "profile", func(w io.Writer) error {
+		return core.WriteProfile(w, res)
+	})
+	cgErr := writeOutput(*outCg, "callgrind-format profile", res.Profile.WriteCallgrindFormat)
 	write.End()
 
 	post := tel.StartSpan("postprocess")
@@ -219,7 +147,44 @@ func run() int {
 	if *telSnap && res.Telemetry != nil {
 		fmt.Printf("\ntelemetry snapshot:\n%s", res.Telemetry.Text())
 	}
-	return exit
+	return cmp.Or(eventsErr, profErr, cgErr, runErr)
+}
+
+// commitEvents finalizes the event file, records the sink's stats for the
+// run report and says what the file holds.
+func commitEvents(sink *trace.FileSink, art *cli.Artifacts) error {
+	err := sink.Commit()
+	st := sink.Stats()
+	art.Sink = &st
+	if err != nil {
+		return fmt.Errorf("event sink failed, event file not written: %w", err)
+	}
+	if st.RawBytes > 0 {
+		fmt.Printf("event file written to %s (%d events in %d frames, %.1f KiB compressed from %.1f, %d emit stalls)\n",
+			*outEvt, st.Events, st.Frames,
+			float64(st.CompressedBytes)/1024, float64(st.RawBytes)/1024, st.Stalls)
+	} else {
+		fmt.Printf("event file written to %s\n", *outEvt)
+	}
+	if st.Retries > 0 {
+		fmt.Printf("event sink retried %d write(s)\n", st.Retries)
+	}
+	if st.Dropped > 0 {
+		fmt.Fprintf(os.Stderr, "sigil: event sink ran degraded: %d event(s) dropped (loss recorded in file footer)\n", st.Dropped)
+	}
+	return nil
+}
+
+// writeOutput writes the output named what to path, unless path is empty.
+func writeOutput(path, what string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	if err := safeio.WriteFile(path, write); err != nil {
+		return err
+	}
+	fmt.Printf("%s written to %s\n", what, path)
+	return nil
 }
 
 func loadProgram(workload, class, asmFile, inFile string) (*vm.Program, []byte, error) {
@@ -309,9 +274,4 @@ func clip(s string, n int) string {
 		return s
 	}
 	return s[:n-1] + "…"
-}
-
-func fail(err error) int {
-	fmt.Fprintln(os.Stderr, "sigil:", err)
-	return 1
 }

@@ -1,9 +1,8 @@
-// Package cli factors the plumbing every sigil command shares: one
-// signal-cancellation path, one exit-code convention, the telemetry flag
-// set (live endpoints, progress heartbeats, structured run logs,
-// run-report and trace artifacts) registered the same way by every tool,
-// and the inputs more than one tool takes (a profile or a bundled
-// workload, a list of slot counts).
+// Package cli factors the plumbing every sigil command shares: one exit
+// path (Main: the signal context, the telemetry flag set of live
+// endpoints, progress heartbeats, structured run logs, run-report and
+// trace artifacts, and the exit status), and the inputs more than one tool
+// takes (a profile or a bundled workload, a list of slot counts).
 package cli
 
 import (
@@ -36,28 +35,55 @@ func Context() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
+// Main runs a command and returns its exit status: a command's main is
+// os.Exit(cli.Main(tool, body)). Main registers the telemetry flags on the
+// command line's flag set, parses it, and runs body under Context with
+// telemetry started; body records in art what the run report carries.
+// Whatever body returns, Main then writes the run artifacts with body's
+// error, stops telemetry (the heartbeat logs its final beat), prints one
+// stderr line for a non-nil error, worded by its core.Outcome, and returns
+// ExitCode of the error. The exit status, the stderr line and the run
+// report's outcome thus all come from one error.
+func Main(tool string, body func(ctx context.Context, tel *Telemetry, art *Artifacts) error) int {
+	tel := RegisterTelemetry(flag.CommandLine, tool)
+	flag.Parse()
+	var art Artifacts
+	stopTel, err := tel.Start()
+	if err == nil {
+		ctx, stop := Context()
+		err = body(ctx, tel, &art)
+		stop()
+	}
+	tel.finish(art, err)
+	if stopTel != nil {
+		stopTel()
+	}
+	switch core.Outcome(err) {
+	case "ok":
+	case "budget":
+		fmt.Fprintf(os.Stderr, "%s: run ended early: %v\n", tool, err)
+	case "interrupted":
+		fmt.Fprintf(os.Stderr, "%s: interrupted: %v\n", tool, err)
+	default:
+		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+	}
+	return ExitCode(err)
+}
+
 // ExitCode maps an error to the tools' shared exit convention: 0 for
-// success, 130 for an interrupted run (the shell convention for SIGINT),
-// 1 for everything else.
+// success and for a run a budget ended (a bounded run working as
+// configured), 130 for an interrupted run (the shell convention for
+// SIGINT), 1 for everything else.
 func ExitCode(err error) int {
+	var budget *core.BudgetError
 	switch {
-	case err == nil:
+	case err == nil || errors.As(err, &budget):
 		return 0
 	case errors.Is(err, context.Canceled):
 		return 130
 	default:
 		return 1
 	}
-}
-
-// Fatal prints err prefixed with the tool name and exits with the
-// conventional code. It never returns.
-func Fatal(tool string, err error) {
-	fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
-	if code := ExitCode(err); code != 0 {
-		os.Exit(code)
-	}
-	os.Exit(1)
 }
 
 // LoadResult reads the profile at profFile or, when workload is named
@@ -283,11 +309,10 @@ func (t *Telemetry) Start() (stop func(), err error) {
 	}, nil
 }
 
-// Artifacts is the end-of-run state a command hands to Finish: the final
-// error (nil for success), the run's telemetry snapshot, the event sink's
-// writer stats, and salvage accounting when the tool read a damaged file.
+// Artifacts is the end-of-run state a command's body records for the run
+// report: the run's telemetry snapshot, the event sink's writer stats, and
+// salvage accounting when the tool read a damaged file.
 type Artifacts struct {
-	Err       error
 	Telemetry *telemetry.Snapshot
 	Sink      *trace.WriterStats
 	Salvage   *trace.SalvageReport
@@ -298,21 +323,20 @@ type Artifacts struct {
 // endpoint.
 const flightDumpMax = 32
 
-// Finish writes the requested run artifacts and — for runs that ended in
+// finish writes the requested run artifacts and — for runs that ended in
 // a budget kill, panic salvage, or a degraded/dead sink — dumps the tail
-// of the flight recorder to the tool log. Call once, with the run's final
-// error, after all spans are closed and writer goroutines have exited;
-// failures to write an artifact are reported on stderr but do not change
-// the run's outcome.
-func (t *Telemetry) Finish(a Artifacts) {
-	t.ensureRecorder()
-	outcome := core.Outcome(a.Err)
+// of the flight recorder to the tool log. Main calls it once, with the
+// command's error, after the body has closed its spans and writer
+// goroutines; failures to write an artifact are reported on stderr but do
+// not change the run's outcome.
+func (t *Telemetry) finish(a Artifacts, runErr error) {
+	outcome := core.Outcome(runErr)
 	degraded := a.Sink != nil && (a.Sink.Degraded || a.Sink.Dropped > 0)
 	if outcome != "ok" || degraded {
 		t.dumpFlight(outcome, degraded)
 	}
 	if t.RunReport != "" {
-		if err := t.writeRunReport(a, outcome, degraded); err != nil {
+		if err := t.writeRunReport(a, runErr, outcome, degraded); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: writing -run-report: %v\n", t.tool, err)
 		}
 	}
@@ -326,14 +350,19 @@ func (t *Telemetry) Finish(a Artifacts) {
 }
 
 // dumpFlight logs the flight recorder's newest events at Warn level (so
-// the dump appears even when no telemetry flag raised the log level).
+// the dump appears even when no telemetry flag raised the log level). A
+// command that failed before anything was recorded, such as on a usage
+// error, dumps nothing.
 func (t *Telemetry) dumpFlight(outcome string, degraded bool) {
+	events := tracing.Flight().Snapshot()
+	total := len(events)
+	if total == 0 {
+		return
+	}
 	log, err := t.Logger()
 	if err != nil {
 		log, _ = telemetry.NewLogger(os.Stderr, "text", slog.LevelWarn)
 	}
-	events := tracing.Flight().Snapshot()
-	total := len(events)
 	if total > flightDumpMax {
 		events = events[total-flightDumpMax:]
 	}
@@ -354,7 +383,7 @@ func (t *Telemetry) dumpFlight(outcome string, degraded bool) {
 	}
 }
 
-func (t *Telemetry) writeRunReport(a Artifacts, outcome string, degraded bool) error {
+func (t *Telemetry) writeRunReport(a Artifacts, runErr error, outcome string, degraded bool) error {
 	rep := struct {
 		*tracing.Report
 		Sink    *trace.WriterStats   `json:"sink,omitempty"`
@@ -364,8 +393,8 @@ func (t *Telemetry) writeRunReport(a Artifacts, outcome string, degraded bool) e
 	rep.StartNanos = t.start.UnixNano()
 	rep.WallNanos = int64(time.Since(t.start))
 	rep.Outcome = outcome
-	if a.Err != nil {
-		rep.Error = a.Err.Error()
+	if runErr != nil {
+		rep.Error = runErr.Error()
 	}
 	rep.Telemetry = a.Telemetry
 	if outcome != "ok" || degraded {

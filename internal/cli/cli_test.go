@@ -26,6 +26,8 @@ func TestExitCode(t *testing.T) {
 		{fmt.Errorf("wrapped: %w", context.Canceled), 130},
 		{errors.New("boom"), 1},
 		{context.DeadlineExceeded, 1},
+		{&core.BudgetError{Resource: "instructions"}, 0},
+		{fmt.Errorf("wrapped: %w", &core.BudgetError{}), 0},
 	}
 	for _, c := range cases {
 		if got := ExitCode(c.err); got != c.want {

@@ -203,15 +203,17 @@ func runTool(ctx context.Context, tool *Tool, p *vm.Program, opts Options, input
 	if tel == nil && opts.Trace != nil {
 		tel = &telemetry.Metrics{}
 	}
+	var epoch uint64
 	if tel != nil {
 		tel.BeginRun(start, opts.MaxInstrs, opts.MaxWall)
+		epoch = tel.Load(telemetry.RunEpoch)
 	}
+	tracing.Flight().Record(tracing.KindPhase, "run:start", epoch, 0)
 
 	var runSpan *tracing.Active
 	if b := opts.Trace; b != nil {
 		prev := b.SetMetrics(tel)
 		defer b.SetMetrics(prev)
-		tracing.Flight().Record(tracing.KindPhase, "run:start", tel.Load(telemetry.RunEpoch), 0)
 		runSpan = b.Start("run")
 	}
 
@@ -237,8 +239,7 @@ func runTool(ctx context.Context, tool *Tool, p *vm.Program, opts Options, input
 			if wp, ok := r.(*workerPanic); ok {
 				perr.Value, perr.Stack = wp.value, wp.stack
 			}
-			tracing.Flight().Record(tracing.KindPanic, "run", 0, 0)
-			runSpan.End(tracing.A("outcome", Outcome(perr)))
+			recordRunEnd(runSpan, perr)
 			err = perr
 		}
 	}()
@@ -281,8 +282,9 @@ func runTool(ctx context.Context, tool *Tool, p *vm.Program, opts Options, input
 }
 
 // recordRunEnd closes the run span with the outcome and drops the matching
-// flight-recorder event so budget kills and cancellations are visible in
-// the ring even when no span buffer was attached.
+// flight-recorder events so budget kills, panics and cancellations are
+// visible in the ring, between the run's markers, even when no span buffer
+// was attached. Every run, the panicking ones included, ends here.
 func recordRunEnd(runSpan *tracing.Active, runErr error) {
 	outcome := Outcome(runErr)
 	switch outcome {
@@ -290,6 +292,8 @@ func recordRunEnd(runSpan *tracing.Active, runErr error) {
 		var budget *BudgetError
 		errors.As(runErr, &budget)
 		tracing.Flight().Record(tracing.KindBudget, budget.Resource, budget.Limit, budget.Used)
+	case "panic":
+		tracing.Flight().Record(tracing.KindPanic, "run", 0, 0)
 	case "interrupted":
 		tracing.Flight().Record(tracing.KindCancel, "run", 0, 0)
 	}

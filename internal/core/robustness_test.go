@@ -5,11 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"sigil/internal/telemetry"
 	"sigil/internal/trace"
+	"sigil/internal/tracing"
 	"sigil/internal/vm"
+	"sigil/internal/workloads"
 )
 
 // spinner builds a program that loops forever (the cancellation target).
@@ -240,6 +244,49 @@ func TestOutcome(t *testing.T) {
 	for _, c := range cases {
 		if got := Outcome(c.err); got != c.want {
 			t.Errorf("Outcome(%v) = %q, want %q", c.err, got, c.want)
+		}
+	}
+}
+
+// TestRunMarkersOnEveryRun: a run records its flight-recorder markers
+// whether or not a span buffer is attached, so a budget-killed run records
+// the same kinds and names with and without Options.Trace, and a run whose
+// sampler panics still ends its markers with run:end. Both schedules.
+func TestRunMarkersOnEveryRun(t *testing.T) {
+	prog, input, err := workloads.Build("vips", workloads.SimSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// recorded runs prog and returns the kind and name of every flight
+	// event the run recorded.
+	recorded := func(procs int, opts Options, setup func(*Tool)) []string {
+		t.Helper()
+		mark := tracing.Flight().Recorded()
+		runAt(t, procs, prog, input, opts, setup)
+		var got []string
+		for _, e := range tracing.Flight().Snapshot() {
+			if e.Seq > mark {
+				got = append(got, e.Kind.String()+" "+e.Name)
+			}
+		}
+		return got
+	}
+	for _, procs := range []int{1, 2} {
+		budget := Options{MaxInstrs: 50_000}
+		untraced := recorded(procs, budget, nil)
+		budget.Trace = tracing.NewRecorder().Local("run")
+		traced := recorded(procs, budget, nil)
+		want := []string{"phase run:start", "budget instructions", "phase run:end"}
+		if !slices.Equal(untraced, want) || !slices.Equal(traced, want) {
+			t.Errorf("GOMAXPROCS %d: budget run recorded %q untraced, %q traced; want %q", procs, untraced, traced, want)
+		}
+
+		got := recorded(procs, Options{Telemetry: &telemetry.Metrics{}}, func(tool *Tool) {
+			tool.evStats = func() trace.WriterStats { panic("sampler exploded") }
+		})
+		want = []string{"phase run:start", "panic run", "phase run:end"}
+		if !slices.Equal(got, want) {
+			t.Errorf("GOMAXPROCS %d: panicked run recorded %q, want %q", procs, got, want)
 		}
 	}
 }

@@ -47,6 +47,17 @@ var cpusBusy atomic.Int64
 // several programs at once, such as the experiments prewarm pool, the runs
 // that find no CPU free classify inline instead of crowding the CPUs with
 // workers; at GOMAXPROCS 1 every run classifies inline.
+//
+// The event writer's encoder goroutine (trace.Writer) is not counted, and
+// it stays. Degraded mode promises that Emit never blocks on a hung sink
+// (TestDegradedHungSinkEmitDoesNotStall), which a writer that encodes and
+// writes on the emitting goroutine cannot keep. Counted from NewWriter, it
+// would leave claimCPU no CPU at ProgramStart at GOMAXPROCS 2, so every
+// 2-CPU event run, canneal-critpath included, would classify inline and
+// give back the worker's gain there (profile_x_native 2.24 → 1.79). And
+// counting it would buy nothing: no process in this repository starts a
+// run while another run's encoder works. The commands and perfbench run
+// one run at a time, and the experiments pool emits into a trace.Buffer.
 func claimCPU() bool {
 	if cpusBusy.Add(1) <= int64(runtime.GOMAXPROCS(0)) {
 		return true
@@ -132,7 +143,7 @@ func (w *worker) work(c *classifier) {
 			w.failure, w.stack = r, debug.Stack()
 		}
 		span.End(tracing.A("records", w.records), tracing.A("batches", w.batches), tracing.A("idle", w.idle),
-			tracing.A("events", w.events))
+			tracing.A("events_emitted", w.events))
 	}()
 	for {
 		var b []record

@@ -521,8 +521,8 @@ func TestClassifyWaits(t *testing.T) {
 			if span["batches"] == 0 {
 				t.Errorf("%s: no worker applied a batch (classify.worker span %v)", c.name, span)
 			}
-			if emitted := res.Telemetry[telemetry.EventsEmitted]; emitted == 0 || span["events"] != emitted {
-				t.Errorf("%s: the worker emitted %d events, the run %d", c.name, span["events"], emitted)
+			if emitted := res.Telemetry[telemetry.EventsEmitted]; emitted == 0 || span["events_emitted"] != emitted {
+				t.Errorf("%s: the worker emitted %d events, the run %d", c.name, span["events_emitted"], emitted)
 			}
 			continue
 		}
@@ -600,9 +600,9 @@ func TestClassifyWaits(t *testing.T) {
 			}
 		}
 		_, idle := attrs["idle"]
-		_, events := attrs["events"]
+		_, events := attrs["events_emitted"]
 		if !idle || !events || attrs["records"] == 0 || attrs["batches"] == 0 {
-			t.Errorf("worker span attrs %v, want records, batches, idle and events", attrs)
+			t.Errorf("worker span attrs %v, want records, batches, idle and events_emitted", attrs)
 		}
 	}
 	if !found {

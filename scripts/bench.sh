@@ -1,9 +1,10 @@
 #!/bin/sh
 # Run the performance benchmarks and write a BENCH_N.json: a map from
 # benchmark name to ns/op and bytes/op, so successive PRs can be diffed.
-# Covers the self-overhead/ablation benches (root package), the
-# shadow-memory hot-path microbenches (internal/core), and the event-file
-# emit/decode microbenches (internal/trace).
+# Covers the ablation benches (root package), the shadow-memory hot-path
+# microbenches (internal/core), and the event-file emit/decode
+# microbenches (internal/trace). The raw native/callgrind/sigil costs are
+# the perfbench ladder's (perfbench/README.md).
 #
 # Usage:
 #   scripts/bench.sh [regexp]              run benches (default pattern below),
@@ -82,7 +83,7 @@ if [ "${1:-}" = "compare" ]; then
     exit $?
 fi
 
-PATTERN="${1:-Overhead|Ablation|MemRead|MemWrite|Shadow|TraceEmit|TraceDecode}"
+PATTERN="${1:-Ablation|MemRead|MemWrite|Shadow|TraceEmit|TraceDecode}"
 BENCHTIME="${BENCHTIME:-1x}"
 OUT="${OUT:-.bench_build/bench.json}"
 mkdir -p "$(dirname "$OUT")"
