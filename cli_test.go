@@ -292,6 +292,37 @@ func readJSON(t *testing.T, path string, v any) {
 	}
 }
 
+// interrupt starts bin with args, sends it SIGINT after delay and waits for
+// it. It reports false when the run finished before the signal landed, and
+// fails the test unless an interrupted run exited 130 and said so on
+// stderr.
+func interrupt(t *testing.T, delay time.Duration, bin string, args ...string) bool {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(delay)
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	err := cmd.Wait()
+	if err == nil {
+		return false
+	}
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 130 {
+		t.Fatalf("interrupted run: %v, want exit 130\nstderr:\n%s", err, stderr.String())
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "interrupted") &&
+		!strings.Contains(msg, "context canceled") {
+		t.Errorf("stderr does not explain the interrupt:\n%s", msg)
+	}
+	return true
+}
+
 // TestCLISigintContract pins the interrupt behaviour on its own: a run that
 // takes a SIGINT must exit 130, say so on stderr, and leave each output
 // path either absent or footer-complete — never truncated. Signal delivery
@@ -307,28 +338,9 @@ func TestCLISigintContract(t *testing.T) {
 	for attempt := 0; attempt < 5; attempt++ {
 		prof := filepath.Join(dir, fmt.Sprintf("int%d.profile", attempt))
 		evt := filepath.Join(dir, fmt.Sprintf("int%d.evt", attempt))
-		cmd := exec.Command(sigilBin, "-workload", "canneal", "-class", "simlarge",
-			"-o", prof, "-events", evt)
-		var stderr strings.Builder
-		cmd.Stderr = &stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(time.Duration(100*(attempt+1)) * time.Millisecond)
-		if err := cmd.Process.Signal(os.Interrupt); err != nil {
-			t.Fatal(err)
-		}
-		err := cmd.Wait()
-		if err == nil {
+		if !interrupt(t, time.Duration(100*(attempt+1))*time.Millisecond, sigilBin,
+			"-workload", "canneal", "-class", "simlarge", "-o", prof, "-events", evt) {
 			continue // the run beat the signal; give the next attempt longer
-		}
-		var exitErr *exec.ExitError
-		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 130 {
-			t.Fatalf("interrupted run: %v, want exit 130\nstderr:\n%s", err, stderr.String())
-		}
-		if msg := stderr.String(); !strings.Contains(msg, "interrupted") &&
-			!strings.Contains(msg, "context canceled") {
-			t.Errorf("stderr does not explain the interrupt:\n%s", msg)
 		}
 		if _, statErr := os.Stat(prof); statErr == nil {
 			if _, err := core.ReadProfileFile(prof); err != nil {
@@ -341,6 +353,38 @@ func TestCLISigintContract(t *testing.T) {
 			if err != nil || !rep.Complete {
 				t.Errorf("interrupted event file exists but lacks its footer: %v %v", err, rep)
 			}
+		}
+		return
+	}
+	t.Skip("every attempt finished before the signal landed")
+}
+
+// TestCLISigintReportTelemetry interrupts a command that profiles a
+// -workload before it post-processes the run: its run report must still
+// carry the partial run's telemetry.
+func TestCLISigintReportTelemetry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	critBin := buildCmd(t, dir, "sigil-critpath")
+
+	for attempt := 0; attempt < 5; attempt++ {
+		report := filepath.Join(dir, fmt.Sprintf("int%d.report.json", attempt))
+		if !interrupt(t, time.Duration(100*(attempt+1))*time.Millisecond, critBin,
+			"-workload", "canneal", "-class", "simlarge", "-run-report", report) {
+			continue
+		}
+		var rep struct {
+			Outcome   string            `json:"outcome"`
+			Telemetry map[string]uint64 `json:"telemetry"`
+		}
+		readJSON(t, report, &rep)
+		if rep.Outcome != "interrupted" {
+			t.Errorf("run report outcome %q, want interrupted", rep.Outcome)
+		}
+		if rep.Telemetry["instrs"] == 0 || rep.Telemetry["wall_nanos"] == 0 {
+			t.Errorf("run report telemetry %v, want the partial run's instrs and wall_nanos", rep.Telemetry)
 		}
 		return
 	}
@@ -494,7 +538,10 @@ func TestCLIFaultTolerance(t *testing.T) {
 // outcome "error", and the report's error is the text of the one stderr
 // line the command prints. sigil still writes the profile when the event
 // file fails, a negative -top is an error rather than a panic, and a
-// failing command still logs its final heartbeat.
+// failing command still logs its final heartbeat. A run that would exit 0
+// (ok, or ended by a budget) exits 1 when a requested artifact fails to
+// write: an unwritable -run-report is the one stderr line, and an
+// unwritable -trace-out is the error the report records.
 func TestCLIExitPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -507,21 +554,26 @@ func TestCLIExitPath(t *testing.T) {
 	missing := filepath.Join(dir, "missing")
 	degradedProf := filepath.Join(dir, "degraded.prof")
 	deadProf := filepath.Join(dir, "dead.prof")
+	unwritable := filepath.Join(missing, "r.json")
 	cases := []struct {
-		name string
-		tool string
-		args []string
-		prof string // a profile the command must write all the same
+		name   string
+		tool   string
+		args   []string
+		prof   string // a profile the command must write all the same
+		report string // an unwritable -run-report, in place of a readable one
 	}{
-		{"missing output dir", "sigil", []string{"-workload", "dedup", "-o", filepath.Join(missing, "p.prof")}, ""},
-		{"dead degraded sink", "sigil", []string{"-workload", "dedup", "-events", "/dev/full", "-events-degraded", "-o", degradedProf}, degradedProf},
-		{"dead sink", "sigil", []string{"-workload", "dedup", "-events", "/dev/full", "-o", deadProf}, deadProf},
-		{"missing profile", "sigil-part", []string{"-profile", filepath.Join(dir, "missing.prof"), "-progress", "1h"}, ""},
-		{"negative top", "sigil-part", []string{"-workload", "fft", "-top", "-1"}, ""},
-		{"missing profile", "sigil-reuse", []string{"-profile", filepath.Join(dir, "missing.prof")}, ""},
-		{"missing event file", "sigil-critpath", []string{"-events", filepath.Join(dir, "missing.evt")}, ""},
-		{"negative top", "sigil-report", []string{"-workload", "fft", "-top", "-1"}, ""},
-		{"unknown experiment", "experiments", []string{"-only", "nosuch"}, ""},
+		{"missing output dir", "sigil", []string{"-workload", "dedup", "-o", filepath.Join(missing, "p.prof")}, "", ""},
+		{"dead degraded sink", "sigil", []string{"-workload", "dedup", "-events", "/dev/full", "-events-degraded", "-o", degradedProf}, degradedProf, ""},
+		{"dead sink", "sigil", []string{"-workload", "dedup", "-events", "/dev/full", "-o", deadProf}, deadProf, ""},
+		{"missing profile", "sigil-part", []string{"-profile", filepath.Join(dir, "missing.prof"), "-progress", "1h"}, "", ""},
+		{"negative top", "sigil-part", []string{"-workload", "fft", "-top", "-1"}, "", ""},
+		{"missing profile", "sigil-reuse", []string{"-profile", filepath.Join(dir, "missing.prof")}, "", ""},
+		{"missing event file", "sigil-critpath", []string{"-events", filepath.Join(dir, "missing.evt")}, "", ""},
+		{"negative top", "sigil-report", []string{"-workload", "fft", "-top", "-1"}, "", ""},
+		{"unknown experiment", "experiments", []string{"-only", "nosuch"}, "", ""},
+		{"unwritable report", "sigil", []string{"-workload", "fft"}, "", unwritable},
+		{"unwritable report after a budget", "sigil", []string{"-workload", "fft", "-maxinstrs", "50000"}, "", unwritable},
+		{"unwritable trace", "sigil", []string{"-workload", "fft", "-trace-out", filepath.Join(missing, "t.json")}, "", ""},
 	}
 	for i, c := range cases {
 		t.Run(c.tool+"/"+c.name, func(t *testing.T) {
@@ -531,6 +583,9 @@ func TestCLIExitPath(t *testing.T) {
 				}
 			}
 			report := filepath.Join(dir, fmt.Sprintf("%d.report.json", i))
+			if c.report != "" {
+				report = c.report
+			}
 			cmd := exec.Command(bins[c.tool], append(c.args, "-run-report", report)...)
 			var stderr strings.Builder
 			cmd.Stderr = &stderr
@@ -538,6 +593,18 @@ func TestCLIExitPath(t *testing.T) {
 			var exitErr *exec.ExitError
 			if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
 				t.Fatalf("%v, want exit 1\nstderr:\n%s", err, stderr.String())
+			}
+			var lines []string
+			for _, line := range strings.Split(stderr.String(), "\n") {
+				if strings.HasPrefix(line, c.tool+": ") {
+					lines = append(lines, line)
+				}
+			}
+			if c.report != "" {
+				if len(lines) != 1 || !strings.HasPrefix(lines[0], c.tool+": writing -run-report: ") {
+					t.Errorf("stderr lines %q, want the one -run-report write error", lines)
+				}
+				return
 			}
 			var rep struct {
 				Outcome string `json:"outcome"`
@@ -547,14 +614,11 @@ func TestCLIExitPath(t *testing.T) {
 			if rep.Outcome != "error" || rep.Error == "" {
 				t.Errorf("run report outcome %q, error %q; want outcome error", rep.Outcome, rep.Error)
 			}
-			var lines []string
-			for _, line := range strings.Split(stderr.String(), "\n") {
-				if strings.HasPrefix(line, c.tool+": ") {
-					lines = append(lines, line)
-				}
-			}
 			if want := c.tool + ": " + rep.Error; len(lines) != 1 || lines[0] != want {
 				t.Errorf("stderr lines %q, want the one line %q", lines, want)
+			}
+			if slices.Contains(c.args, "-trace-out") && !strings.HasPrefix(rep.Error, "writing -trace-out: ") {
+				t.Errorf("run report error %q, want the -trace-out write error", rep.Error)
 			}
 			if strings.Contains(stderr.String(), "panic:") {
 				t.Errorf("stderr holds a panic:\n%s", stderr.String())

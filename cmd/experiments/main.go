@@ -28,7 +28,7 @@ func main() {
 	os.Exit(cli.Main("experiments", run))
 }
 
-func run(ctx context.Context, tel *cli.Telemetry, art *cli.Artifacts) error {
+func run(ctx context.Context, tel *cli.Telemetry, _ *cli.Artifacts) error {
 	s := experiments.NewSuite()
 	s.TimingReps = *reps
 	s.Workers = *par
@@ -37,12 +37,6 @@ func run(ctx context.Context, tel *cli.Telemetry, art *cli.Artifacts) error {
 	// Unlike the shared metrics gauges, the tracer is safe at any -p:
 	// every profiling run records into its own track.
 	s.Tracer = tel.Recorder()
-	if m := s.Telemetry; m != nil {
-		defer func() {
-			snap := m.Snapshot()
-			art.Telemetry = &snap
-		}()
-	}
 
 	if *only == "" {
 		// Generate the profile/trace matrix on all workers up front; the

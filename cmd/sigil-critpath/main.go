@@ -118,11 +118,9 @@ func loadTrace(ctx context.Context, tel *cli.Telemetry, art *cli.Artifacts) (*tr
 		}
 		var buf trace.Buffer
 		opts := core.Options{Events: &buf, Telemetry: tel.Metrics(), Trace: tel.TraceBuf()}
-		res, err := core.RunContext(ctx, prog, opts, input)
-		if err != nil {
+		if _, err := core.RunContext(ctx, prog, opts, input); err != nil {
 			return nil, err
 		}
-		art.Telemetry = res.Telemetry
 		return trace.FromBuffer(&buf), nil
 	default:
 		return nil, fmt.Errorf("need -events or -workload")

@@ -39,7 +39,7 @@ func main() {
 	os.Exit(cli.Main("sigil-part", run))
 }
 
-func run(ctx context.Context, tel *cli.Telemetry, art *cli.Artifacts) error {
+func run(ctx context.Context, tel *cli.Telemetry, _ *cli.Artifacts) error {
 	if *top < 0 {
 		return fmt.Errorf("-top %d: must not be negative", *top)
 	}
@@ -50,7 +50,6 @@ func run(ctx context.Context, tel *cli.Telemetry, art *cli.Artifacts) error {
 	if err != nil {
 		return err
 	}
-	art.Telemetry = res.Telemetry
 	partition := tel.StartSpan("partition")
 	defer partition.End()
 	g, err := cdfg.Build(res, cdfg.Config{BytesPerCycle: *bus, MaxBreakeven: *maxBE})

@@ -36,7 +36,7 @@ func main() {
 	os.Exit(cli.Main("sigil-report", run))
 }
 
-func run(ctx context.Context, tel *cli.Telemetry, art *cli.Artifacts) error {
+func run(ctx context.Context, tel *cli.Telemetry, _ *cli.Artifacts) error {
 	if *workload == "" {
 		return fmt.Errorf("need -workload (see `sigil -list`)")
 	}
@@ -64,11 +64,9 @@ func run(ctx context.Context, tel *cli.Telemetry, art *cli.Artifacts) error {
 	if err != nil {
 		return err
 	}
-	evRes, err := core.RunContext(ctx, prog, core.Options{Events: &buf, Telemetry: tel.Metrics(), Trace: tel.TraceBuf()}, input)
-	if err != nil {
+	if _, err := core.RunContext(ctx, prog, core.Options{Events: &buf, Telemetry: tel.Metrics(), Trace: tel.TraceBuf()}, input); err != nil {
 		return err
 	}
-	art.Telemetry = evRes.Telemetry
 	tr := trace.FromBuffer(&buf)
 
 	cfg := report.Config{

@@ -35,7 +35,7 @@ func main() {
 	os.Exit(cli.Main("sigil-reuse", run))
 }
 
-func run(ctx context.Context, tel *cli.Telemetry, art *cli.Artifacts) error {
+func run(ctx context.Context, tel *cli.Telemetry, _ *cli.Artifacts) error {
 	load := tel.StartSpan("load")
 	res, err := cli.LoadResult(ctx, *profFile, *workload, *class,
 		core.Options{TrackReuse: !*lineMode, LineGranularity: *lineMode, Telemetry: tel.Metrics(), Trace: tel.TraceBuf()})
@@ -43,7 +43,6 @@ func run(ctx context.Context, tel *cli.Telemetry, art *cli.Artifacts) error {
 	if err != nil {
 		return err
 	}
-	art.Telemetry = res.Telemetry
 	analyze := tel.StartSpan("analyze")
 	defer analyze.End()
 

@@ -125,7 +125,6 @@ func run(ctx context.Context, tel *cli.Telemetry, art *cli.Artifacts) error {
 	if res == nil {
 		return runErr
 	}
-	art.Telemetry = res.Telemetry
 
 	// A run that ended early salvaged a partial result: it is written and
 	// summarized like a complete one. An output that fails to write costs

@@ -73,14 +73,6 @@ func (p *Predictor) Branches() uint64 { return p.branches }
 // Mispredicts returns the number of mispredicted branches.
 func (p *Predictor) Mispredicts() uint64 { return p.mispredict }
 
-// Reset zeroes counters and statistics.
-func (p *Predictor) Reset() {
-	for i := range p.counters {
-		p.counters[i] = 2
-	}
-	p.branches, p.mispredict = 0, 0
-}
-
 var _ Recorder = (*Predictor)(nil)
 
 // Gshare is a global-history predictor: the site hash is xored with a

@@ -76,15 +76,6 @@ func TestDistinctSitesIndependent(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	p := New(64)
-	p.Record(1, true)
-	p.Reset()
-	if p.Branches() != 0 || p.Mispredicts() != 0 {
-		t.Error("counters not reset")
-	}
-}
-
 func TestMispredictsBoundedProperty(t *testing.T) {
 	prop := func(sites []uint8, outcomes []bool) bool {
 		p := New(256)

@@ -332,9 +332,6 @@ func (t *Tool) Now() uint64 {
 	return t.mach.InstrCount()
 }
 
-// Program returns the program under instrumentation.
-func (t *Tool) Program() *vm.Program { return t.prog }
-
 // Caches returns the run's cache hierarchy. A tool that charges the run's
 // loads and stores itself, with ChargeAccess, owns it for the run and does
 // not forward MemRead or MemWrite here; the tool only reads the hierarchy's
@@ -402,33 +399,12 @@ func (p *Profile) Inclusive(n *Node) Costs {
 	return c
 }
 
-// ByFunction aggregates self costs across contexts per function name.
-func (p *Profile) ByFunction() map[string]Costs {
-	out := make(map[string]Costs)
-	for _, n := range p.Nodes {
-		c := out[n.Name]
-		c.Add(n.Self)
-		out[n.Name] = c
-	}
-	return out
-}
-
 // TotalCycleEstimate sums the cycle estimate over all contexts, estimating
 // the whole program's software run time.
 func (p *Profile) TotalCycleEstimate() uint64 {
 	var sum uint64
 	for _, n := range p.Nodes {
 		sum += n.Self.CycleEstimate()
-	}
-	return sum
-}
-
-// TotalOps sums arithmetic operations over all contexts, the serial program
-// length used by the critical-path parallelism bound.
-func (p *Profile) TotalOps() uint64 {
-	var sum uint64
-	for _, n := range p.Nodes {
-		sum += n.Self.Ops()
 	}
 	return sum
 }

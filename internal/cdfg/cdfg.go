@@ -316,27 +316,3 @@ func max64(a, b uint64) uint64 {
 	}
 	return b
 }
-
-// SweepPoint is one (bandwidth, breakeven) sample of a sensitivity sweep.
-type SweepPoint struct {
-	BytesPerCycle float64
-	Breakeven     float64
-}
-
-// BandwidthSweep evaluates a node's merged-sub-tree breakeven speedup across
-// candidate bus bandwidths — the "preliminary knowledge of a target
-// platform" exploration the partitioning case study calls for. Bandwidths
-// must be positive.
-func (g *Graph) BandwidthSweep(n *Node, bandwidths []float64) ([]SweepPoint, error) {
-	out := make([]SweepPoint, 0, len(bandwidths))
-	for _, bw := range bandwidths {
-		if bw <= 0 {
-			return nil, fmt.Errorf("cdfg: bandwidth %v must be positive", bw)
-		}
-		out = append(out, SweepPoint{
-			BytesPerCycle: bw,
-			Breakeven:     breakeven(n.InclCycles, n.ExtIn+n.ExtOut, bw),
-		})
-	}
-	return out, nil
-}

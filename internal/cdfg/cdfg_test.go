@@ -390,23 +390,30 @@ func TestWriteDOT(t *testing.T) {
 	}
 }
 
+// TestBandwidthSweep sweeps cdfg.Config.BytesPerCycle: a faster bus can
+// only lower a merged sub-tree's breakeven speedup, toward 1.
 func TestBandwidthSweep(t *testing.T) {
-	g := buildGraph(t, pipelineProgram(t, 50000), Config{})
-	cons := nodeByName(g, "consumer")
-	pts, err := g.BandwidthSweep(cons, []float64{0.5, 1, 2, 4, 8, 16})
+	r, err := core.Run(pipelineProgram(t, 50000), core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Breakeven improves (falls toward 1) monotonically with bandwidth.
+	var pts []float64
+	for _, bw := range []float64{0.5, 1, 2, 4, 8, 16} {
+		g, err := Build(r, Config{BytesPerCycle: bw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts = append(pts, nodeByName(g, "consumer").Breakeven)
+	}
 	for i := 1; i < len(pts); i++ {
-		if pts[i].Breakeven > pts[i-1].Breakeven {
-			t.Errorf("breakeven rose with bandwidth: %+v", pts)
+		if pts[i] > pts[i-1] {
+			t.Errorf("breakeven rose with bandwidth: %v", pts)
 		}
 	}
-	if pts[len(pts)-1].Breakeven < 1 {
-		t.Errorf("breakeven below 1: %+v", pts[len(pts)-1])
+	if pts[len(pts)-1] < 1 {
+		t.Errorf("breakeven below 1: %v", pts)
 	}
-	if _, err := g.BandwidthSweep(cons, []float64{0}); err == nil {
-		t.Error("zero bandwidth accepted")
+	if _, err := Build(r, Config{BytesPerCycle: -1}); err == nil {
+		t.Error("negative bandwidth accepted")
 	}
 }

@@ -91,17 +91,3 @@ func (t *Trimmed) EstimateOffload(cfg OffloadConfig) (*OffloadEstimate, error) {
 	}
 	return est, nil
 }
-
-// SpeedupCurve evaluates the application speedup across assumed accelerator
-// speedups — the early-stage design-space sweep of [23].
-func (t *Trimmed) SpeedupCurve(speedups []float64, maxAccel int) ([]OffloadEstimate, error) {
-	out := make([]OffloadEstimate, 0, len(speedups))
-	for _, s := range speedups {
-		est, err := t.EstimateOffload(OffloadConfig{Speedup: s, MaxAccelerators: maxAccel})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, *est)
-	}
-	return out, nil
-}

@@ -40,10 +40,11 @@ func Context() (context.Context, context.CancelFunc) {
 // command line's flag set, parses it, and runs body under Context with
 // telemetry started; body records in art what the run report carries.
 // Whatever body returns, Main then writes the run artifacts with body's
-// error, stops telemetry (the heartbeat logs its final beat), prints one
-// stderr line for a non-nil error, worded by its core.Outcome, and returns
-// ExitCode of the error. The exit status, the stderr line and the run
-// report's outcome thus all come from one error.
+// error; an artifact that fails to write becomes the command's error when
+// body's would exit 0. Main then stops telemetry (the heartbeat logs its
+// final beat), prints one stderr line for a non-nil error, worded by its
+// core.Outcome, and returns ExitCode of the error. The exit status, the
+// stderr line and the run report's outcome thus all come from one error.
 func Main(tool string, body func(ctx context.Context, tel *Telemetry, art *Artifacts) error) int {
 	tel := RegisterTelemetry(flag.CommandLine, tool)
 	flag.Parse()
@@ -54,7 +55,7 @@ func Main(tool string, body func(ctx context.Context, tel *Telemetry, art *Artif
 		err = body(ctx, tel, &art)
 		stop()
 	}
-	tel.finish(art, err)
+	err = tel.finish(art, err)
 	if stopTel != nil {
 		stopTel()
 	}
@@ -310,12 +311,12 @@ func (t *Telemetry) Start() (stop func(), err error) {
 }
 
 // Artifacts is the end-of-run state a command's body records for the run
-// report: the run's telemetry snapshot, the event sink's writer stats, and
-// salvage accounting when the tool read a damaged file.
+// report: the event sink's writer stats, and salvage accounting when the
+// tool read a damaged file. The report's telemetry needs no recording: a
+// run leaves its final sample in Metrics' block, finished or not.
 type Artifacts struct {
-	Telemetry *telemetry.Snapshot
-	Sink      *trace.WriterStats
-	Salvage   *trace.SalvageReport
+	Sink    *trace.WriterStats
+	Salvage *trace.SalvageReport
 }
 
 // flightDumpMax bounds how many flight events a stderr dump prints; the
@@ -327,26 +328,40 @@ const flightDumpMax = 32
 // a budget kill, panic salvage, or a degraded/dead sink — dumps the tail
 // of the flight recorder to the tool log. Main calls it once, with the
 // command's error, after the body has closed its spans and writer
-// goroutines; failures to write an artifact are reported on stderr but do
-// not change the run's outcome.
-func (t *Telemetry) finish(a Artifacts, runErr error) {
-	outcome := core.Outcome(runErr)
+// goroutines, and ends the command with the error finish returns. A
+// requested artifact that fails to write turns a command that would exit
+// 0 (ok or budget) into a failed one: its write error becomes the
+// command's error. An interrupted or failed command keeps its error, and
+// the write error gets a stderr line of its own. The trace is written
+// first, so the run report's outcome and error carry a trace that failed.
+func (t *Telemetry) finish(a Artifacts, runErr error) error {
+	err := runErr
+	failed := func(name string, werr error) {
+		werr = fmt.Errorf("writing %s: %w", name, werr)
+		if ExitCode(err) == 0 {
+			err = werr
+		} else {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", t.tool, werr)
+		}
+	}
+	if t.TraceOut != "" {
+		if werr := safeio.WriteFile(t.TraceOut, func(w io.Writer) error {
+			return tracing.WriteChrome(w, t.rec, tracing.Flight().Snapshot())
+		}); werr != nil {
+			failed("-trace-out", werr)
+		}
+	}
+	outcome := core.Outcome(err)
 	degraded := a.Sink != nil && (a.Sink.Degraded || a.Sink.Dropped > 0)
 	if outcome != "ok" || degraded {
 		t.dumpFlight(outcome, degraded)
 	}
 	if t.RunReport != "" {
-		if err := t.writeRunReport(a, runErr, outcome, degraded); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: writing -run-report: %v\n", t.tool, err)
+		if werr := t.writeRunReport(a, err, outcome, degraded); werr != nil {
+			failed("-run-report", werr)
 		}
 	}
-	if t.TraceOut != "" {
-		if err := safeio.WriteFile(t.TraceOut, func(w io.Writer) error {
-			return tracing.WriteChrome(w, t.rec, tracing.Flight().Snapshot())
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: writing -trace-out: %v\n", t.tool, err)
-		}
-	}
+	return err
 }
 
 // dumpFlight logs the flight recorder's newest events at Warn level (so
@@ -396,7 +411,10 @@ func (t *Telemetry) writeRunReport(a Artifacts, runErr error, outcome string, de
 	if runErr != nil {
 		rep.Error = runErr.Error()
 	}
-	rep.Telemetry = a.Telemetry
+	if t.metrics.Load(telemetry.RunEpoch) > 0 {
+		snap := t.metrics.Snapshot()
+		rep.Telemetry = &snap
+	}
 	if outcome != "ok" || degraded {
 		rep.Flight = tracing.Flight().Dump()
 	}

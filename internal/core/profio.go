@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"sigil/internal/callgrind"
-	"sigil/internal/safeio"
 )
 
 // Profile file format: a line-oriented text serialization of a Result, so
@@ -109,14 +108,6 @@ func WriteProfile(w io.Writer, r *Result) error {
 	p("external %d %d %d", r.StartupBytes, r.KernelOutBytes, r.KernelInBytes)
 	fmt.Fprintf(bw, "end %d %d\n", records, crc)
 	return bw.Flush()
-}
-
-// WriteProfileFile writes r to path atomically (temp file + rename), so an
-// interrupted write never leaves a truncated profile behind.
-func WriteProfileFile(path string, r *Result) error {
-	return safeio.WriteFile(path, func(w io.Writer) error {
-		return WriteProfile(w, r)
-	})
 }
 
 // ReadProfileFile opens and parses a profile file.

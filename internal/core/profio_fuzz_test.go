@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
+
+	"sigil/internal/safeio"
 )
 
 // profileSeed serializes a small real profile for the fuzzer and the
@@ -189,14 +192,16 @@ func TestReadProfileCorrupt(t *testing.T) {
 	}
 }
 
+// TestWriteProfileFileAtomic writes a profile file the way the sigil
+// command does, WriteProfile through safeio.WriteFile: it reads back whole,
+// and a rewrite that fails part way leaves it in place.
 func TestWriteProfileFileAtomic(t *testing.T) {
 	res, err := Run(producerConsumerProg(8, 1), Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	path := dir + "/p.profile"
-	if err := WriteProfileFile(path, res); err != nil {
+	path := t.TempDir() + "/p.profile"
+	if err := safeio.WriteFile(path, func(w io.Writer) error { return WriteProfile(w, res) }); err != nil {
 		t.Fatal(err)
 	}
 	f, err := ReadProfileFile(path)
@@ -205,5 +210,18 @@ func TestWriteProfileFileAtomic(t *testing.T) {
 	}
 	if f.Profile.TotalInstrs != res.Profile.TotalInstrs {
 		t.Error("round-trip through file lost totals")
+	}
+	cut := errors.New("cut short")
+	err = safeio.WriteFile(path, func(w io.Writer) error {
+		if _, err := io.WriteString(w, "sigil-profile"); err != nil {
+			return err
+		}
+		return cut
+	})
+	if !errors.Is(err, cut) {
+		t.Fatalf("failed rewrite: err = %v, want %v", err, cut)
+	}
+	if _, err := ReadProfileFile(path); err != nil {
+		t.Errorf("failed rewrite damaged the profile: %v", err)
 	}
 }

@@ -143,18 +143,20 @@ func (c *classifier) publish(m *telemetry.Metrics) {
 	}
 }
 
-// finalSnapshot takes the end-of-run sample and freezes it for the Result.
-// m is the run's effective metrics block (the caller's, or the private one
-// RunContext attached for a traced run) — when the caller supplied live
-// Metrics the final sample lands there too, so /metrics keeps serving the
-// finished run's totals. A nil m still yields a populated snapshot.
+// finalSnapshot takes the end-of-run sample, with the run's wall time, and
+// freezes it for the Result. m is the run's effective metrics block (the
+// caller's, or the private one RunContext attached for a traced run) — when
+// the caller supplied live Metrics the final sample lands there too, so
+// /metrics keeps serving the finished run's totals and a command's run
+// report reads them there whether or not the run succeeded. A nil m still
+// yields a populated snapshot.
 func finalSnapshot(tool *Tool, m *telemetry.Metrics, opts Options, start time.Time, wall time.Duration) *telemetry.Snapshot {
 	if m == nil {
 		m = &telemetry.Metrics{}
 		m.BeginRun(start, opts.MaxInstrs, opts.MaxWall)
 	}
 	tool.sampleInto(m)
+	m.Store(telemetry.WallNanos, uint64(wall))
 	snap := m.Snapshot()
-	snap[telemetry.WallNanos] = uint64(wall)
 	return &snap
 }

@@ -1,10 +1,9 @@
 // Package cfg builds per-function control-flow graphs from Go syntax trees
-// using only the standard library, and layers two dataflow facilities on
-// top: reaching definitions (reaching.go) and goroutine-boundary facts
+// using only the standard library, and lists a body's goroutine launches
 // (goroutine.go). It is the substrate the dataflow analyzers in
-// internal/lint stand on — the same role golang.org/x/tools/go/cfg and
-// go/ssa play for the real analysis framework, cut down to what the sigil
-// passes consume.
+// internal/lint stand on — the same role golang.org/x/tools/go/cfg plays
+// for the real analysis framework, cut down to what the sigil passes
+// consume.
 //
 // The graph is statement-granular: every statement and every control
 // expression (an if condition, a switch tag, a range operand) is a node of
@@ -42,10 +41,6 @@ type Graph struct {
 	// Exit is the synthetic exit block: every return statement and every
 	// path that falls off the end of the body leads here.
 	Exit *Block
-	// Defers lists the defer statements of the body in source order.
-	// Deferred calls run at function exit regardless of the path taken,
-	// so analyses treat them as appended to Exit.
-	Defers []*ast.DeferStmt
 
 	byNode map[ast.Node]*Block
 }
@@ -62,7 +57,6 @@ func New(body *ast.BlockStmt) *Graph {
 	}
 	// Falling off the end of the body is an implicit return.
 	b.jump(b.g.Exit)
-	b.resolveGotos()
 	b.g.index()
 	return b.g
 }
@@ -73,33 +67,7 @@ func New(body *ast.BlockStmt) *Graph {
 // function literal (other than the literal itself) belong to the literal's
 // own graph and return nil.
 func (g *Graph) BlockOf(n ast.Node) *Block {
-	for n != nil {
-		if b, ok := g.byNode[n]; ok {
-			return b
-		}
-		n = nil
-	}
-	return nil
-}
-
-// BlockAt returns the block whose registered nodes span pos, by position
-// containment; the tightest-spanning node wins (a range statement's head
-// spans its whole body, but body statements belong to body blocks). It
-// complements BlockOf for callers that hold a position inside a registered
-// node rather than the node itself.
-func (g *Graph) BlockAt(pos token.Pos) *Block {
-	var best *Block
-	var bestSpan token.Pos = -1
-	for _, b := range g.Blocks {
-		for _, n := range b.Nodes {
-			if n.Pos() <= pos && pos <= n.End() {
-				if span := n.End() - n.Pos(); bestSpan < 0 || span < bestSpan {
-					best, bestSpan = b, span
-				}
-			}
-		}
-	}
-	return best
+	return g.byNode[n]
 }
 
 // registerSubtree maps every node under root (stopping at function
@@ -359,7 +327,8 @@ func (b *builder) stmt(s ast.Stmt) {
 		}
 		after := b.newBlock("select.done")
 		b.pushBreak(b.takeLabel(), after)
-		hasDefault := false
+		// A default clause adds no edge: a select with no ready case
+		// blocks, so every clause is a successor either way.
 		for _, cl := range s.Body.List {
 			cc := cl.(*ast.CommClause)
 			blk := b.newBlock("select.case")
@@ -367,13 +336,10 @@ func (b *builder) stmt(s ast.Stmt) {
 			b.start(blk)
 			if cc.Comm != nil {
 				b.add(cc.Comm)
-			} else {
-				hasDefault = true
 			}
 			b.stmtList(cc.Body)
 			b.jump(after)
 		}
-		_ = hasDefault // a select with no ready case blocks; edges are the same
 		b.popBreak()
 		b.cur = nil
 		b.start(after)
@@ -420,16 +386,12 @@ func (b *builder) stmt(s ast.Stmt) {
 		b.add(s)
 		b.jump(b.g.Exit)
 
-	case *ast.DeferStmt:
-		b.add(s)
-		b.g.Defers = append(b.g.Defers, s)
-
 	case *ast.EmptyStmt:
 		// no node
 
 	default:
-		// Expression statements, assignments, declarations, go, send,
-		// inc/dec: straight-line nodes.
+		// Expression statements, assignments, declarations, go, defer,
+		// send, inc/dec: straight-line nodes.
 		b.add(s)
 	}
 }
@@ -529,11 +491,6 @@ func (b *builder) label(name string) *labelInfo {
 	}
 	return li
 }
-
-// resolveGotos drops edges for gotos whose labels never appeared (malformed
-// source); nothing to patch — pending lists on defined labels were already
-// wired when the label was bound.
-func (b *builder) resolveGotos() {}
 
 // takeLabel consumes the label registered by an enclosing LabeledStmt, so
 // `outer: for { break outer }` binds the break/continue targets to the

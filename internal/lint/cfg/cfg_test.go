@@ -1,41 +1,34 @@
 package cfg
 
 import (
-	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"strings"
 	"testing"
 )
 
 // parseFunc type-checks src (a complete file) and returns the graph and
-// type info for the named function.
-func parseFunc(t *testing.T, src, name string) (*Graph, *ast.FuncDecl, *types.Info) {
+// declaration of the named function.
+func parseFunc(t *testing.T, src, name string) (*Graph, *ast.FuncDecl) {
 	t.Helper()
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, "x.go", src, 0)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	info := &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
-	}
 	conf := types.Config{Importer: importer.Default()}
-	if _, err := conf.Check("x", fset, []*ast.File{file}, info); err != nil {
+	if _, err := conf.Check("x", fset, []*ast.File{file}, nil); err != nil {
 		t.Fatalf("typecheck: %v", err)
 	}
 	for _, d := range file.Decls {
 		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == name {
-			return New(fd.Body), fd, info
+			return New(fd.Body), fd
 		}
 	}
 	t.Fatalf("function %q not found", name)
-	return nil, nil, nil
+	return nil, nil
 }
 
 // stmtBlock returns the block owning the first occurrence (by position) of
@@ -65,7 +58,7 @@ func stmtBlock(t *testing.T, g *Graph, marker string) *Block {
 }
 
 func TestIfShapes(t *testing.T) {
-	g, _, _ := parseFunc(t, `package x
+	g, _ := parseFunc(t, `package x
 func f(c bool) int {
 	before := 1
 	if c {
@@ -107,7 +100,7 @@ func f(c bool) int {
 }
 
 func TestForLoopBackEdge(t *testing.T) {
-	g, _, _ := parseFunc(t, `package x
+	g, _ := parseFunc(t, `package x
 func f(n int) int {
 	sum := 0
 	for i := 0; i < n; i++ {
@@ -131,7 +124,7 @@ func f(n int) int {
 }
 
 func TestInfiniteForOnlyExitsViaBreak(t *testing.T) {
-	g, _, _ := parseFunc(t, `package x
+	g, _ := parseFunc(t, `package x
 func f(c bool) {
 	for {
 		inner := 1
@@ -156,7 +149,7 @@ func f(c bool) {
 }
 
 func TestLabeledBreakContinue(t *testing.T) {
-	g, _, _ := parseFunc(t, `package x
+	g, _ := parseFunc(t, `package x
 func f(m [][]int) int {
 	found := 0
 outer:
@@ -198,7 +191,7 @@ outer:
 }
 
 func TestSwitchFallthroughAndDefault(t *testing.T) {
-	g, _, _ := parseFunc(t, `package x
+	g, _ := parseFunc(t, `package x
 func f(n int) int {
 	switch n {
 	case 1:
@@ -233,7 +226,7 @@ func f(n int) int {
 }
 
 func TestSwitchNoDefaultSkips(t *testing.T) {
-	g, _, _ := parseFunc(t, `package x
+	g, _ := parseFunc(t, `package x
 func f(n int) int {
 	pre := 0
 	switch n {
@@ -258,7 +251,7 @@ func f(n int) int {
 
 func TestGotoForwardAndBackward(t *testing.T) {
 	// No declarations below the gotos: the spec forbids jumping over them.
-	g, _, _ := parseFunc(t, `package x
+	g, _ := parseFunc(t, `package x
 func f(c bool) {
 	_ = 101
 	if c {
@@ -297,7 +290,7 @@ done:
 }
 
 func TestDeferCollectedAndReturnTerminates(t *testing.T) {
-	g, _, _ := parseFunc(t, `package x
+	g, fd := parseFunc(t, `package x
 func f(c bool) int {
 	defer func() {}()
 	if c {
@@ -308,8 +301,20 @@ func f(c bool) int {
 	late := 2
 	return late
 }`, "f")
-	if len(g.Defers) != 2 {
-		t.Fatalf("Defers = %d, want 2", len(g.Defers))
+	var defers []*ast.DeferStmt
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if d, ok := n.(*ast.DeferStmt); ok {
+			defers = append(defers, d)
+		}
+		return true
+	})
+	if len(defers) != 2 {
+		t.Fatalf("found %d defer statements, want 2", len(defers))
+	}
+	for _, d := range defers {
+		if g.BlockOf(d) == nil {
+			t.Errorf("defer at %v is not a node of any block", d.Pos())
+		}
 	}
 	bEarly := stmtBlock(t, g, "early")
 	bLate := stmtBlock(t, g, "late")
@@ -322,7 +327,7 @@ func f(c bool) int {
 }
 
 func TestUnreachableAfterReturn(t *testing.T) {
-	g, _, _ := parseFunc(t, `package x
+	g, _ := parseFunc(t, `package x
 func f() int {
 	return 1
 	dead := 2
@@ -339,7 +344,7 @@ func f() int {
 }
 
 func TestSelectClauses(t *testing.T) {
-	g, _, _ := parseFunc(t, `package x
+	g, _ := parseFunc(t, `package x
 func f(a, b chan int) int {
 	select {
 	case va := <-a:
@@ -365,7 +370,7 @@ func f(a, b chan int) int {
 }
 
 func TestBlockOfDescendsExpressions(t *testing.T) {
-	g, fd, _ := parseFunc(t, `package x
+	g, fd := parseFunc(t, `package x
 func f(a, b int) int {
 	c := a + b*2
 	return c
@@ -387,7 +392,7 @@ func f(a, b int) int {
 }
 
 func TestFuncLitBodyIsOpaque(t *testing.T) {
-	g, fd, _ := parseFunc(t, `package x
+	g, fd := parseFunc(t, `package x
 func f() func() int {
 	return func() int {
 		inner := 1
@@ -410,171 +415,36 @@ func f() func() int {
 	}
 }
 
-func TestReachingDefsBranches(t *testing.T) {
-	src := `package x
-func f(c bool) int {
-	x := 1
-	if c {
-		x = 2
-	}
-	use := x
-	return use
-}`
-	g, fd, info := parseFunc(t, src, "f")
-	use := findUse(t, fd, "x", 3) // third occurrence: the read in `use := x`
-	r := ReachingDefs(g, info)
-	got := r.DefsAt(use)
-	if len(got) != 2 {
-		t.Fatalf("DefsAt(x at merge) = %d defs, want 2 (both branches): %v", len(got), renderDefs(got))
-	}
-}
-
-func TestReachingDefsKill(t *testing.T) {
-	src := `package x
-func f() int {
-	x := 1
-	x = 2
-	use := x
-	return use
-}`
-	g, fd, info := parseFunc(t, src, "f")
-	use := findUse(t, fd, "x", 3)
-	r := ReachingDefs(g, info)
-	got := r.DefsAt(use)
-	if len(got) != 1 {
-		t.Fatalf("DefsAt after straight-line redefinition = %d defs, want 1: %v", len(got), renderDefs(got))
-	}
-	if got[0].Site == nil {
-		t.Fatalf("surviving def is the initial def; want the x = 2 site")
-	}
-	if as, ok := got[0].Site.(*ast.AssignStmt); !ok || as.Tok != token.ASSIGN {
-		t.Fatalf("surviving def site = %T, want plain assignment", got[0].Site)
-	}
-}
-
-func TestReachingDefsLoop(t *testing.T) {
-	src := `package x
-func f(n int) int {
-	x := 0
-	for i := 0; i < n; i++ {
-		x = x + i
-	}
-	use := x
-	return use
-}`
-	g, fd, info := parseFunc(t, src, "f")
-	use := findUse(t, fd, "x", 4) // the read in `use := x`
-	r := ReachingDefs(g, info)
-	got := r.DefsAt(use)
-	if len(got) != 2 {
-		t.Fatalf("DefsAt after loop = %d defs, want 2 (init + loop body): %v", len(got), renderDefs(got))
-	}
-}
-
-func TestReachingDefsParameter(t *testing.T) {
-	src := `package x
-func f(p int) int {
-	use := p
-	return use
-}`
-	g, fd, info := parseFunc(t, src, "f")
-	use := findUse(t, fd, "p", 1)
-	r := ReachingDefs(g, info)
-	got := r.DefsAt(use)
-	if len(got) != 1 || got[0].Site != nil {
-		t.Fatalf("parameter use should see exactly the initial def, got %v", renderDefs(got))
-	}
-}
-
-func TestLaunchesCapturedVars(t *testing.T) {
+func TestLaunches(t *testing.T) {
 	src := `package x
 import "sync"
-var global int
 func f(n int) {
 	var wg sync.WaitGroup
-	local := n * 2
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_ = local
-		_ = global
 	}()
 	go g(n)
 	wg.Wait()
 }
 func g(int) {}`
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "x.go", src, 0)
+	file, err := parser.ParseFile(token.NewFileSet(), "x.go", src, 0)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	info := &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
-	}
-	conf := types.Config{Importer: importer.Default()}
-	if _, err := conf.Check("x", fset, []*ast.File{file}, info); err != nil {
-		t.Fatalf("typecheck: %v", err)
-	}
-	launches := Launches(file, info)
+	launches := Launches(file)
 	if len(launches) != 2 {
 		t.Fatalf("Launches = %d, want 2", len(launches))
 	}
 	lit := launches[0]
-	if lit.Lit == nil {
+	if lit.Lit == nil || lit.Callee != ast.Expr(lit.Lit) {
 		t.Fatalf("first launch should be a func literal")
 	}
-	var names []string
-	for _, v := range lit.Captured {
-		names = append(names, v.Name())
-	}
-	got := strings.Join(names, ",")
-	// wg and local are captured; global is package-level and excluded.
-	if got != "wg,local" {
-		t.Errorf("captured = %q, want \"wg,local\"", got)
-	}
 	named := launches[1]
-	if named.Lit != nil || named.Captured != nil {
-		t.Errorf("named-call launch should have nil Lit/Captured")
+	if named.Lit != nil {
+		t.Errorf("named-call launch should have nil Lit")
 	}
 	if id, ok := named.Callee.(*ast.Ident); !ok || id.Name != "g" {
 		t.Errorf("named-call callee = %v, want g", named.Callee)
 	}
-}
-
-// findUse returns the nth occurrence (1-based) of name used as a value
-// (ignoring the defining identifiers on the left of := and parameters).
-func findUse(t *testing.T, fd *ast.FuncDecl, name string, nth int) *ast.Ident {
-	t.Helper()
-	count := 0
-	var found *ast.Ident
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if found != nil {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok && id.Name == name {
-			count++
-			if count == nth {
-				found = id
-			}
-		}
-		return true
-	})
-	if found == nil {
-		t.Fatalf("occurrence %d of %q not found (saw %d)", nth, name, count)
-	}
-	return found
-}
-
-func renderDefs(ds []Def) string {
-	var parts []string
-	for _, d := range ds {
-		if d.Site == nil {
-			parts = append(parts, d.Var.Name()+"@initial")
-		} else {
-			parts = append(parts, fmt.Sprintf("%s@%T", d.Var.Name(), d.Site))
-		}
-	}
-	return strings.Join(parts, " ")
 }

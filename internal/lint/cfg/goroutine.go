@@ -1,19 +1,10 @@
 package cfg
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-	"sort"
-)
+import "go/ast"
 
-// Launch describes one `go` statement: where it is, what it runs, and which
-// enclosing-function variables cross the goroutine boundary. For a launched
-// function literal, Captured lists the literal's free variables — the state
-// shared between the parent goroutine and the new one, which is exactly
-// what ownership analyses need to inspect. For a launched named call
-// (`go e.runWorker(s)`), the receiver and arguments are the crossing values
-// and Captured is empty; inspect Stmt.Call directly.
+// Launch describes one `go` statement: where it is and what it runs. For a
+// launched named call (`go e.runWorker(s)`), the receiver and arguments
+// are the values that cross the goroutine boundary; inspect Stmt.Call.
 type Launch struct {
 	Stmt *ast.GoStmt
 	// Lit is the launched function literal, or nil when the go statement
@@ -22,15 +13,11 @@ type Launch struct {
 	// Callee is the called expression (the FuncLit, a *ast.Ident, or a
 	// *ast.SelectorExpr).
 	Callee ast.Expr
-	// Captured are the free variables of Lit, sorted by position: objects
-	// declared outside the literal but referenced inside it. Nil when Lit
-	// is nil.
-	Captured []*types.Var
 }
 
-// Launches collects every `go` statement under root (including those inside
-// nested function literals) with its boundary facts.
-func Launches(root ast.Node, info *types.Info) []Launch {
+// Launches collects every `go` statement under root, including those
+// inside nested function literals.
+func Launches(root ast.Node) []Launch {
 	var out []Launch
 	ast.Inspect(root, func(n ast.Node) bool {
 		gs, ok := n.(*ast.GoStmt)
@@ -38,58 +25,9 @@ func Launches(root ast.Node, info *types.Info) []Launch {
 			return true
 		}
 		l := Launch{Stmt: gs, Callee: gs.Call.Fun}
-		if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
-			l.Lit = lit
-			l.Captured = FreeVars(lit, info)
-		}
+		l.Lit, _ = gs.Call.Fun.(*ast.FuncLit)
 		out = append(out, l)
 		return true
 	})
 	return out
-}
-
-// FreeVars returns the variables referenced inside the function literal but
-// declared outside it — the values the closure captures. Results are sorted
-// by declaration position for determinism. Package-level variables are
-// excluded: they are shared regardless of the closure and are not a
-// goroutine-boundary fact.
-func FreeVars(lit *ast.FuncLit, info *types.Info) []*types.Var {
-	seen := map[*types.Var]bool{}
-	var free []*types.Var
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := info.Uses[id].(*types.Var)
-		if !ok || seen[v] {
-			return true
-		}
-		if v.IsField() {
-			return true
-		}
-		if declaredWithin(v.Pos(), lit) {
-			return true
-		}
-		if isPackageLevel(v) {
-			return true
-		}
-		seen[v] = true
-		free = append(free, v)
-		return true
-	})
-	sort.Slice(free, func(i, j int) bool { return free[i].Pos() < free[j].Pos() })
-	return free
-}
-
-func declaredWithin(pos token.Pos, lit *ast.FuncLit) bool {
-	return lit.Pos() <= pos && pos <= lit.End()
-}
-
-func isPackageLevel(v *types.Var) bool {
-	if v.Parent() == nil {
-		return false
-	}
-	pkg := v.Pkg()
-	return pkg != nil && v.Parent() == pkg.Scope()
 }

@@ -47,7 +47,7 @@ func runGoleak(pass *analysis.Pass) (any, error) {
 				continue
 			}
 			g := cfg.New(fd.Body)
-			for _, l := range cfg.Launches(fd.Body, pass.TypesInfo) {
+			for _, l := range cfg.Launches(fd.Body) {
 				checkLaunch(pass, fd, g, l, pkgHasWait, decls)
 			}
 		}

@@ -123,44 +123,6 @@ func Shape(hist []uint64) HistogramShape {
 	return sh
 }
 
-// UniqueContribution lists functions by their share of the workload's total
-// unique data bytes (input plus local), the quantity §IV-B uses to pick
-// vips's top contributors.
-type UniqueContribution struct {
-	Name     string
-	Unique   uint64
-	Fraction float64
-}
-
-// Contributions returns per-function unique-byte contributions in
-// descending order.
-func Contributions(r *core.Result) []UniqueContribution {
-	byFn := r.CommByFunction()
-	var total uint64
-	for _, s := range byFn {
-		total += s.InputUnique + s.LocalUnique
-	}
-	out := make([]UniqueContribution, 0, len(byFn))
-	for name, s := range byFn {
-		u := s.InputUnique + s.LocalUnique
-		if u == 0 {
-			continue
-		}
-		c := UniqueContribution{Name: name, Unique: u}
-		if total > 0 {
-			c.Fraction = float64(u) / float64(total)
-		}
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Unique != out[j].Unique {
-			return out[i].Unique > out[j].Unique
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
 // LineBreakdown returns the Fig 12 buckets as fractions of touched lines.
 func LineBreakdown(r *core.Result) (*core.LineReport, error) {
 	if r.Lines == nil {

@@ -161,24 +161,6 @@ func TestShapeDistinguishesTails(t *testing.T) {
 	}
 }
 
-func TestContributions(t *testing.T) {
-	r := runReuse(t, core.Options{TrackReuse: true})
-	cs := Contributions(r)
-	if len(cs) == 0 {
-		t.Fatal("no contributions")
-	}
-	var sum float64
-	for i, c := range cs {
-		sum += c.Fraction
-		if i > 0 && c.Unique > cs[i-1].Unique {
-			t.Error("not sorted")
-		}
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("fractions sum to %v", sum)
-	}
-}
-
 func TestLineBreakdownRequiresLineMode(t *testing.T) {
 	r := runReuse(t, core.Options{TrackReuse: true})
 	if _, err := LineBreakdown(r); err == nil {

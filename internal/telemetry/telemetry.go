@@ -159,7 +159,8 @@ var counters = [numCounters]counter{
 	BudgetInstrs:    {key: "budget_instrs", prom: "sigil_budget_instructions", kind: "gauge", layer: "run", help: "Retired-instruction budget (0 = unlimited)", omitZero: true},
 	BudgetWallNanos: {key: "budget_wall_nanos", prom: "sigil_budget_wall_seconds", kind: "gauge", layer: "run", help: "Wall-clock budget in seconds (0 = unlimited)", omitZero: true},
 	Samples:         {key: "samples", prom: "sigil_samples_total", kind: "counter", layer: "run", help: "Telemetry sampler invocations"},
-	// Set on the final snapshot only, so it has no live series.
+	// Set by a run's final sample only (BeginRun clears it), so it has no
+	// live series.
 	WallNanos: {key: "wall_nanos", kind: "gauge", layer: "run", help: "Wall-clock duration of the finished run", omitZero: true},
 }
 

@@ -16,8 +16,8 @@ import (
 )
 
 // TestCounterTable checks the rows every output loops over: each has a
-// unique JSON key, a unique Prometheus series (wall_nanos, set on the final
-// snapshot only, has none), help text and a layer the text dump prints, and
+// unique JSON key, a unique Prometheus series (wall_nanos, set by a run's
+// final sample only, has none), help text and a layer the text dump prints, and
 // it is a counter exactly when its series is a _total.
 func TestCounterTable(t *testing.T) {
 	keys, series := map[string]bool{}, map[string]bool{}

@@ -241,16 +241,6 @@ func (c OpClass) String() string {
 	return fmt.Sprintf("class%d", uint8(c))
 }
 
-// IsFP reports whether the class is a floating-point operation.
-func (c OpClass) IsFP() bool {
-	return c == ClassFPAdd || c == ClassFPMul || c == ClassFPDiv
-}
-
-// IsInt reports whether the class is an integer operation.
-func (c OpClass) IsInt() bool {
-	return c == ClassIntALU || c == ClassIntMul || c == ClassIntDiv
-}
-
 // classOf maps opcodes with an arithmetic cost to their class; opcodes that
 // are pure control or memory map to ClassNone.
 var classOf = [opCount]OpClass{
@@ -311,10 +301,6 @@ type Instr struct {
 	Imm    int64 // immediate / address offset / float64 bits / Sys number
 	Target int32 // branch target (instruction index) or callee function index
 }
-
-// Class returns the instruction's arithmetic operation class (ClassNone for
-// control and memory instructions).
-func (i Instr) Class() OpClass { return classOf[i.Op] }
 
 // IsBranch reports whether the instruction is a conditional branch.
 func (i Instr) IsBranch() bool {

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 )
@@ -33,8 +32,6 @@ type Machine struct {
 	// not know about.
 	StopCheck func() error
 
-	prog    *Program
-	obs     Observer
 	instret uint64
 	heap    uint64
 	rng     uint64
@@ -143,8 +140,6 @@ func (m *Machine) RunContext(ctx context.Context, p *Program, obs Observer) (Run
 	if p.index == nil {
 		p.buildIndex()
 	}
-	m.prog = p
-	m.obs = obs
 	m.heap = HeapBase
 	m.instret = 0
 	clear(m.classOps[:])
@@ -179,9 +174,6 @@ func (m *Machine) RunContext(ctx context.Context, p *Program, obs Observer) (Run
 	}
 	return stats, err
 }
-
-// errHalt signals normal termination from inside the dispatch loop.
-var errHalt = errors.New("halt")
 
 func (m *Machine) loop(ctx context.Context, p *Program, obs Observer, maxInstrs uint64, maxDepth int) error {
 	fn := int32(p.Entry)

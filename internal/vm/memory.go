@@ -30,9 +30,6 @@ func NewMemory() *Memory {
 // architecture-independent proxy for the program's resident footprint.
 func (m *Memory) PagesAllocated() int { return m.pagesAllocated }
 
-// FootprintBytes returns the materialized footprint in bytes.
-func (m *Memory) FootprintBytes() uint64 { return uint64(m.pagesAllocated) * pageSize }
-
 func (m *Memory) pageFor(addr uint64) *page {
 	idx := addr >> pageBits
 	if idx == m.lastIdx {

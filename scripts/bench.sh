@@ -18,7 +18,10 @@
 #                                          (allocation bloat regressions —
 #                                          e.g. scratch buffers falling out
 #                                          of a pool — fail the gate even
-#                                          when ns/op still passes)
+#                                          when ns/op still passes); a name
+#                                          in one file only is not compared,
+#                                          and gets an "only in OLD: NAME"
+#                                          or "only in NEW: NAME" line
 #
 # When the run covers the BenchmarkAblationTracing pair, the script also
 # gates the tracing overhead: the spans-enabled run must land within
@@ -30,7 +33,8 @@ if [ "${1:-}" = "compare" ]; then
     old="${2:?usage: bench.sh compare OLD.json NEW.json}"
     new="${3:?usage: bench.sh compare OLD.json NEW.json}"
     awk -v oldfile="$old" -v newfile="$new" '
-    function parse(file, arr, barr,    line, name, ns, by) {
+    function parse(file, arr, barr, ord,    line, name, ns, by, n) {
+        n = 0
         while ((getline line < file) > 0) {
             if (match(line, /"[^"]+": \{"ns_per_op": [0-9.]+/)) {
                 split(line, parts, "\"")
@@ -38,6 +42,7 @@ if [ "${1:-}" = "compare" ]; then
                 match(line, /"ns_per_op": [0-9.]+/)
                 ns = substr(line, RSTART + 13, RLENGTH - 13)
                 arr[name] = ns + 0
+                ord[++n] = name
                 if (match(line, /"bytes_per_op": [0-9.]+/)) {
                     by = substr(line, RSTART + 16, RLENGTH - 16)
                     barr[name] = by + 0
@@ -45,10 +50,15 @@ if [ "${1:-}" = "compare" ]; then
             }
         }
         close(file)
+        return n
     }
     BEGIN {
-        parse(oldfile, oldns, oldby)
-        parse(newfile, newns, newby)
+        nold = parse(oldfile, oldns, oldby, oldord)
+        nnew = parse(newfile, newns, newby, neword)
+        for (i = 1; i <= nold; i++)
+            if (!(oldord[i] in newns)) print "only in OLD: " oldord[i]
+        for (i = 1; i <= nnew; i++)
+            if (!(neword[i] in oldns)) print "only in NEW: " neword[i]
         shared = 0; regressed = 0
         printf "%-60s %12s %12s %8s\n", "benchmark", "old ns/op", "new ns/op", "delta"
         for (name in newns) {
@@ -112,9 +122,9 @@ END { print "\n}" }
 
 echo "wrote $OUT"
 
-# Lint-runtime budget: the full-tree analyzer suite (CFG construction,
-# reaching definitions and all) must stay fast enough to sit in the
-# pre-commit loop. Budget in seconds, wall clock, including the driver
+# Lint-runtime budget: the full-tree analyzer suite (per-function CFG
+# construction and all) must stay fast enough to sit in the pre-commit
+# loop. Budget in seconds, wall clock, including the driver
 # build.
 LINT_BUDGET_S="${LINT_BUDGET_S:-30}"
 lint_start=$(date +%s)
