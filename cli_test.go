@@ -143,6 +143,21 @@ func TestCLIReportAndExperiments(t *testing.T) {
 // -telemetry-dump prints a final snapshot whose instruction count matches
 // the summary the profile itself reports, and the run report and Perfetto
 // trace it writes carry the same counters (checkRunArtifacts).
+// TestCLITopZero: -top 0 prints every row, in every command that takes it.
+func TestCLITopZero(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	for _, cmd := range []string{"sigil", "sigil-part", "sigil-reuse", "sigil-report"} {
+		bin := buildCmd(t, dir, cmd)
+		all := runCmd(t, bin, "-workload", "canneal", "-top", "1000")
+		if got := runCmd(t, bin, "-workload", "canneal", "-top", "0"); got != all {
+			t.Errorf("%s -top 0 differs from -top 1000:\n%s\n---\n%s", cmd, got, all)
+		}
+	}
+}
+
 func TestCLITelemetry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")

@@ -29,7 +29,7 @@ var (
 	class    = flag.String("class", "simsmall", "input class with -workload")
 	bus      = flag.Float64("bus", 8, "SoC bus bandwidth in bytes per cycle")
 	maxBE    = flag.Float64("maxbreakeven", 0, "candidate viability cutoff (0 = any finite)")
-	top      = flag.Int("top", 5, "candidates to list from each end")
+	top      = flag.Int("top", 5, "candidates to list from each end (0 = all)")
 	dotFile  = flag.String("dot", "", "write the CDFG in Graphviz format")
 	offload  = flag.Float64("offload", 0, "estimate app speedup assuming this accelerator speedup (0 = skip)")
 	accels   = flag.Int("accelerators", 0, "accelerator budget for -offload (0 = unlimited)")
@@ -62,10 +62,14 @@ func run(ctx context.Context, tel *cli.Telemetry, _ *cli.Artifacts) error {
 	fmt.Printf("coverage of candidate leaves: %.1f%% (%d candidates)\n\n",
 		100*tr.Coverage(), len(tr.Candidates))
 
+	k := *top
+	if k == 0 {
+		k = len(tr.Candidates)
+	}
 	fmt.Println("best candidates (lowest breakeven speedup):")
-	printCands(tr.TopByBreakeven(*top))
+	printCands(tr.TopByBreakeven(k))
 	fmt.Println("\nworst candidates:")
-	printCands(tr.BottomByBreakeven(*top))
+	printCands(tr.BottomByBreakeven(k))
 
 	if *offload > 0 {
 		est, err := tr.EstimateOffload(cdfg.OffloadConfig{Speedup: *offload, MaxAccelerators: *accels})

@@ -1,6 +1,7 @@
-// Command sigil-report profiles a workload and renders one complete
-// Markdown analysis: communication matrix, data-flow edges, partitioning
-// candidates, re-use characterization and the critical-path study.
+// Command sigil-report profiles a workload once, in re-use mode with its
+// event stream, and renders one complete Markdown analysis: communication
+// matrix, data-flow edges, partitioning candidates, re-use characterization
+// and the critical-path study.
 //
 // Usage:
 //
@@ -29,7 +30,7 @@ var (
 	out      = flag.String("o", "", "output file (default stdout)")
 	bus      = flag.Float64("bus", 8, "SoC bus bandwidth, bytes per cycle")
 	slotsArg = flag.String("slots", "2,4,8", "slot counts for the scheduling study")
-	top      = flag.Int("top", 12, "rows per table")
+	top      = flag.Int("top", 12, "rows per table (0 = all)")
 )
 
 func main() {
@@ -56,15 +57,13 @@ func run(ctx context.Context, tel *cli.Telemetry, _ *cli.Artifacts) error {
 		return err
 	}
 
-	// One run collects aggregates + events; a second collects reuse. A
-	// report needs both complete, so an interrupt aborts rather than
-	// rendering from half the data.
+	// One re-use-mode run collects the aggregates, the re-use data and the
+	// events (re-use mode changes neither the aggregates nor the event
+	// stream). A report needs it complete, so an interrupt aborts rather
+	// than rendering from half the data.
 	var buf trace.Buffer
-	res, err := core.RunContext(ctx, prog, core.Options{TrackReuse: true, Telemetry: tel.Metrics(), Trace: tel.TraceBuf()}, input)
+	res, err := core.RunContext(ctx, prog, core.Options{TrackReuse: true, Events: &buf, Telemetry: tel.Metrics(), Trace: tel.TraceBuf()}, input)
 	if err != nil {
-		return err
-	}
-	if _, err := core.RunContext(ctx, prog, core.Options{Events: &buf, Telemetry: tel.Metrics(), Trace: tel.TraceBuf()}, input); err != nil {
 		return err
 	}
 	tr := trace.FromBuffer(&buf)

@@ -27,7 +27,7 @@ var (
 	workload = flag.String("workload", "", "profile this bundled workload instead")
 	class    = flag.String("class", "simsmall", "input class with -workload")
 	fn       = flag.String("fn", "", "print the lifetime histogram of this function")
-	top      = flag.Int("top", 10, "functions to rank by reused bytes")
+	top      = flag.Int("top", 10, "functions to rank by reused bytes (0 = all)")
 	lineMode = flag.Bool("line", false, "collect line-granularity re-use (with -workload)")
 )
 

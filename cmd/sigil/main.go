@@ -59,7 +59,7 @@ var (
 	outCg    = flag.String("callgrind", "", "write the substrate profile in callgrind format")
 	gshare   = flag.Bool("gshare", false, "use a gshare branch predictor in the substrate")
 	prefetch = flag.Bool("prefetch", false, "enable the substrate's next-line prefetcher")
-	top      = flag.Int("top", 15, "functions to print, by unique input bytes")
+	top      = flag.Int("top", 15, "functions to print, by unique input bytes (0 = all)")
 	list     = flag.Bool("list", false, "list bundled workloads and exit")
 	telSnap  = flag.Bool("telemetry-dump", false, "print the final telemetry snapshot after the run")
 )

@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
 
-	"sigil/internal/trace"
 	"sigil/internal/workloads"
 )
 
@@ -24,52 +21,21 @@ type EventFileResult struct {
 	Rows []EventFileRow
 }
 
-// streamEvents reconstructs a workload trace's full event sequence:
-// context definitions first (ascending ID, so parents precede children —
-// IDs are assigned in definition order), then the event stream.
-func streamEvents(tr *trace.Trace) []trace.Event {
-	ids := make([]int32, 0, len(tr.Contexts))
-	for id := range tr.Contexts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	events := make([]trace.Event, 0, len(ids)+len(tr.Events))
-	for _, id := range ids {
-		info := tr.Contexts[id]
-		events = append(events, trace.Event{
-			Kind: trace.KindDefCtx, Ctx: info.ID, SrcCtx: info.Parent, Name: info.Name,
-		})
-	}
-	return append(events, tr.Events...)
-}
-
-// EventFileStats encodes every workload's simsmall event stream and reports
-// the footprint it occupies on disk.
+// EventFileStats reports the footprint of the event file every workload's
+// simsmall run writes: the suite's cached event runs write it into memory,
+// as sigil -events writes it to disk.
 func (s *Suite) EventFileStats() (*EventFileResult, error) {
 	out := &EventFileResult{}
 	for _, name := range workloads.Names() {
-		tr, err := s.Trace(name)
+		r, err := s.eventRun(name)
 		if err != nil {
 			return nil, err
 		}
-		events := streamEvents(tr)
-
-		var buf bytes.Buffer
-		w := trace.NewWriter(&buf)
-		for _, e := range events {
-			if err := w.Emit(e); err != nil {
-				return nil, err
-			}
-		}
-		if err := w.Close(); err != nil {
-			return nil, err
-		}
-
 		row := EventFileRow{
 			Name:   name,
-			Events: len(events),
-			Bytes:  buf.Len(),
-			Frames: w.Stats().Frames,
+			Events: int(r.stats.Events),
+			Bytes:  r.bytes,
+			Frames: r.stats.Frames,
 		}
 		if row.Events > 0 {
 			row.BytesPerEvent = float64(row.Bytes) / float64(row.Events)

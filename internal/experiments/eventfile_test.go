@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"sigil/internal/core"
 	"sigil/internal/trace"
 	"sigil/internal/workloads"
 )
@@ -34,11 +35,11 @@ func TestEventFileStats(t *testing.T) {
 		// Real event files are pinned at >= 2x smaller than the same
 		// events as flat varint records; streams long enough to fill
 		// frames must clear it comfortably.
-		tr, err := suite().Trace(row.Name)
-		if err != nil {
-			t.Fatal(err)
+		if row.Events <= 1000 {
+			continue
 		}
-		if flat := flatRecordBytes(streamEvents(tr)); row.Events > 1000 && row.Bytes*2 > flat {
+		file, _ := writeEvents(t, suite(), row.Name)
+		if flat := flatRecordBytes(readEvents(t, file)); row.Bytes*2 > flat {
 			t.Errorf("%s: %d bytes vs %d flat on %d events: less than 2x smaller", row.Name, row.Bytes, flat, row.Events)
 		}
 	}
@@ -65,42 +66,94 @@ func flatRecordBytes(events []trace.Event) int {
 	return n
 }
 
-// TestStreamEventsRoundTrips: the reconstructed defctx-first sequence must
-// decode back to the exact same Trace it was built from.
+// writeEvents runs a workload at simsmall with the suite's options into a
+// trace.Writer, as sigil -events does, and returns the file it wrote and
+// the writer's counts.
+func writeEvents(t *testing.T, s *Suite, name string) ([]byte, trace.WriterStats) {
+	t.Helper()
+	prog, input, err := workloads.Build(name, workloads.SimSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	w := trace.NewWriter(&file)
+	opts := s.coreOptions(name, ModeBaseline)
+	opts.Events = w
+	if _, err := core.Run(prog, opts, input); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return file.Bytes(), w.Stats()
+}
+
+// readEvents decodes every record of an event file in stream order,
+// context definitions included.
+func readEvents(t *testing.T, file []byte) []trace.Event {
+	t.Helper()
+	var events []trace.Event
+	rd := trace.NewReader(bytes.NewReader(file))
+	for {
+		e, err := rd.Next()
+		if errors.Is(err, io.EOF) {
+			return events
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, e)
+	}
+}
+
+// TestEventFileStatsMatchWriter: a row reports the file a trace.Writer
+// writes for the workload's run, byte for byte, where each context
+// definition travels at its context's first call.
+func TestEventFileStatsMatchWriter(t *testing.T) {
+	r, err := suite().EventFileStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]EventFileRow{}
+	for _, row := range r.Rows {
+		rows[row.Name] = row
+	}
+	for _, name := range []string{"fluidanimate", "bodytrack", "vips", "dedup"} {
+		file, stats := writeEvents(t, suite(), name)
+		want := EventFileRow{Name: name, Events: int(stats.Events), Bytes: len(file), Frames: stats.Frames,
+			BytesPerEvent: float64(len(file)) / float64(stats.Events)}
+		if got := rows[name]; got != want {
+			t.Errorf("%s: row %+v, want the writer's %+v", name, got, want)
+		}
+	}
+}
+
+// TestStreamEventsRoundTrips: the event file behind a suite trace decodes
+// to the trace a trace.Buffer collects from the same run, and it defines
+// every context before its first use.
 func TestStreamEventsRoundTrips(t *testing.T) {
 	tr, err := suite().Trace("fft")
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := streamEvents(tr)
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	for _, e := range events {
-		if err := w.Emit(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := trace.ReadAll(bytes.NewReader(buf.Bytes()))
+	prog, input, err := workloads.Build("fft", workloads.SimSmall)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Events, tr.Events) || !reflect.DeepEqual(got.Contexts, tr.Contexts) {
-		t.Error("round-tripped trace differs from original")
+	var buf trace.Buffer
+	opts := suite().coreOptions("fft", ModeBaseline)
+	opts.Events = &buf
+	if _, err := core.Run(prog, opts, input); err != nil {
+		t.Fatal(err)
+	}
+	want := trace.FromBuffer(&buf)
+	if !reflect.DeepEqual(tr.Events, want.Events) || !reflect.DeepEqual(tr.Contexts, want.Contexts) {
+		t.Error("decoded trace differs from the run's in-memory stream")
 	}
 	// Context definitions must precede every use when replayed in order.
-	rd := trace.NewReader(bytes.NewReader(buf.Bytes()))
+	file, _ := writeEvents(t, suite(), "fft")
 	defined := map[int32]bool{trace.CtxStartup: true, trace.CtxKernel: true}
-	for {
-		e, err := rd.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, e := range readEvents(t, file) {
 		if e.Kind == trace.KindDefCtx {
 			if e.SrcCtx >= 0 && !defined[e.SrcCtx] {
 				t.Fatalf("ctx %d defined before its parent %d", e.Ctx, e.SrcCtx)

@@ -434,7 +434,7 @@ func TestRenderAllContainsEveryExperiment(t *testing.T) {
 		"Table I:", "Figure 4:", "Figure 5:", "Figure 6:", "Figure 7:",
 		"Table II:", "Table III:", "Figure 8:", "Figure 9:", "Figure 10:",
 		"Figure 11:", "Figure 12:", "Figure 13:",
-		"Event-file footprint",
+		"Event-file footprint", "§IV-C chain",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("RenderAll missing %q", want)

@@ -303,34 +303,64 @@ func clip(s string, n int) string {
 	return s[:n-1] + "…"
 }
 
-// RenderAll runs every experiment and concatenates the renderings — the
-// cmd/experiments entry point.
+// Experiment is one table or figure the experiments command prints.
+type Experiment struct {
+	Name    string // the -only name
+	Default bool   // printed by the full run
+	Render  func(s *Suite) (string, error)
+}
+
+func render[R interface{ Render() string }](r R, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return r.Render(), nil
+}
+
+// Experiments lists every experiment once, in the order the full run
+// prints them, with the arguments it prints them at.
+var Experiments = []Experiment{
+	{"table1", true, func(*Suite) (string, error) { return TableI().Render(), nil }},
+	{"fig4", true, func(s *Suite) (string, error) { return render(s.Figure4()) }},
+	{"fig5", true, func(s *Suite) (string, error) { return render(s.Figure5()) }},
+	{"fig6", true, func(s *Suite) (string, error) { return render(s.Figure6()) }},
+	{"fig7", true, func(s *Suite) (string, error) { return render(s.Figure7()) }},
+	{"table2", true, func(s *Suite) (string, error) { return render(s.TableII(5)) }},
+	{"table3", true, func(s *Suite) (string, error) { return render(s.TableIII(5)) }},
+	{"fig8", true, func(s *Suite) (string, error) { return render(s.Figure8()) }},
+	{"fig9", true, func(s *Suite) (string, error) { return render(s.Figure9(8)) }},
+	{"fig10", true, func(s *Suite) (string, error) { return render(s.Figure10()) }},
+	{"fig11", true, func(s *Suite) (string, error) { return render(s.Figure11()) }},
+	{"fig12", true, func(s *Suite) (string, error) { return render(s.Figure12()) }},
+	{"fig13", true, func(s *Suite) (string, error) { return render(s.Figure13()) }},
+	{"telemetry", true, func(s *Suite) (string, error) { return render(s.RunTelemetry()) }},
+	{"schedule", false, func(s *Suite) (string, error) { return render(s.ScheduleCurve([]int{2, 4, 8, 16})) }},
+	{"commaware", false, func(s *Suite) (string, error) { return render(s.CommAwareCurve(0.25)) }},
+	{"memlimit", false, func(s *Suite) (string, error) { return render(s.MemoryLimitAccuracy("dedup", 12)) }},
+	{"offload", false, func(s *Suite) (string, error) { return render(s.OffloadStudy(10)) }},
+	{"eventfile", true, func(s *Suite) (string, error) { return render(s.EventFileStats()) }},
+	{"chains", true, func(s *Suite) (string, error) {
+		chains, err := s.CriticalPathChains()
+		if err != nil {
+			return "", err
+		}
+		return RenderChains(chains, "§IV-C chain"), nil
+	}},
+}
+
+// RenderAll renders the full run's experiments in order, each followed by
+// a blank line — the cmd/experiments entry point.
 func (s *Suite) RenderAll() (string, error) {
 	var sb strings.Builder
-	sb.WriteString(TableI().Render())
-	sb.WriteByte('\n')
-	steps := []func() (interface{ Render() string }, error){
-		func() (interface{ Render() string }, error) { return s.Figure4() },
-		func() (interface{ Render() string }, error) { return s.Figure5() },
-		func() (interface{ Render() string }, error) { return s.Figure6() },
-		func() (interface{ Render() string }, error) { return s.Figure7() },
-		func() (interface{ Render() string }, error) { return s.TableII(5) },
-		func() (interface{ Render() string }, error) { return s.TableIII(5) },
-		func() (interface{ Render() string }, error) { return s.Figure8() },
-		func() (interface{ Render() string }, error) { return s.Figure9(8) },
-		func() (interface{ Render() string }, error) { return s.Figure10() },
-		func() (interface{ Render() string }, error) { return s.Figure11() },
-		func() (interface{ Render() string }, error) { return s.Figure12() },
-		func() (interface{ Render() string }, error) { return s.Figure13() },
-		func() (interface{ Render() string }, error) { return s.RunTelemetry() },
-		func() (interface{ Render() string }, error) { return s.EventFileStats() },
-	}
-	for _, step := range steps {
-		r, err := step()
-		if err != nil {
-			return sb.String(), err
+	for _, e := range Experiments {
+		if !e.Default {
+			continue
 		}
-		sb.WriteString(r.Render())
+		out, err := e.Render(s)
+		if err != nil {
+			return sb.String(), fmt.Errorf("%s: %w", e.Name, err)
+		}
+		sb.WriteString(out)
 		sb.WriteByte('\n')
 	}
 	return sb.String(), nil

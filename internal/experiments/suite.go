@@ -6,6 +6,8 @@
 package experiments
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -75,9 +77,9 @@ func ratio(a, b time.Duration) float64 {
 type Suite struct {
 	mu       sync.Mutex
 	profiles map[profileKey]*core.Result
-	traces   map[string]*trace.Trace // events, simsmall, keyed by workload
-	timings  map[profileKey]Timing   // mode field unused (always baseline)
-	flights  map[any]*flight         // in-progress computations, by cache key
+	traces   map[string]*eventRun  // events, simsmall, keyed by workload
+	timings  map[profileKey]Timing // mode field unused (always baseline)
+	flights  map[any]*flight       // in-progress computations, by cache key
 
 	// TimingReps is the number of timing repetitions (default 3). In each
 	// the three configurations take turns for timingWindow of run time;
@@ -197,7 +199,7 @@ func (s *Suite) traceBuf(label string) *tracing.Buf {
 func NewSuite() *Suite {
 	return &Suite{
 		profiles:         make(map[profileKey]*core.Result),
-		traces:           make(map[string]*trace.Trace),
+		traces:           make(map[string]*eventRun),
 		timings:          make(map[profileKey]Timing),
 		TimingReps:       3,
 		DedupShadowLimit: 16,
@@ -258,30 +260,54 @@ func (s *Suite) Profile(name string, class workloads.Class, mode Mode) (*core.Re
 // in-progress map.
 type traceKey string
 
+// eventRun is one cached simsmall run with events: the event file it wrote
+// into memory, decoded, and that file's footprint.
+type eventRun struct {
+	tr    *trace.Trace
+	bytes int               // length of the event file
+	stats trace.WriterStats // the writer's event and frame counts
+}
+
 // Trace returns the cached event trace of a simsmall run.
 func (s *Suite) Trace(name string) (*trace.Trace, error) {
+	r, err := s.eventRun(name)
+	if err != nil {
+		return nil, err
+	}
+	return r.tr, nil
+}
+
+// eventRun runs a workload at simsmall with an event file written into
+// memory, as sigil -events writes it, and decodes the file, on first use.
+func (s *Suite) eventRun(name string) (*eventRun, error) {
 	v, err := s.shared(traceKey(name),
-		func() (any, bool) { t, ok := s.traces[name]; return t, ok },
+		func() (any, bool) { r, ok := s.traces[name]; return r, ok },
 		func() (any, error) {
 			prog, input, err := workloads.Build(name, workloads.SimSmall)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: building %s: %w", name, err)
 			}
-			var buf trace.Buffer
+			var file bytes.Buffer
+			w := trace.NewWriter(&file)
 			opts := s.coreOptions(name, ModeBaseline)
-			opts.Events = &buf
+			opts.Events = w
 			opts.Trace = s.traceBuf(name + "/events")
-			if _, err := core.RunContext(s.ctx(), prog, opts, input); err != nil {
+			_, err = core.RunContext(s.ctx(), prog, opts, input)
+			if err = cmp.Or(err, w.Close()); err != nil {
 				return nil, fmt.Errorf("experiments: tracing %s: %w", name, err)
 			}
-			return trace.FromBuffer(&buf), nil
+			tr, err := trace.ReadAll(bytes.NewReader(file.Bytes()))
+			if err != nil {
+				return nil, fmt.Errorf("experiments: decoding %s events: %w", name, err)
+			}
+			return &eventRun{tr: tr, bytes: file.Len(), stats: w.Stats()}, nil
 		},
-		func(v any) { s.traces[name] = v.(*trace.Trace) },
+		func(v any) { s.traces[name] = v.(*eventRun) },
 	)
 	if err != nil {
 		return nil, err
 	}
-	return v.(*trace.Trace), nil
+	return v.(*eventRun), nil
 }
 
 // timingKey distinguishes timing flights from profile flights (both use

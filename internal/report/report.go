@@ -23,7 +23,7 @@ import (
 type Config struct {
 	// Title heads the document (e.g. the workload name).
 	Title string
-	// TopFunctions bounds the per-function tables (default 12).
+	// TopFunctions bounds the per-function tables; 0 prints every row.
 	TopFunctions int
 	// Partition parameterizes the offload model.
 	Partition cdfg.Config
@@ -31,18 +31,10 @@ type Config struct {
 	Slots []int
 }
 
-func (c Config) withDefaults() Config {
-	if c.TopFunctions == 0 {
-		c.TopFunctions = 12
-	}
-	return c
-}
-
 // Write renders the report for a profile and (optionally) its event trace;
 // tr may be nil, which omits the critical-path sections. Reuse sections
 // appear only for re-use-mode profiles.
 func Write(w io.Writer, res *core.Result, tr *trace.Trace, cfg Config) error {
-	cfg = cfg.withDefaults()
 	var sb strings.Builder
 	p := func(format string, args ...any) {
 		fmt.Fprintf(&sb, format+"\n", args...)
@@ -117,7 +109,7 @@ func writeCommMatrix(p func(string, ...any), res *core.Result, top int) {
 		}
 		return rows[i].name < rows[j].name
 	})
-	if top < len(rows) {
+	if top > 0 && top < len(rows) {
 		rows = rows[:top]
 	}
 	p("| function | in unique | in re-read | out unique | local |")
@@ -136,7 +128,7 @@ func writeEdges(p func(string, ...any), res *core.Result, top int) {
 	edges := make([]core.Edge, len(res.Edges))
 	copy(edges, res.Edges)
 	sort.Slice(edges, func(i, j int) bool { return edges[i].Unique > edges[j].Unique })
-	if top < len(edges) {
+	if top > 0 && top < len(edges) {
 		edges = edges[:top]
 	}
 	p("| producer | consumer | unique B | non-unique B |")

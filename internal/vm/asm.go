@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -28,9 +29,10 @@ import (
 //	    halt
 //	}
 //
-// Instructions use the builder's mnemonics lowercased; loads/stores carry
-// their width as a suffix (load1..load8, loads1..loads8, store1..store8,
-// fload, fstore).
+// Mnemonics and operands are the ones opDefs declares (isa.go): the
+// builder's method names lowercased, with loads and stores carrying their
+// width as a suffix (load1..load8, loads1..loads8, store1..store8, fload,
+// fstore).
 func Assemble(src string) (*Program, error) {
 	a := &assembler{b: NewBuilder(), syms: map[string]uint64{}}
 	lines := strings.Split(src, "\n")
@@ -167,24 +169,20 @@ func (a *assembler) label(name string) Label {
 
 // operand parsing ------------------------------------------------------
 
-func parseReg(tok string) (Reg, error) {
-	if len(tok) >= 2 && (tok[0] == 'r' || tok[0] == 'R') {
-		n, err := strconv.Atoi(tok[1:])
-		if err == nil && n >= 0 && n < NumRegs {
-			return Reg(n), nil
+// parseReg parses a register of the integer file (r0..r31) or, with fp,
+// of the floating-point file (f0..f15).
+func parseReg(tok string, fp bool) (Reg, error) {
+	prefix, n, file := "r", NumRegs, "integer"
+	if fp {
+		prefix, n, file = "f", NumFRegs, "fp"
+	}
+	if len(tok) >= 2 && strings.EqualFold(tok[:1], prefix) {
+		v, err := strconv.Atoi(tok[1:])
+		if err == nil && v >= 0 && v < n {
+			return Reg(v), nil
 		}
 	}
-	return 0, fmt.Errorf("bad integer register %q", tok)
-}
-
-func parseFReg(tok string) (FReg, error) {
-	if len(tok) >= 2 && (tok[0] == 'f' || tok[0] == 'F') {
-		n, err := strconv.Atoi(tok[1:])
-		if err == nil && n >= 0 && n < NumFRegs {
-			return FReg(n), nil
-		}
-	}
-	return 0, fmt.Errorf("bad fp register %q", tok)
+	return 0, fmt.Errorf("bad %s register %q", file, tok)
 }
 
 func (a *assembler) parseImm(tok string) (int64, error) {
@@ -210,324 +208,64 @@ func (a *assembler) parseImm(tok string) (int64, error) {
 	return v, nil
 }
 
-// instr assembles one instruction line.
+func parseFImm(tok string) (int64, error) {
+	v, err := strconv.ParseFloat(tok, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad float immediate %q", tok)
+	}
+	return int64(math.Float64bits(v)), nil
+}
+
+func parseSys(tok string) (int64, error) {
+	for s, name := range sysNames {
+		if strings.EqualFold(tok, name) {
+			return int64(s), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown syscall %q", tok)
+}
+
+// instr assembles one instruction line: its mnemonic names the opcode, and
+// opDefs says what each operand is and which field it fills.
 func (a *assembler) instr(line string) error {
 	mnem, rest, _ := strings.Cut(line, " ")
 	mnem = strings.ToLower(strings.TrimSpace(mnem))
-	var ops []string
-	for _, o := range strings.Split(rest, ",") {
-		o = strings.TrimSpace(o)
-		if o != "" {
-			ops = append(ops, o)
-		}
-	}
-	f := a.cur
-
-	need := func(n int) error {
-		if len(ops) != n {
-			return fmt.Errorf("%s needs %d operands, got %d", mnem, n, len(ops))
-		}
-		return nil
-	}
-	r := func(i int) (Reg, error) { return parseReg(ops[i]) }
-	fr := func(i int) (FReg, error) { return parseFReg(ops[i]) }
-	imm := func(i int) (int64, error) { return a.parseImm(ops[i]) }
-
-	// Three-register integer ops.
-	rrr := map[string]func(Reg, Reg, Reg) *FuncBuilder{
-		"add": f.Add, "sub": f.Sub, "mul": f.Mul, "div": f.Div, "rem": f.Rem,
-		"and": f.And, "or": f.Or, "xor": f.Xor,
-		"shl": f.Shl, "shr": f.Shr, "sar": f.Sar,
-		"slt": f.Slt, "sltu": f.Sltu, "seq": f.Seq,
-	}
-	if fn, ok := rrr[mnem]; ok {
-		if err := need(3); err != nil {
-			return err
-		}
-		rd, err1 := r(0)
-		ra, err2 := r(1)
-		rb, err3 := r(2)
-		if err := first(err1, err2, err3); err != nil {
-			return err
-		}
-		fn(rd, ra, rb)
-		return nil
-	}
-
-	// Register-register-immediate ops.
-	rri := map[string]func(Reg, Reg, int64) *FuncBuilder{
-		"addi": f.Addi, "muli": f.Muli, "andi": f.Andi, "ori": f.Ori,
-		"xori": f.Xori, "shli": f.Shli, "shri": f.Shri,
-	}
-	if fn, ok := rri[mnem]; ok {
-		if err := need(3); err != nil {
-			return err
-		}
-		rd, err1 := r(0)
-		ra, err2 := r(1)
-		v, err3 := imm(2)
-		if err := first(err1, err2, err3); err != nil {
-			return err
-		}
-		fn(rd, ra, v)
-		return nil
-	}
-
-	// FP three-register ops.
-	fff := map[string]func(FReg, FReg, FReg) *FuncBuilder{
-		"fadd": f.FAdd, "fsub": f.FSub, "fmul": f.FMul, "fdiv": f.FDiv,
-		"fmin": f.FMin, "fmax": f.FMax,
-	}
-	if fn, ok := fff[mnem]; ok {
-		if err := need(3); err != nil {
-			return err
-		}
-		fd, err1 := fr(0)
-		fa, err2 := fr(1)
-		fb, err3 := fr(2)
-		if err := first(err1, err2, err3); err != nil {
-			return err
-		}
-		fn(fd, fa, fb)
-		return nil
-	}
-
-	// FP two-register ops.
-	ff := map[string]func(FReg, FReg) *FuncBuilder{
-		"fmov": f.FMov, "fneg": f.FNeg, "fabs": f.FAbs, "fsqrt": f.FSqrt,
-	}
-	if fn, ok := ff[mnem]; ok {
-		if err := need(2); err != nil {
-			return err
-		}
-		fd, err1 := fr(0)
-		fa, err2 := fr(1)
-		if err := first(err1, err2); err != nil {
-			return err
-		}
-		fn(fd, fa)
-		return nil
-	}
-
-	// Conditional branches.
-	branches := map[string]func(Reg, Reg, Label) *FuncBuilder{
-		"beq": f.Beq, "bne": f.Bne, "blt": f.Blt, "bge": f.Bge,
-		"bltu": f.Bltu, "bgeu": f.Bgeu,
-	}
-	if fn, ok := branches[mnem]; ok {
-		if err := need(3); err != nil {
-			return err
-		}
-		ra, err1 := r(0)
-		rb, err2 := r(1)
-		if err := first(err1, err2); err != nil {
-			return err
-		}
-		fn(ra, rb, a.label(ops[2]))
-		return nil
-	}
-
-	// Loads and stores with width suffixes.
-	if size, sign, ok := loadMnemonic(mnem); ok {
-		if err := need(3); err != nil {
-			return err
-		}
-		rd, err1 := r(0)
-		ra, err2 := r(1)
-		off, err3 := imm(2)
-		if err := first(err1, err2, err3); err != nil {
-			return err
-		}
-		if sign {
-			f.LoadS(rd, ra, off, size)
-		} else {
-			f.Load(rd, ra, off, size)
-		}
-		return nil
-	}
-	if size, ok := storeMnemonic(mnem); ok {
-		if err := need(3); err != nil {
-			return err
-		}
-		ra, err1 := r(0)
-		off, err2 := imm(1)
-		rb, err3 := r(2)
-		if err := first(err1, err2, err3); err != nil {
-			return err
-		}
-		f.Store(ra, off, rb, size)
-		return nil
-	}
-
-	switch mnem {
-	case "nop":
-		f.Nop()
-	case "halt":
-		f.Halt()
-	case "ret":
-		f.Ret()
-	case "movi":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err1 := r(0)
-		v, err2 := imm(1)
-		if err := first(err1, err2); err != nil {
-			return err
-		}
-		f.Movi(rd, v)
-	case "mov":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err1 := r(0)
-		ra, err2 := r(1)
-		if err := first(err1, err2); err != nil {
-			return err
-		}
-		f.Mov(rd, ra)
-	case "fmovi":
-		if err := need(2); err != nil {
-			return err
-		}
-		fd, err1 := fr(0)
-		if err1 != nil {
-			return err1
-		}
-		v, err := strconv.ParseFloat(ops[1], 64)
-		if err != nil {
-			return fmt.Errorf("bad float immediate %q", ops[1])
-		}
-		f.FMovi(fd, v)
-	case "itof":
-		if err := need(2); err != nil {
-			return err
-		}
-		fd, err1 := fr(0)
-		ra, err2 := r(1)
-		if err := first(err1, err2); err != nil {
-			return err
-		}
-		f.ItoF(fd, ra)
-	case "ftoi":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err1 := r(0)
-		fa, err2 := fr(1)
-		if err := first(err1, err2); err != nil {
-			return err
-		}
-		f.FtoI(rd, fa)
-	case "fcmp":
-		if err := need(3); err != nil {
-			return err
-		}
-		rd, err1 := r(0)
-		fa, err2 := fr(1)
-		fb, err3 := fr(2)
-		if err := first(err1, err2, err3); err != nil {
-			return err
-		}
-		f.FCmp(rd, fa, fb)
-	case "fload":
-		if err := need(3); err != nil {
-			return err
-		}
-		fd, err1 := fr(0)
-		ra, err2 := r(1)
-		off, err3 := imm(2)
-		if err := first(err1, err2, err3); err != nil {
-			return err
-		}
-		f.FLoad(fd, ra, off)
-	case "fstore":
-		if err := need(3); err != nil {
-			return err
-		}
-		ra, err1 := r(0)
-		off, err2 := imm(1)
-		fa, err3 := fr(2)
-		if err := first(err1, err2, err3); err != nil {
-			return err
-		}
-		f.FStore(ra, off, fa)
-	case "br":
-		if err := need(1); err != nil {
-			return err
-		}
-		f.Br(a.label(ops[0]))
-	case "call":
-		if err := need(1); err != nil {
-			return err
-		}
-		f.Call(ops[0])
-	case "alloc":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err1 := r(0)
-		ra, err2 := r(1)
-		if err := first(err1, err2); err != nil {
-			return err
-		}
-		f.Alloc(rd, ra)
-	case "sys":
-		if err := need(1); err != nil {
-			return err
-		}
-		switch strings.ToLower(ops[0]) {
-		case "read":
-			f.Sys(SysRead)
-		case "write":
-			f.Sys(SysWrite)
-		case "rand":
-			f.Sys(SysRand)
-		case "time":
-			f.Sys(SysTime)
-		default:
-			return fmt.Errorf("unknown syscall %q", ops[0])
-		}
-	default:
+	in, ok := mnemonics[mnem]
+	if !ok {
 		return fmt.Errorf("unknown mnemonic %q", mnem)
 	}
+	var toks []string
+	for _, o := range strings.Split(rest, ",") {
+		if o = strings.TrimSpace(o); o != "" {
+			toks = append(toks, o)
+		}
+	}
+	args := opDefs[in.Op].args
+	if len(toks) != len(args) {
+		return fmt.Errorf("%s needs %d operands, got %d", mnem, len(args), len(toks))
+	}
+	for i, arg := range args {
+		var err error
+		switch tok := toks[i]; arg.kind {
+		case kindReg, kindFReg:
+			*in.reg(arg.field), err = parseReg(tok, arg.kind == kindFReg)
+		case kindImm:
+			in.Imm, err = a.parseImm(tok)
+		case kindFImm:
+			in.Imm, err = parseFImm(tok)
+		case kindLabel:
+			in.Target = a.cur.target(a.label(tok))
+		case kindCallee:
+			in.Target = a.cur.callee(tok)
+		case kindSys:
+			in.Imm, err = parseSys(tok)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	a.cur.emit(in)
 	return nil
-}
-
-func loadMnemonic(m string) (size uint8, sign, ok bool) {
-	base := m
-	if strings.HasPrefix(m, "loads") {
-		sign = true
-		base = "loads"
-	} else if strings.HasPrefix(m, "load") {
-		base = "load"
-	} else {
-		return 0, false, false
-	}
-	n, err := strconv.Atoi(m[len(base):])
-	if err != nil {
-		return 0, false, false
-	}
-	switch n {
-	case 1, 2, 4, 8:
-		return uint8(n), sign, true
-	}
-	return 0, false, false
-}
-
-func storeMnemonic(m string) (uint8, bool) {
-	if !strings.HasPrefix(m, "store") {
-		return 0, false
-	}
-	n, err := strconv.Atoi(m[len("store"):])
-	if err != nil {
-		return 0, false
-	}
-	switch n {
-	case 1, 2, 4, 8:
-		return uint8(n), true
-	}
-	return 0, false
 }
 
 // isIdent reports whether s is a plausible label name (letters, digits,
@@ -545,13 +283,4 @@ func isIdent(s string) bool {
 		}
 	}
 	return true
-}
-
-func first(errs ...error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
 }

@@ -176,15 +176,28 @@ func (f *FuncBuilder) emit(in Instr) *FuncBuilder {
 	return f
 }
 
-func (f *FuncBuilder) emitBranch(op Op, ra, rb Reg, l Label) *FuncBuilder {
-	pc := len(f.code)
-	target := int32(-1)
+// target returns the pc label l is bound at, or -1 after recording the
+// next instruction as a site to patch when l is bound.
+func (f *FuncBuilder) target(l Label) int32 {
 	if int(l) < len(f.labels) && f.labels[l] >= 0 {
-		target = int32(f.labels[l])
-	} else {
-		f.patches[l] = append(f.patches[l], pc)
+		return int32(f.labels[l])
 	}
-	return f.emit(Instr{Op: op, Ra: ra, Rb: rb, Target: target})
+	f.patches[l] = append(f.patches[l], len(f.code))
+	return -1
+}
+
+// callee records the next instruction as a call of the named function,
+// resolved at Build, and returns its placeholder target.
+func (f *FuncBuilder) callee(name string) int32 {
+	if f.calls == nil {
+		f.calls = make(map[int]string)
+	}
+	f.calls[len(f.code)] = name
+	return -1
+}
+
+func (f *FuncBuilder) emitBranch(op Op, ra, rb Reg, l Label) *FuncBuilder {
+	return f.emit(Instr{Op: op, Ra: ra, Rb: rb, Target: f.target(l)})
 }
 
 // --- integer ---
@@ -433,11 +446,7 @@ func (f *FuncBuilder) Bgeu(ra, rb Reg, l Label) *FuncBuilder { return f.emitBran
 
 // Call emits a call to the named function (resolved at Build).
 func (f *FuncBuilder) Call(name string) *FuncBuilder {
-	if f.calls == nil {
-		f.calls = make(map[int]string)
-	}
-	f.calls[len(f.code)] = name
-	return f.emit(Instr{Op: OpCall, Target: -1})
+	return f.emit(Instr{Op: OpCall, Target: f.callee(name)})
 }
 
 // Ret emits a return.

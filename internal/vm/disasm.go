@@ -12,57 +12,43 @@ import (
 // branch targets to pc-relative labels and call targets to function names
 // when a program is provided (p may be nil).
 func (in Instr) Disassemble(p *Program) string {
-	r := func(x Reg) string { return fmt.Sprintf("r%d", x) }
-	f := func(x Reg) string { return fmt.Sprintf("f%d", x) }
-	switch in.Op {
-	case OpNop, OpRet, OpHalt:
-		return in.Op.String()
-	case OpMovi:
-		return fmt.Sprintf("movi %s, %d", r(in.Rd), in.Imm)
-	case OpMov:
-		return fmt.Sprintf("mov %s, %s", r(in.Rd), r(in.Ra))
-	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor,
-		OpShl, OpShr, OpSar, OpSlt, OpSltu, OpSeq:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, r(in.Rd), r(in.Ra), r(in.Rb))
-	case OpAddi, OpMuli, OpAndi, OpOri, OpXori, OpShli, OpShri:
-		return fmt.Sprintf("%s %s, %s, %d", in.Op, r(in.Rd), r(in.Ra), in.Imm)
-	case OpFMovi:
-		return fmt.Sprintf("fmovi %s, %v", f(in.Rd), math.Float64frombits(uint64(in.Imm)))
-	case OpFMov, OpFNeg, OpFAbs, OpFSqrt:
-		return fmt.Sprintf("%s %s, %s", in.Op, f(in.Rd), f(in.Ra))
-	case OpFAdd, OpFSub, OpFMul, OpFDiv, OpFMin, OpFMax:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, f(in.Rd), f(in.Ra), f(in.Rb))
-	case OpItoF:
-		return fmt.Sprintf("itof %s, %s", f(in.Rd), r(in.Ra))
-	case OpFtoI:
-		return fmt.Sprintf("ftoi %s, %s", r(in.Rd), f(in.Ra))
-	case OpFCmp:
-		return fmt.Sprintf("fcmp %s, %s, %s", r(in.Rd), f(in.Ra), f(in.Rb))
-	case OpLoad:
-		return fmt.Sprintf("load%d %s, %s, %d", in.Size, r(in.Rd), r(in.Ra), in.Imm)
-	case OpLoadS:
-		return fmt.Sprintf("loads%d %s, %s, %d", in.Size, r(in.Rd), r(in.Ra), in.Imm)
-	case OpStore:
-		return fmt.Sprintf("store%d %s, %d, %s", in.Size, r(in.Ra), in.Imm, r(in.Rb))
-	case OpFLoad:
-		return fmt.Sprintf("fload %s, %s, %d", f(in.Rd), r(in.Ra), in.Imm)
-	case OpFStore:
-		return fmt.Sprintf("fstore %s, %d, %s", r(in.Ra), in.Imm, f(in.Rb))
-	case OpBr:
-		return fmt.Sprintf("br L%d", in.Target)
-	case OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu:
-		return fmt.Sprintf("%s %s, %s, L%d", in.Op, r(in.Ra), r(in.Rb), in.Target)
-	case OpCall:
-		if p != nil {
-			return fmt.Sprintf("call %s", p.FuncName(int(in.Target)))
-		}
-		return fmt.Sprintf("call #%d", in.Target)
-	case OpAlloc:
-		return fmt.Sprintf("alloc %s, %s", r(in.Rd), r(in.Ra))
-	case OpSys:
-		return fmt.Sprintf("sys %s", Sys(in.Imm).Name())
+	if in.Op >= opCount {
+		return fmt.Sprintf("?%d", uint8(in.Op))
 	}
-	return fmt.Sprintf("?%d", uint8(in.Op))
+	d := &opDefs[in.Op]
+	var sb strings.Builder
+	sb.WriteString(d.name)
+	if d.sized {
+		fmt.Fprintf(&sb, "%d", in.Size)
+	}
+	for i, a := range d.args {
+		if i == 0 {
+			sb.WriteByte(' ')
+		} else {
+			sb.WriteString(", ")
+		}
+		switch a.kind {
+		case kindReg:
+			fmt.Fprintf(&sb, "r%d", *in.reg(a.field))
+		case kindFReg:
+			fmt.Fprintf(&sb, "f%d", *in.reg(a.field))
+		case kindImm:
+			fmt.Fprintf(&sb, "%d", in.Imm)
+		case kindFImm:
+			fmt.Fprintf(&sb, "%v", math.Float64frombits(uint64(in.Imm)))
+		case kindLabel:
+			fmt.Fprintf(&sb, "L%d", in.Target)
+		case kindCallee:
+			if p != nil {
+				sb.WriteString(p.FuncName(int(in.Target)))
+			} else {
+				fmt.Fprintf(&sb, "#%d", in.Target)
+			}
+		case kindSys:
+			sb.WriteString(Sys(in.Imm).Name())
+		}
+	}
+	return sb.String()
 }
 
 // WriteListing renders the whole program as annotated assembler text: data
@@ -83,7 +69,7 @@ func (p *Program) WriteListing(w io.Writer) error {
 		// Collect branch targets for labels.
 		targets := map[int32]bool{}
 		for _, in := range fn.Code {
-			if in.IsBranch() || in.Op == OpBr {
+			if in.Op.has(kindLabel) {
 				targets[in.Target] = true
 			}
 		}

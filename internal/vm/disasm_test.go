@@ -7,7 +7,7 @@ import (
 
 func TestDisassembleRoundTrip(t *testing.T) {
 	// Assemble a program exercising most opcodes, disassemble it,
-	// re-assemble the listing, and check the machines agree.
+	// re-assemble the listing, and check the programs and machines agree.
 	src := `
 .data tbl 01 02 03 04 05 06 07 08
 .reserve buf 64
@@ -43,25 +43,16 @@ func helper {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	if err := p1.WriteListing(&sb); err != nil {
+	reSrc, err := listingSource(p1)
+	if err != nil {
 		t.Fatal(err)
-	}
-	listing := sb.String()
-	// Listings are reassemblable except for the data directive comments;
-	// regenerate data directives from the original (the listing keeps
-	// segments as comments to avoid duplicating contents).
-	reSrc := ".data tbl 01 02 03 04 05 06 07 08\n.reserve buf 64\n"
-	for _, line := range strings.Split(listing, "\n") {
-		trimmed := strings.TrimSpace(line)
-		if strings.HasPrefix(trimmed, ".data") || strings.HasPrefix(trimmed, ";") {
-			continue
-		}
-		reSrc += line + "\n"
 	}
 	p2, err := Assemble(reSrc)
 	if err != nil {
 		t.Fatalf("reassembling listing: %v\n%s", err, reSrc)
+	}
+	if diff := sameProgram(p1, p2); diff != "" {
+		t.Errorf("listing reassembles to a different program: %s\n%s", diff, reSrc)
 	}
 
 	run := func(p *Program) *Machine {

@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzAssemble checks the assembler never panics, that anything it accepts
-// validates, verifies and disassembles cleanly, and that verifier
+// validates and verifies, that its listing assembles back to the same
+// program (when a listing can carry its names), and that verifier
 // rejections surface as the typed *VerifyError rather than a panic.
 func FuzzAssemble(f *testing.F) {
 	seeds := []string{
@@ -31,6 +32,8 @@ func FuzzAssemble(f *testing.F) {
 		// Reserved regions that reach the heap or wrap past 2^64.
 		".reserve big 0x10000000\nfunc main {\n movi r1, 8\n alloc r2, r1\n halt\n}",
 		".reserve big 0xFFFFFFFFFFFFFFC0\n.data d \"x\"\nfunc main {\n movi r1, d\n load1 r2, r1, 0\n halt\n}",
+		// Every operand kind at the ends of its range, for the round trip.
+		".reserve z 0\n.data d 7f\nfunc main {\n movi r31, -9223372036854775808\n loads8 r31, r30, 9223372036854775807\n fload f15, r31, -1\n fstore r31, 0, f15\n fmovi f15, -1.7976931348623157e+308\n call leaf\n sys time\n halt\n}\nfunc leaf {\ntop: fcmp r31, f0, f15\n bgeu r31, r0, top\n ret\n}",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -53,9 +56,19 @@ func FuzzAssemble(f *testing.F) {
 		if err := p.Verify(); err != nil {
 			t.Fatalf("accepted program fails verification: %v\nsource:\n%s", err, src)
 		}
-		var sb strings.Builder
-		if err := p.WriteListing(&sb); err != nil {
+		if !listable(p) {
+			return
+		}
+		reSrc, err := listingSource(p)
+		if err != nil {
 			t.Fatalf("listing failed: %v", err)
+		}
+		p2, err := Assemble(reSrc)
+		if err != nil {
+			t.Fatalf("listing does not reassemble: %v\nsource:\n%s\nlisting source:\n%s", err, src, reSrc)
+		}
+		if diff := sameProgram(p, p2); diff != "" {
+			t.Fatalf("listing reassembles to a different program: %s\nsource:\n%s\nlisting source:\n%s", diff, src, reSrc)
 		}
 	})
 }

@@ -6,7 +6,11 @@
 // which is all the Sigil methodology consumes.
 package vm
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strconv"
+)
 
 // Reg names an integer register. The machine has 32 integer registers
 // (R0..R31) of 64 bits each. By convention R0 carries integer return values
@@ -241,55 +245,6 @@ func (c OpClass) String() string {
 	return fmt.Sprintf("class%d", uint8(c))
 }
 
-// classOf maps opcodes with an arithmetic cost to their class; opcodes that
-// are pure control or memory map to ClassNone.
-var classOf = [opCount]OpClass{
-	OpMovi: ClassIntALU, OpMov: ClassIntALU,
-	OpAdd: ClassIntALU, OpSub: ClassIntALU,
-	OpMul: ClassIntMul, OpDiv: ClassIntDiv, OpRem: ClassIntDiv,
-	OpAnd: ClassIntALU, OpOr: ClassIntALU, OpXor: ClassIntALU,
-	OpShl: ClassIntALU, OpShr: ClassIntALU, OpSar: ClassIntALU,
-	OpAddi: ClassIntALU, OpMuli: ClassIntMul,
-	OpAndi: ClassIntALU, OpOri: ClassIntALU, OpXori: ClassIntALU,
-	OpShli: ClassIntALU, OpShri: ClassIntALU,
-	OpSlt: ClassIntALU, OpSltu: ClassIntALU, OpSeq: ClassIntALU,
-	OpFMovi: ClassFPAdd, OpFMov: ClassFPAdd,
-	OpFAdd: ClassFPAdd, OpFSub: ClassFPAdd,
-	OpFMul: ClassFPMul, OpFDiv: ClassFPDiv,
-	OpFNeg: ClassFPAdd, OpFAbs: ClassFPAdd, OpFSqrt: ClassFPDiv,
-	OpFMin: ClassFPAdd, OpFMax: ClassFPAdd,
-	OpItoF: ClassConv, OpFtoI: ClassConv, OpFCmp: ClassFPAdd,
-}
-
-var opNames = [opCount]string{
-	OpNop: "nop", OpMovi: "movi", OpMov: "mov",
-	OpAdd: "add", OpSub: "sub", OpMul: "mul", OpDiv: "div", OpRem: "rem",
-	OpAnd: "and", OpOr: "or", OpXor: "xor",
-	OpShl: "shl", OpShr: "shr", OpSar: "sar",
-	OpAddi: "addi", OpMuli: "muli", OpAndi: "andi", OpOri: "ori",
-	OpXori: "xori", OpShli: "shli", OpShri: "shri",
-	OpSlt: "slt", OpSltu: "sltu", OpSeq: "seq",
-	OpFMovi: "fmovi", OpFMov: "fmov",
-	OpFAdd: "fadd", OpFSub: "fsub", OpFMul: "fmul", OpFDiv: "fdiv",
-	OpFNeg: "fneg", OpFAbs: "fabs", OpFSqrt: "fsqrt",
-	OpFMin: "fmin", OpFMax: "fmax",
-	OpItoF: "itof", OpFtoI: "ftoi", OpFCmp: "fcmp",
-	OpLoad: "load", OpLoadS: "loads", OpStore: "store",
-	OpFLoad: "fload", OpFStore: "fstore",
-	OpBr: "br", OpBeq: "beq", OpBne: "bne",
-	OpBlt: "blt", OpBge: "bge", OpBltu: "bltu", OpBgeu: "bgeu",
-	OpCall: "call", OpRet: "ret", OpHalt: "halt",
-	OpAlloc: "alloc", OpSys: "sys",
-}
-
-// String returns the opcode mnemonic.
-func (o Op) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
-		return opNames[o]
-	}
-	return fmt.Sprintf("op%d", uint8(o))
-}
-
 // Instr is one decoded instruction. The same compact struct serves every
 // opcode; unused fields are zero.
 type Instr struct {
@@ -302,11 +257,228 @@ type Instr struct {
 	Target int32 // branch target (instruction index) or callee function index
 }
 
-// IsBranch reports whether the instruction is a conditional branch.
-func (i Instr) IsBranch() bool {
-	switch i.Op {
-	case OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu:
-		return true
+// argKind is what an operand names, and so how the assembler parses it,
+// the disassembler prints it and Validate bounds it.
+type argKind uint8
+
+const (
+	kindReg    argKind = iota + 1 // integer register rN, in its register field
+	kindFReg                      // floating-point register fN, in its register field
+	kindImm                       // integer immediate or data symbol, in Imm
+	kindFImm                      // float64 immediate, its bits in Imm
+	kindLabel                     // branch target in the same function, in Target
+	kindCallee                    // function called by name, its index in Target
+	kindSys                       // syscall name, its Sys number in Imm
+)
+
+// regField is the register field of Instr a register operand fills.
+type regField uint8
+
+const (
+	fieldRd regField = iota
+	fieldRa
+	fieldRb
+)
+
+// reg returns the register field f of the instruction.
+func (i *Instr) reg(f regField) *Reg {
+	switch f {
+	case fieldRa:
+		return &i.Ra
+	case fieldRb:
+		return &i.Rb
 	}
-	return false
+	return &i.Rd
+}
+
+// operand is one assembler operand of an opcode.
+type operand struct {
+	kind  argKind
+	field regField // register operands only
+}
+
+// The operands opcodes take, named after the field they fill.
+var (
+	argRd     = operand{kindReg, fieldRd}
+	argRa     = operand{kindReg, fieldRa}
+	argRb     = operand{kindReg, fieldRb}
+	argFd     = operand{kindFReg, fieldRd}
+	argFa     = operand{kindFReg, fieldRa}
+	argFb     = operand{kindFReg, fieldRb}
+	argImm    = operand{kind: kindImm}
+	argFImm   = operand{kind: kindFImm}
+	argLabel  = operand{kind: kindLabel}
+	argCallee = operand{kind: kindCallee}
+	argSys    = operand{kind: kindSys}
+)
+
+// accessSizes are the widths a sized memory access may carry.
+var accessSizes = [...]uint8{1, 2, 4, 8}
+
+// opDef declares one opcode: everything the assembler, the disassembler,
+// Validate and Verify know of it.
+type opDef struct {
+	name  string
+	class OpClass
+	// mem marks an access of Size bytes at Ra+Imm. sized marks one whose
+	// mnemonic carries the width (load4), one of accessSizes; an unsized
+	// access is 8 bytes wide.
+	mem, sized bool
+	args       []operand // in assembler order
+
+	// regLimit bounds the Rd, Ra and Rb fields: the FP register file for
+	// FP operands, the integer file for integer ones. An opcode with an FP
+	// operand holds the fields it does not name to the FP file too.
+	regLimit [3]Reg
+}
+
+func def(name string, class OpClass, args ...operand) opDef {
+	d := opDef{name: name, class: class, args: args, regLimit: [3]Reg{NumRegs, NumRegs, NumRegs}}
+	if slices.ContainsFunc(args, func(a operand) bool { return a.kind == kindFReg }) {
+		d.regLimit = [3]Reg{NumFRegs, NumFRegs, NumFRegs}
+		for _, a := range args {
+			if a.kind == kindReg {
+				d.regLimit[a.field] = NumRegs
+			}
+		}
+	}
+	return d
+}
+
+func access(name string, sized bool, args ...operand) opDef {
+	d := def(name, ClassNone, args...)
+	d.mem, d.sized = true, sized
+	return d
+}
+
+// opDefs declares every opcode once. Cost classes mirror the paper's
+// modification of Callgrind to log floating-point and integer operations
+// separately; pure control and memory opcodes have ClassNone.
+var opDefs = [opCount]opDef{
+	OpNop:  def("nop", ClassNone),
+	OpMovi: def("movi", ClassIntALU, argRd, argImm),
+	OpMov:  def("mov", ClassIntALU, argRd, argRa),
+	OpAdd:  def("add", ClassIntALU, argRd, argRa, argRb),
+	OpSub:  def("sub", ClassIntALU, argRd, argRa, argRb),
+	OpMul:  def("mul", ClassIntMul, argRd, argRa, argRb),
+	OpDiv:  def("div", ClassIntDiv, argRd, argRa, argRb),
+	OpRem:  def("rem", ClassIntDiv, argRd, argRa, argRb),
+	OpAnd:  def("and", ClassIntALU, argRd, argRa, argRb),
+	OpOr:   def("or", ClassIntALU, argRd, argRa, argRb),
+	OpXor:  def("xor", ClassIntALU, argRd, argRa, argRb),
+	OpShl:  def("shl", ClassIntALU, argRd, argRa, argRb),
+	OpShr:  def("shr", ClassIntALU, argRd, argRa, argRb),
+	OpSar:  def("sar", ClassIntALU, argRd, argRa, argRb),
+	OpAddi: def("addi", ClassIntALU, argRd, argRa, argImm),
+	OpMuli: def("muli", ClassIntMul, argRd, argRa, argImm),
+	OpAndi: def("andi", ClassIntALU, argRd, argRa, argImm),
+	OpOri:  def("ori", ClassIntALU, argRd, argRa, argImm),
+	OpXori: def("xori", ClassIntALU, argRd, argRa, argImm),
+	OpShli: def("shli", ClassIntALU, argRd, argRa, argImm),
+	OpShri: def("shri", ClassIntALU, argRd, argRa, argImm),
+	OpSlt:  def("slt", ClassIntALU, argRd, argRa, argRb),
+	OpSltu: def("sltu", ClassIntALU, argRd, argRa, argRb),
+	OpSeq:  def("seq", ClassIntALU, argRd, argRa, argRb),
+
+	OpFMovi: def("fmovi", ClassFPAdd, argFd, argFImm),
+	OpFMov:  def("fmov", ClassFPAdd, argFd, argFa),
+	OpFAdd:  def("fadd", ClassFPAdd, argFd, argFa, argFb),
+	OpFSub:  def("fsub", ClassFPAdd, argFd, argFa, argFb),
+	OpFMul:  def("fmul", ClassFPMul, argFd, argFa, argFb),
+	OpFDiv:  def("fdiv", ClassFPDiv, argFd, argFa, argFb),
+	OpFNeg:  def("fneg", ClassFPAdd, argFd, argFa),
+	OpFAbs:  def("fabs", ClassFPAdd, argFd, argFa),
+	OpFSqrt: def("fsqrt", ClassFPDiv, argFd, argFa),
+	OpFMin:  def("fmin", ClassFPAdd, argFd, argFa, argFb),
+	OpFMax:  def("fmax", ClassFPAdd, argFd, argFa, argFb),
+	OpItoF:  def("itof", ClassConv, argFd, argRa),
+	OpFtoI:  def("ftoi", ClassConv, argRd, argFa),
+	OpFCmp:  def("fcmp", ClassFPAdd, argRd, argFa, argFb),
+
+	OpLoad:   access("load", true, argRd, argRa, argImm),
+	OpLoadS:  access("loads", true, argRd, argRa, argImm),
+	OpStore:  access("store", true, argRa, argImm, argRb),
+	OpFLoad:  access("fload", false, argFd, argRa, argImm),
+	OpFStore: access("fstore", false, argRa, argImm, argFb),
+
+	OpBr:    def("br", ClassNone, argLabel),
+	OpBeq:   def("beq", ClassNone, argRa, argRb, argLabel),
+	OpBne:   def("bne", ClassNone, argRa, argRb, argLabel),
+	OpBlt:   def("blt", ClassNone, argRa, argRb, argLabel),
+	OpBge:   def("bge", ClassNone, argRa, argRb, argLabel),
+	OpBltu:  def("bltu", ClassNone, argRa, argRb, argLabel),
+	OpBgeu:  def("bgeu", ClassNone, argRa, argRb, argLabel),
+	OpCall:  def("call", ClassNone, argCallee),
+	OpRet:   def("ret", ClassNone),
+	OpHalt:  def("halt", ClassNone),
+	OpAlloc: def("alloc", ClassNone, argRd, argRa),
+	OpSys:   def("sys", ClassNone, argSys),
+}
+
+// unknownOp is the declaration of an opcode past opCount: no operands.
+var unknownOp opDef
+
+// def returns the opcode's declaration.
+func (o Op) def() *opDef {
+	if o < opCount {
+		return &opDefs[o]
+	}
+	return &unknownOp
+}
+
+// classOf is opDefs' cost class per opcode, flat for the dispatch loop.
+var classOf = func() (c [opCount]OpClass) {
+	for op := range opDefs {
+		c[op] = opDefs[op].class
+	}
+	return c
+}()
+
+// mnemonics maps every assembler mnemonic to the instruction it starts:
+// its opcode and, for a memory access, its width.
+var mnemonics = func() map[string]Instr {
+	m := make(map[string]Instr)
+	for op, d := range opDefs {
+		switch {
+		case d.sized:
+			for _, size := range accessSizes {
+				m[d.name+strconv.Itoa(int(size))] = Instr{Op: Op(op), Size: size}
+			}
+		case d.mem:
+			m[d.name] = Instr{Op: Op(op), Size: 8}
+		default:
+			m[d.name] = Instr{Op: Op(op)}
+		}
+	}
+	return m
+}()
+
+// opKinds has bit 1<<k set for each operand kind k of opDefs' opcode, flat
+// and indexed by every Op value so the verifier's walks test it without a
+// bounds check.
+var opKinds = func() (m [256]uint8) {
+	for op := range opDefs {
+		for _, a := range opDefs[op].args {
+			m[op] |= 1 << a.kind
+		}
+	}
+	return m
+}()
+
+// has reports whether the opcode takes an operand of kind k.
+func (o Op) has(k argKind) bool { return opKinds[o]&(1<<k) != 0 }
+
+// String returns the opcode mnemonic.
+func (o Op) String() string {
+	if o < opCount {
+		return opDefs[o].name
+	}
+	return fmt.Sprintf("op%d", uint8(o))
+}
+
+// IsBranch reports whether the instruction is a conditional branch: one
+// that compares registers and jumps to a label.
+func (i Instr) IsBranch() bool {
+	const branch = 1<<kindLabel | 1<<kindReg
+	return opKinds[i.Op]&branch == branch
 }

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -148,45 +149,34 @@ func (p *Program) validateInstr(f *Function, pc int, in Instr) error {
 	if in.Op >= opCount {
 		return bad("unknown opcode %d", uint8(in.Op))
 	}
-	if in.Rd >= NumRegs || in.Ra >= NumRegs || in.Rb >= NumRegs {
-		return bad("register out of range")
+	d := &opDefs[in.Op]
+	if in.Rd >= d.regLimit[fieldRd] || in.Ra >= d.regLimit[fieldRa] || in.Rb >= d.regLimit[fieldRb] {
+		if in.Rd >= NumRegs || in.Ra >= NumRegs || in.Rb >= NumRegs {
+			return bad("register out of range")
+		}
+		return bad("fp register out of range")
 	}
-	switch in.Op {
-	case OpLoad, OpLoadS, OpStore:
-		switch in.Size {
-		case 1, 2, 4, 8:
-		default:
-			return bad("invalid access size %d", in.Size)
+	for _, a := range d.args {
+		switch a.kind {
+		case kindLabel:
+			if in.Target < 0 || int(in.Target) >= len(f.Code) {
+				return bad("branch target %d out of range [0,%d)", in.Target, len(f.Code))
+			}
+		case kindCallee:
+			if in.Target < 0 || int(in.Target) >= len(p.Funcs) {
+				return bad("call target %d out of range [0,%d)", in.Target, len(p.Funcs))
+			}
+		case kindSys:
+			if in.Imm < 0 || in.Imm >= int64(sysCount) {
+				return bad("unknown syscall %d", in.Imm)
+			}
 		}
-	case OpFLoad, OpFStore:
-		if in.Size != 8 {
-			return bad("fp access size must be 8, got %d", in.Size)
-		}
-	case OpBr, OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu:
-		if in.Target < 0 || int(in.Target) >= len(f.Code) {
-			return bad("branch target %d out of range [0,%d)", in.Target, len(f.Code))
-		}
-	case OpCall:
-		if in.Target < 0 || int(in.Target) >= len(p.Funcs) {
-			return bad("call target %d out of range [0,%d)", in.Target, len(p.Funcs))
-		}
-	case OpSys:
-		if in.Imm < 0 || in.Imm >= int64(sysCount) {
-			return bad("unknown syscall %d", in.Imm)
-		}
-	case OpFMovi, OpFMov, OpFAdd, OpFSub, OpFMul, OpFDiv, OpFNeg, OpFAbs,
-		OpFSqrt, OpFMin, OpFMax:
-		if in.Rd >= NumFRegs || in.Ra >= NumFRegs || in.Rb >= NumFRegs {
-			return bad("fp register out of range")
-		}
-	case OpItoF:
-		if in.Rd >= NumFRegs {
-			return bad("fp register out of range")
-		}
-	case OpFtoI, OpFCmp:
-		if in.Ra >= NumFRegs || in.Rb >= NumFRegs {
-			return bad("fp register out of range")
-		}
+	}
+	switch {
+	case d.sized && !slices.Contains(accessSizes[:], in.Size):
+		return bad("invalid access size %d", in.Size)
+	case d.mem && !d.sized && in.Size != 8:
+		return bad("fp access size must be 8, got %d", in.Size)
 	}
 	return nil
 }

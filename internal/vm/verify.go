@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -119,25 +120,22 @@ func (p *Program) Verify() error {
 	return &VerifyError{Diags: diags}
 }
 
-// succs returns the control successors of the instruction at pc, or ok=false
-// when a target is out of range (structurally broken, reported separately).
-func succs(f *Function, pc int, in Instr) (next []int, ok bool) {
+// succs returns the control successors of the instruction at pc; none for
+// a target out of range (structurally broken, reported separately).
+func succs(f *Function, pc int, in Instr) []int {
 	switch in.Op {
 	case OpRet, OpHalt:
-		return nil, true
-	case OpBr:
-		if int(in.Target) < 0 || int(in.Target) >= len(f.Code) {
-			return nil, false
-		}
-		return []int{int(in.Target)}, true
-	case OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu:
-		if int(in.Target) < 0 || int(in.Target) >= len(f.Code) {
-			return nil, false
-		}
-		return []int{pc + 1, int(in.Target)}, true
-	default:
-		return []int{pc + 1}, true
+		return nil
 	}
+	switch {
+	case !in.Op.has(kindLabel):
+		return []int{pc + 1}
+	case uint(in.Target) >= uint(len(f.Code)):
+		return nil
+	case in.IsBranch():
+		return []int{pc + 1, int(in.Target)}
+	}
+	return []int{int(in.Target)}
 }
 
 func (p *Program) verifyFunc(f *Function) []Diag {
@@ -153,13 +151,13 @@ func (p *Program) verifyFunc(f *Function) []Diag {
 	// Structural pre-pass: targets must be in range before any CFG walk.
 	broken := false
 	for pc, in := range f.Code {
-		switch in.Op {
-		case OpBr, OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu:
+		switch {
+		case in.Op.has(kindLabel):
 			if int(in.Target) < 0 || int(in.Target) >= len(f.Code) {
 				bad(DiagTarget, pc, "branch target %d out of range [0,%d)", in.Target, len(f.Code))
 				broken = true
 			}
-		case OpCall:
+		case in.Op.has(kindCallee):
 			if int(in.Target) < 0 || int(in.Target) >= len(p.Funcs) {
 				bad(DiagTarget, pc, "call target %d out of range [0,%d)", in.Target, len(p.Funcs))
 				broken = true
@@ -182,8 +180,7 @@ func (p *Program) verifyFunc(f *Function) []Diag {
 		if in.Op == OpRet || in.Op == OpHalt {
 			terminates = true
 		}
-		next, _ := succs(f, pc, in)
-		for _, n := range next {
+		for _, n := range succs(f, pc, in) {
 			if n >= len(f.Code) {
 				bad(DiagFallOff, pc, "execution can fall off the end of the function")
 				continue
@@ -252,8 +249,7 @@ func (p *Program) verifyMemory(f *Function, reach []bool) []Diag {
 		onWork[pc] = false
 		instr := f.Code[pc]
 		out := transfer(in[pc], instr)
-		next, _ := succs(f, pc, instr)
-		for _, n := range next {
+		for _, n := range succs(f, pc, instr) {
 			if n >= len(f.Code) {
 				continue // fall-off already reported
 			}
@@ -281,23 +277,20 @@ func (p *Program) verifyMemory(f *Function, reach []bool) []Diag {
 	}
 
 	for pc, instr := range f.Code {
-		if !reach[pc] {
+		if !reach[pc] || !instr.Op.def().mem {
 			continue
 		}
-		switch instr.Op {
-		case OpLoad, OpLoadS, OpStore, OpFLoad, OpFStore:
-			base := in[pc][instr.Ra]
-			if !base.known {
-				continue
-			}
-			addr := uint64(base.val + instr.Imm)
-			size := uint64(instr.Size)
-			if !p.addressDeclared(addr, size) {
-				diags = append(diags, Diag{
-					Class: DiagMemory, Func: f.Name, PC: pc, Op: instr.Op,
-					Message: fmt.Sprintf("memory operand 0x%x (+%d bytes) outside declared segments, reserved regions, heap and stack", addr, size),
-				})
-			}
+		base := in[pc][instr.Ra]
+		if !base.known {
+			continue
+		}
+		addr := uint64(base.val + instr.Imm)
+		size := uint64(instr.Size)
+		if !p.addressDeclared(addr, size) {
+			diags = append(diags, Diag{
+				Class: DiagMemory, Func: f.Name, PC: pc, Op: instr.Op,
+				Message: fmt.Sprintf("memory operand 0x%x (+%d bytes) outside declared segments, reserved regions, heap and stack", addr, size),
+			})
 		}
 	}
 	return diags
@@ -372,12 +365,12 @@ func transfer(in [NumRegs]regState, instr Instr) [NumRegs]regState {
 		setUnknown(R0)
 	case OpSys:
 		setUnknown(R0)
-	case OpDiv, OpRem, OpAnd, OpOr, OpXor, OpShl, OpShr, OpSar,
-		OpAndi, OpOri, OpXori, OpShri,
-		OpSlt, OpSltu, OpSeq, OpFtoI, OpFCmp,
-		OpLoad, OpLoadS, OpAlloc:
-		setUnknown(instr.Rd)
+	default:
+		// Every opcode naming an integer Rd writes it; FP ops, stores,
+		// branches and nop write no integer register.
+		if slices.Contains(instr.Op.def().args, argRd) {
+			setUnknown(instr.Rd)
+		}
 	}
-	// FP ops, stores, branches, nop: no integer register written.
 	return out
 }

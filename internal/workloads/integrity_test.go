@@ -2,6 +2,7 @@ package workloads_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"sigil/internal/core"
@@ -133,15 +134,24 @@ func TestReuseEpisodeConservation(t *testing.T) {
 	}
 }
 
+// TestEventStreamsBalancedForAllWorkloads: every workload's event stream
+// nests its calls, and re-use mode emits the same stream as byte mode (so
+// sigil-report takes its events from its re-use-mode run).
 func TestEventStreamsBalancedForAllWorkloads(t *testing.T) {
 	for _, name := range workloads.Names() {
 		prog, input, err := workloads.Build(name, workloads.SimSmall)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf trace.Buffer
+		var buf, reuseBuf trace.Buffer
 		if _, err := core.Run(prog, core.Options{Events: &buf}, input); err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := core.Run(prog, core.Options{TrackReuse: true, Events: &reuseBuf}, input); err != nil {
+			t.Fatalf("%s (re-use mode): %v", name, err)
+		}
+		if !slices.Equal(buf.Events, reuseBuf.Events) {
+			t.Errorf("%s: re-use mode emits a different event stream (%d vs %d events)", name, len(reuseBuf.Events), len(buf.Events))
 		}
 		tr := trace.FromBuffer(&buf)
 		depth := 0

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Fuzz every target in the tree for FUZZTIME each (default 5s): the
-# untrusted-input parsers (event files, profiles, .sasm programs), the
+# untrusted-input parsers (event files, profiles, .sasm programs, whose
+# listings must also assemble back to the same instructions), the
 # classifier against the map-based reference in every mode (byte, re-use,
 # line, and re-use and line under FIFO chunk eviction, each with events),
 # and the critical-path analysis against its map-based reference on
